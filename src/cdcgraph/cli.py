@@ -284,7 +284,12 @@ def cmd_prereqs(config: CliConfig, concept: str, domain: str) -> int:
         print(_caret_diagnostic(domain, exc.offset, str(exc)), file=sys.stderr)
         return 2
     try:
-        order = all_prerequisites(store, ConceptId(concept), domain_expr)
+        target = ConceptId(concept)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        order = all_prerequisites(store, target, domain_expr)
     except CycleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -523,56 +528,42 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cdc", description="domain-contextualized concept graph engine")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("load", parents=[common], help="load KBs and report diagnostics")
-    sub.add_parser("check", parents=[common], help="consistency report")
-    sub.add_parser("materialize", parents=[common], help="compute the deductive closure")
+    p = sub.add_parser("load", parents=[common], help="load KBs and report diagnostics")
+    p.set_defaults(func=lambda config, args: cmd_load(config))
+    p = sub.add_parser("check", parents=[common], help="consistency report")
+    p.set_defaults(func=lambda config, args: cmd_check(config))
+    p = sub.add_parser("materialize", parents=[common], help="compute the deductive closure")
+    p.set_defaults(func=lambda config, args: cmd_materialize(config))
     p = sub.add_parser("query", parents=[common], help="evaluate a DSL query")
     p.add_argument("text", metavar="QUERY")
+    p.set_defaults(func=lambda config, args: cmd_query(config, args.text))
     p = sub.add_parser("explain", parents=[common], help="derivation trace for a fact")
     p.add_argument("fact", metavar="FACT")
+    p.set_defaults(func=lambda config, args: cmd_explain(config, args.fact))
     p = sub.add_parser("prereqs", parents=[common], help="topologically ordered prerequisites")
     p.add_argument("concept")
     p.add_argument("domain")
-    sub.add_parser("stats", parents=[common], help="store statistics")
+    p.set_defaults(func=lambda config, args: cmd_prereqs(config, args.concept, args.domain))
+    p = sub.add_parser("stats", parents=[common], help="store statistics")
+    p.set_defaults(func=lambda config, args: cmd_stats(config))
     p = sub.add_parser("save", parents=[common], help="write the canonical fact file")
     p.add_argument("out", metavar="OUT")
+    p.set_defaults(func=lambda config, args: cmd_save(config, args.out))
     p = sub.add_parser("export-prolog", parents=[common], help="write the ISO-Prolog interop file")
     p.add_argument("out", metavar="OUT")
+    p.set_defaults(func=lambda config, args: cmd_export_prolog(config, args.out))
     p = sub.add_parser("bench", parents=[common], help="partition-scan reduction benchmark")
     p.add_argument("n_facts", type=int)
     p.add_argument("n_domains", type=int)
-    sub.add_parser("repl", parents=[common], help="interactive session")
+    p.set_defaults(func=lambda config, args: cmd_bench(config, args.n_facts, args.n_domains))
+    p = sub.add_parser("repl", parents=[common], help="interactive session")
+    p.set_defaults(func=lambda config, args: cmd_repl(config))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = _config_from_args(args)
-    if args.command == "load":
-        return cmd_load(config)
-    if args.command == "check":
-        return cmd_check(config)
-    if args.command == "materialize":
-        return cmd_materialize(config)
-    if args.command == "query":
-        return cmd_query(config, args.text)
-    if args.command == "explain":
-        return cmd_explain(config, args.fact)
-    if args.command == "prereqs":
-        return cmd_prereqs(config, args.concept, args.domain)
-    if args.command == "stats":
-        return cmd_stats(config)
-    if args.command == "save":
-        return cmd_save(config, args.out)
-    if args.command == "export-prolog":
-        return cmd_export_prolog(config, args.out)
-    if args.command == "bench":
-        return cmd_bench(config, args.n_facts, args.n_domains)
-    if args.command == "repl":
-        return cmd_repl(config)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    args = build_parser().parse_args(argv)
+    return args.func(_config_from_args(args), args)
 
 
 def console_main() -> None:

@@ -7,28 +7,30 @@ produce conclusions in another):
   symmetric     R(b, a, ...) <- R(a, b, ...)          (all shapes)
   inheritance   A(x, attr, d) <- V(x, y, d), A(y, attr, d)   where V is A's carrier
 
-Materialization runs a semi-naive (delta-driven) fixpoint: each round joins
-only the facts derived in the previous round against the accumulated total.
-Multi-hop closure facts carry the relation name ``<rel>_star``; the one-hop
-base case of R_star is identified with the asserted edge itself, so every
-derivation bottoms out in asserted leaves.  Each derived fact records the
-rule and premises that first produced it (ties broken lexicographically),
-which keeps traces minimal-depth and deterministic.
-
-Single-source queries can skip full materialization: the ``reachable_star``
-family walks the per-domain partition directly.
+One kernel, ``_DomainClosure``, computes a domain's closure over bitsets of
+dense concept ids, applying the three rules together in semi-naive layers;
+a fact's layer is the length of its shortest derivation.  Multi-hop closure
+facts carry the relation name ``<rel>_star``; the one-hop base case of
+R_star is identified with the asserted edge itself, so every derivation
+bottoms out in asserted leaves.  ``materialize`` turns every domain's layers
+into facts whose traces record the smallest ``(rule, premise sort keys)``
+among their layer's rule instances, which keeps traces minimal-depth and
+deterministic.  The lazy reads run the kernel in the one domain asked for
+and read its bitsets without building traces, so they give the closure's
+answers.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from operator import attrgetter, or_
 
 from .consistency import ensure_acyclic, find_cycle
 from .domains import DomainExpr
 from .errors import CycleError, NotDerivableError, RegistryError
-from .relations import RelationRegistry, RelationShape
-from .store import ConceptId, Fact, FactPattern, FactStore, swap_orientation
+from .relations import RelationRegistry, RelationShape, RelationSpec
+from .store import ConceptId, Fact, FactStore, swap_orientation
 
 RULE_ASSERTED = "asserted"
 RULE_SYMMETRIC = "symmetric"
@@ -92,140 +94,214 @@ def _intra_shaped(fact: Fact) -> bool:
     return len(fact.concepts) == 2 and len(fact.domains) == 1
 
 
+def _ids(bits: int) -> list[int]:
+    """Positions of the set bits, lowest first."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
+class _DomainClosure:
+    """The closure of some intra-domain relations within one domain.
+
+    The relations asked for are joined by their inheritance carriers.  The
+    tables hold one bitset of ids per id:
+
+    - ``concepts[i]`` is the concept with id ``i``; ids follow symbol order;
+    - ``asserted[r][x]`` / ``edges[r][x]``: the ids y with r(x, y) asserted /
+      asserted or derived;
+    - ``stars[r][x]``: the ids z with r_star(x, z), for each transitive
+      relation asked for;
+    - ``layers[k]`` lists what layer k+1 derived as claims
+      ``(rule, r, x, y, bits)``, one fact per id z in ``bits``:
+      r_star(x, z) <- r(x, y), r|r_star(y, z) (transitive);
+      r(x, z) <- carrier(x, y), r(y, z) (inheritance);
+      r(x, z) <- r(z, x) (symmetric, y is None).
+      y is the lowest id of an instance whose premises are all present by
+      layer k, and inheritance claims a fact before symmetry does: the
+      smallest ``(rule, premise sort keys)`` of the fact's instances.
+    """
+
+    def __init__(self, registry: RelationRegistry, store: FactStore, domain: DomainExpr,
+                 relations: Sequence[str]) -> None:
+        specs: dict[str, RelationSpec] = {}
+        pending = list(relations)
+        while pending:
+            spec = registry.lookup(pending.pop())
+            if spec.name not in specs:
+                specs[spec.name] = spec
+                if spec.inherits_via is not None:
+                    pending.append(spec.inherits_via)
+        self.domain, self.specs = domain, specs
+        partitions = {name: store.partition(name, domain) for name in specs}
+        self.concepts = sorted(
+            {c for facts in partitions.values() for f in facts for c in f.concepts}, key=attrgetter("symbol"))
+        ids = self.ids = {c: i for i, c in enumerate(self.concepts)}
+        n = len(self.concepts)
+        self.asserted: dict[str, list[int]] = {}
+        for name, facts in partitions.items():
+            row = self.asserted[name] = [0] * n
+            for fact in facts:
+                x, y = fact.concepts
+                row[ids[x]] |= 1 << ids[y]
+        # layers replace rows rather than change them, so ``asserted`` stays as loaded
+        edges = self.edges = dict(self.asserted)
+        stars = self.stars = {name: [0] * n for name in relations if specs[name].transitive}
+        self.layers: list[list[tuple]] = []
+        new_edges, new_stars = edges, stars
+        while True:
+            layer: list[tuple] = []
+            grown = {}
+            for name, spec in specs.items():
+                if spec.inherits_via is None:
+                    grown[name] = [0] * n
+                else:
+                    grown[name] = self._join(RULE_INHERITANCE, name, spec.inherits_via, new_edges,
+                                             edges[name], new_edges[name], edges[name], layer)
+            for name, spec in specs.items():
+                if spec.symmetric:
+                    self._flip(name, new_edges[name], grown[name], layer)
+            starred = {}
+            for name, star in stars.items():
+                fresh = list(map(or_, new_edges[name], new_stars[name]))
+                paths = list(map(or_, edges[name], star))
+                starred[name] = self._join(RULE_TRANSITIVE, name, name, new_edges, paths, fresh, star, layer)
+            if not layer:
+                return
+            self.layers.append(layer)
+            for name, added in grown.items():
+                edges[name] = list(map(or_, edges[name], added))
+            for name, added in starred.items():
+                stars[name] = list(map(or_, stars[name], added))
+            new_edges, new_stars = grown, starred
+
+    def _join(self, rule: str, name: str, carrier: str, new_edges: dict[str, list[int]], full: list[int],
+              fresh: list[int], present: list[int], layer: list[tuple]) -> list[int]:
+        """One layer of ``name(x, z) <- carrier(x, y), full(y, z)``, semi-naive:
+        a carrier edge the last layer added meets all of ``full[y]``, an older
+        one only the bits ``fresh[y]`` the last layer added.  Returns the new
+        bits per node, leaving out what ``present`` already holds."""
+        changed = sum(1 << y for y, bits in enumerate(fresh) if bits)
+        out = []
+        for x, (row, via) in enumerate(zip(self.edges[carrier], new_edges[carrier])):
+            before = seen = present[x]
+            for y in _ids(via | (row & changed)):
+                hit = (full[y] if via >> y & 1 else fresh[y]) & ~seen
+                if hit:
+                    layer.append((rule, name, x, y, hit))
+                    seen |= hit
+            out.append(seen & ~before)
+        return out
+
+    def _flip(self, name: str, new: list[int], grown: list[int], layer: list[tuple]) -> None:
+        """One layer of the symmetric rule: r(y, x) for each r(x, y) the last
+        layer added, unless present or inherited in this layer."""
+        present = self.edges[name]
+        flipped = [0] * len(new)
+        for x, bits in enumerate(new):
+            for y in _ids(bits):
+                flipped[y] |= 1 << x
+        for y, bits in enumerate(flipped):
+            hit = bits & ~(present[y] | grown[y])
+            if hit:
+                layer.append((RULE_SYMMETRIC, name, y, None, hit))
+                grown[y] |= hit
+
+    def record(self, store: FactStore, derived: dict[str, set[Fact]], traces: dict[Fact, DerivationTrace]) -> None:
+        """Turn the claims into facts and traces, layer by layer; premises are
+        the store's facts and the ones built here."""
+        concepts, ids, domain = self.concepts, self.ids, self.domain
+        n = len(concepts)
+        facts = {name: {ids[f.concepts[0]] * n + ids[f.concepts[1]]: f for f in store.partition(name, domain)}
+                 for name in self.edges}
+        stars: dict[str, dict[int, Fact]] = {name: {} for name in self.stars}
+        for layer in self.layers:
+            made = []
+            for rule, name, x, y, bits in layer:
+                for z in _ids(bits):
+                    if rule == RULE_TRANSITIVE:
+                        # the edge premise sorts before the star premise
+                        rest = facts[name].get(y * n + z) or stars[name][y * n + z]
+                        premises = (facts[name][x * n + y], rest)
+                        fact, table = Fact(star_label(name), (concepts[x], concepts[z]), (domain,)), stars[name]
+                    else:
+                        if rule == RULE_INHERITANCE:
+                            premises = (facts[self.specs[name].inherits_via][x * n + y], facts[name][y * n + z])
+                        else:
+                            premises = (facts[name][z * n + x],)
+                        fact, table = Fact(name, (concepts[x], concepts[z]), (domain,)), facts[name]
+                    traces[fact] = DerivationTrace(rule, premises)
+                    derived.setdefault(fact.relation, set()).add(fact)
+                    made.append((table, x * n + z, fact))
+            for table, key, fact in made:
+                table[key] = fact
+
+    def reach(self, relation: str, x: int) -> int:
+        """Asserted edges plus ``R_star`` facts out of ``x``."""
+        return self.asserted[relation][x] | self.stars[relation][x]
+
+
 def materialize(store: FactStore, registry: RelationRegistry | None = None) -> ClosureSet:
-    """Compute the full fixpoint.  Raises CycleError if an acyclic relation
+    """Compute the full closure.  Raises CycleError if an acyclic relation
     contains a cycle (checked up front, per relation and domain)."""
     registry = registry or store.registry
     ensure_acyclic(store, registry)
 
-    transitive = {spec.name for spec in registry if spec.transitive}
-    inheritors_by_carrier: dict[str, list[str]] = {}
-    for spec in registry:
-        if spec.inherits_via is not None:
-            inheritors_by_carrier.setdefault(spec.inherits_via, []).append(spec.name)
-
-    present: set[Fact] = set()
-    fwd: dict[tuple[str, DomainExpr], dict[ConceptId, list[Fact]]] = {}
-    rev: dict[tuple[str, DomainExpr], dict[ConceptId, list[Fact]]] = {}
+    asserted = store.fact_set()
+    derived: dict[str, set[Fact]] = {}
     traces: dict[Fact, DerivationTrace] = {}
-
-    def add(fact: Fact) -> None:
-        present.add(fact)
-        if _intra_shaped(fact):
-            key = (fact.relation, fact.domains[0])
-            fwd.setdefault(key, {}).setdefault(fact.concepts[0], []).append(fact)
-            rev.setdefault(key, {}).setdefault(fact.concepts[1], []).append(fact)
-
-    asserted = store.facts()
-    for fact in asserted:
-        add(fact)
-
-    delta: list[Fact] = list(asserted)
-    while delta:
-        candidates: dict[Fact, tuple[str, tuple[Fact, ...]]] = {}
-
-        def propose(fact: Fact, rule: str, premises: tuple[Fact, ...]) -> None:
-            if fact in present:
-                return
-            key = (rule, tuple(p.sort_key() for p in premises))
-            best = candidates.get(fact)
-            if best is None or key < (best[0], tuple(p.sort_key() for p in best[1])):
-                candidates[fact] = (rule, premises)
-
-        for f in delta:
-            label = f.relation
-            spec = registry.get(label)
-            if spec is not None and spec.symmetric:
-                propose(swap_orientation(f, spec), RULE_SYMMETRIC, (f,))
-            if not _intra_shaped(f):
-                continue
-            d = f.domains[0]
-            x, y = f.concepts
-
-            if spec is not None and spec.transitive:
-                out = star_label(label)
-                # new edge as first body: join with star-or-edge facts out of y
-                for g in fwd.get((label, d), {}).get(y, ()):
-                    propose(Fact(out, (x, g.concepts[1]), (d,)), RULE_TRANSITIVE, (f, g))
-                for g in fwd.get((out, d), {}).get(y, ()):
-                    propose(Fact(out, (x, g.concepts[1]), (d,)), RULE_TRANSITIVE, (f, g))
-                # new edge as second body (one-hop star base): join edges into x
-                for e in rev.get((label, d), {}).get(x, ()):
-                    propose(Fact(out, (e.concepts[0], y), (d,)), RULE_TRANSITIVE, (e, f))
-
-            base = base_of_star(label)
-            if base is not None and base in transitive:
-                # new multi-hop star fact as second body
-                for e in rev.get((base, d), {}).get(x, ()):
-                    propose(Fact(label, (e.concepts[0], y), (d,)), RULE_TRANSITIVE, (e, f))
-
-            if spec is not None and label in inheritors_by_carrier:
-                # new carrier edge: pull attributes down from y to x
-                for attr_rel in inheritors_by_carrier[label]:
-                    for g in fwd.get((attr_rel, d), {}).get(y, ()):
-                        propose(Fact(attr_rel, (x, g.concepts[1]), (d,)), RULE_INHERITANCE, (f, g))
-
-            if spec is not None and spec.inherits_via is not None:
-                # new attribute fact: push down to carrier children of its subject
-                for e in rev.get((spec.inherits_via, d), {}).get(x, ()):
-                    propose(Fact(label, (e.concepts[0], y), (d,)), RULE_INHERITANCE, (e, f))
-
-        delta = sorted(candidates, key=Fact.sort_key)
-        for fact in delta:
-            rule, premises = candidates[fact]
-            traces[fact] = DerivationTrace(rule, premises)
-            add(fact)
-
-    derived_by_label: dict[str, set[Fact]] = {}
-    asserted_set = store.fact_set()
-    for fact in present:
-        if fact not in asserted_set:
-            derived_by_label.setdefault(fact.relation, set()).add(fact)
+    by_domain: dict[DomainExpr, list[str]] = {}
+    for spec in registry:
+        if spec.shape is not RelationShape.INTRA:
+            if spec.symmetric:
+                for fact in store.relation_facts(spec.name):
+                    flipped = swap_orientation(fact, spec)
+                    if flipped not in asserted:
+                        derived.setdefault(spec.name, set()).add(flipped)
+                        traces[flipped] = DerivationTrace(RULE_SYMMETRIC, (fact,))
+        elif spec.symmetric or spec.transitive or spec.inherits_via is not None:
+            for domain in store.relation_domains(spec.name):
+                by_domain.setdefault(domain, []).append(spec.name)
+    for domain, names in by_domain.items():
+        _DomainClosure(registry, store, domain, names).record(store, derived, traces)
     return ClosureSet(
         generation=store.generation,
-        derived={label: frozenset(facts) for label, facts in sorted(derived_by_label.items())},
+        derived={label: frozenset(facts) for label, facts in sorted(derived.items())},
         traces=traces,
     )
 
 
 # ---------------------------------------------------------------------------
-# Lazy single-source operations (no full materialization needed)
+# Lazy reads of one domain's closure (no traces)
 # ---------------------------------------------------------------------------
 
 
-def _adjacency(store: FactStore, relation: str, domain: DomainExpr) -> dict[ConceptId, list[ConceptId]]:
-    adjacency: dict[ConceptId, list[ConceptId]] = {}
-    for fact in store.partition(relation, domain):
-        adjacency.setdefault(fact.concepts[0], []).append(fact.concepts[1])
-    return adjacency
+def _star_closure(store: FactStore, relation: str, domain: DomainExpr) -> _DomainClosure:
+    if not store.registry.lookup(relation).transitive:
+        raise RegistryError(f"reachable_star needs a transitive relation, {relation!r} is not")
+    return _DomainClosure(store.registry, store, domain, (relation,))
 
 
 def reachable_star(store: FactStore, relation: str, frm: ConceptId, domain: DomainExpr) -> set[ConceptId]:
     """All concepts reachable from ``frm`` in one or more hops of the relation
-    within the domain (depth-first; tolerates cycles)."""
-    spec = store.registry.lookup(relation)
-    if not spec.transitive:
-        raise RegistryError(f"reachable_star needs a transitive relation, {relation!r} is not")
-    adjacency = _adjacency(store, relation, domain)
-    reached: set[ConceptId] = set()
-    stack = list(adjacency.get(frm, ()))
-    while stack:
-        node = stack.pop()
-        if node in reached:
-            continue
-        reached.add(node)
-        stack.extend(adjacency.get(node, ()))
-    return reached
+    within the domain, over asserted and derived (symmetric or inherited)
+    edges: the objects of ``frm``'s asserted edges and ``R_star`` facts."""
+    closure = _star_closure(store, relation, domain)
+    x = closure.ids.get(frm)
+    if x is None:
+        return set()
+    return {closure.concepts[y] for y in _ids(closure.reach(relation, x))}
 
 
 def star_pairs(store: FactStore, relation: str, domain: DomainExpr) -> set[tuple[ConceptId, ConceptId]]:
-    """Every (x, y) with a path x -> ... -> y of length >= 1 in the domain."""
-    adjacency = _adjacency(store, relation, domain)
-    pairs: set[tuple[ConceptId, ConceptId]] = set()
-    for source in adjacency:
-        for target in reachable_star(store, relation, source, domain):
-            pairs.add((source, target))
-    return pairs
+    """Every (x, y) with an asserted edge or an ``R_star`` fact in the domain,
+    i.e. a path x -> ... -> y of length >= 1."""
+    closure = _star_closure(store, relation, domain)
+    concepts = closure.concepts
+    return {(concepts[x], concepts[y]) for x in range(len(concepts)) for y in _ids(closure.reach(relation, x))}
 
 
 def all_prerequisites(
@@ -238,35 +314,22 @@ def all_prerequisites(
     prerequisite precedes anything that requires it.  Lexicographic
     tie-break makes the order deterministic.  Raises CycleError if the
     prerequisite subgraph is cyclic."""
-    prereqs = reachable_star(store, relation, target, domain)
-    if not prereqs:
+    closure = _star_closure(store, relation, domain)
+    x = closure.ids.get(target)
+    if x is None:
         return []
-    adjacency = _adjacency(store, relation, domain)
-    deps: dict[ConceptId, set[ConceptId]] = {
-        node: {succ for succ in adjacency.get(node, ()) if succ in prereqs}
-        for node in prereqs
-    }
-    dependents: dict[ConceptId, list[ConceptId]] = {}
-    for node, node_deps in deps.items():
-        for dep in node_deps:
-            dependents.setdefault(dep, []).append(node)
-    counts = {node: len(node_deps) for node, node_deps in deps.items()}
-    heap = [node for node, count in counts.items() if count == 0]
-    heapq.heapify(heap)
+    edges, concepts = closure.edges[relation], closure.concepts
     order: list[ConceptId] = []
-    while heap:
-        node = heapq.heappop(heap)
-        order.append(node)
-        for dependent in dependents.get(node, ()):
-            counts[dependent] -= 1
-            if counts[dependent] == 0:
-                heapq.heappush(heap, dependent)
-    if len(order) != len(prereqs):
-        remaining = prereqs - set(order)
-        stuck = {n: [s for s in deps[n] if s in remaining] for n in remaining}
-        cycle = find_cycle(stuck)
-        vertices = tuple(c.symbol for c in cycle) if cycle else tuple(sorted(c.symbol for c in remaining))
-        raise CycleError(relation, domain.text, vertices)
+    left = closure.reach(relation, x)
+    while left:
+        # ids follow symbol order: the smallest prerequisite whose own
+        # prerequisites are all placed goes next
+        ready = next((y for y in _ids(left) if not edges[y] & left), None)
+        if ready is None:
+            cycle = find_cycle({concepts[y]: [concepts[z] for z in _ids(edges[y] & left)] for y in _ids(left)})
+            raise CycleError(relation, domain.text, tuple(c.symbol for c in cycle))
+        order.append(concepts[ready])
+        left &= ~(1 << ready)
     return order
 
 
@@ -278,23 +341,31 @@ def inherited_attributes(
     """(attribute, source) pairs: the concept's own attributes plus every
     attribute of each is_a ancestor.  No overriding - all pairs returned."""
     attr_spec = store.registry.get("has_attribute")
-    results: set[tuple[ConceptId, ConceptId]] = set()
-
-    def direct(owner: ConceptId) -> list[ConceptId]:
-        pattern = FactPattern("has_attribute", (owner, None), (domain,))
-        return [f.concepts[1] for f in store.match(pattern)]
-
     if attr_spec is None:
-        return results
-    for attr in direct(concept):
-        results.add((attr, concept))
-    carrier = attr_spec.inherits_via
-    if carrier is None:
-        return results
-    for ancestor in reachable_star(store, carrier, concept, domain):
-        for attr in direct(ancestor):
-            results.add((attr, ancestor))
-    return results
+        return set()
+    owners = {concept}
+    if attr_spec.inherits_via is not None:
+        owners |= reachable_star(store, attr_spec.inherits_via, concept, domain)
+    return {(f.concepts[1], f.concepts[0]) for f in store.partition("has_attribute", domain) if f.concepts[0] in owners}
+
+
+def derived_facts_for(store: FactStore, relation: str, domain: DomainExpr | None = None) -> set[Fact]:
+    """Lazy equivalent of ClosureSet.derived[relation] (symmetric
+    completions and inherited facts), in ``domain`` or, without one, in
+    every domain of the relation."""
+    spec = store.registry.lookup(relation)
+    if spec.shape is not RelationShape.INTRA:
+        source = store.relation_facts(relation) if domain is None else store.partition(relation, domain)
+        asserted = store.fact_set()
+        flipped = {swap_orientation(fact, spec) for fact in source} if spec.symmetric else set()
+        return flipped - asserted
+    out: set[Fact] = set()
+    for d in [domain] if domain is not None else store.relation_domains(relation):
+        closure = _DomainClosure(store.registry, store, d, (relation,))
+        concepts = closure.concepts
+        for x, (have, asserted_bits) in enumerate(zip(closure.edges[relation], closure.asserted[relation])):
+            out.update(Fact.intra(relation, concepts[x], concepts[y], d) for y in _ids(have & ~asserted_bits))
+    return out
 
 
 def analogy_search(
@@ -312,52 +383,6 @@ def analogy_search(
             if mine == concept and (source_domain is None or d_mine == source_domain):
                 results.add((other, d_mine, d_other))
     return results
-
-
-def derived_facts_for(store: FactStore, relation: str, domain: DomainExpr | None = None) -> set[Fact]:
-    """Lazy equivalent of ClosureSet.derived[relation] (symmetric
-    completions and inherited attribute facts), optionally domain-scoped."""
-    spec = store.registry.lookup(relation)
-    out: set[Fact] = set()
-    source = store.relation_facts(relation)
-    if domain is not None:
-        source = store.partition(relation, domain)
-    if spec.symmetric:
-        for fact in source:
-            flipped = swap_orientation(fact, spec)
-            if flipped not in store:
-                out.add(flipped)
-    if spec.inherits_via is not None:
-        domains = [domain] if domain is not None else store.relation_domains(spec.inherits_via)
-        for d in domains:
-            out.update(_inherited_in_domain(store, relation, spec.inherits_via, d))
-    return out
-
-
-def _inherited_in_domain(store: FactStore, relation: str, carrier: str, domain: DomainExpr) -> set[Fact]:
-    """Attribute facts created by pulling each node's attributes down the
-    carrier edges, to fixpoint (worklist; tolerates carrier cycles)."""
-    children: dict[ConceptId, list[ConceptId]] = {}
-    for edge in store.partition(carrier, domain):
-        children.setdefault(edge.concepts[1], []).append(edge.concepts[0])
-    attrs: dict[ConceptId, set[ConceptId]] = {}
-    work: list[tuple[ConceptId, ConceptId]] = []
-    for fact in store.partition(relation, domain):
-        owner, attr = fact.concepts
-        attrs.setdefault(owner, set()).add(attr)
-        work.append((owner, attr))
-    derived: set[Fact] = set()
-    while work:
-        owner, attr = work.pop()
-        for child in children.get(owner, ()):
-            known = attrs.setdefault(child, set())
-            if attr not in known:
-                known.add(attr)
-                fact = Fact.intra(relation, child, attr, domain)
-                if fact not in store:
-                    derived.add(fact)
-                work.append((child, attr))
-    return derived
 
 
 def explain(fact: Fact, store: FactStore, closure: ClosureSet | None = None) -> DerivationTrace:

@@ -25,16 +25,16 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .domains import DomainExpr, parse_domain
+from .domains import _ATOM_CONT, _ATOM_START, DomainExpr, parse_domain
 from .errors import CdcError, CycleError, DomainSyntaxError, RegistryError
 from .relations import RelationShape, RelationSpec, builtin_specs, spec_with_flags
 from .store import ConceptId, Fact, FactStore
 
 CASESTUDY_NAMES = ("cbt", "education", "enterprise", "techdocs")
 
-_ATOM_START = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
-_ATOM_CONT = _ATOM_START | set(".-")
-_BARE_ATOM_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.\-]*")
+# a symbol saved bare must lex back as one atom; the lexer reads a trailing
+# '.' as the clause terminator
+_BARE_ATOM_RE = re.compile(r"[A-Za-z0-9_]([A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?")
 _PROLOG_BARE_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
 _PROLOG_NUMBER_RE = re.compile(r"\d+(\.\d+)?")
 
@@ -148,7 +148,8 @@ def _lex(text: str, file: str) -> list[_Token]:
             quote = ch
             advance()
             start = i
-            while i < n and text[i] != quote and text[i] != "\n":
+            # a line break ends the term: file reads turn "\r" into one too
+            while i < n and text[i] not in (quote, "\n", "\r"):
                 advance()
             if i >= n or text[i] != quote:
                 tokens.append(_Token("ERROR", "unterminated quote", start_line, start_col))
@@ -344,13 +345,6 @@ class _Parser:
 # Loading
 # ---------------------------------------------------------------------------
 
-_DOMAIN_POSITIONS = {
-    RelationShape.INTRA: (2,),
-    RelationShape.CROSS: (2, 3),
-    RelationShape.FUSION: (3,),
-}
-
-
 def load_text(text: str, store: FactStore, file: str = "<string>") -> LoadResult:
     """Parse and assert every well-formed clause, in order.  Directives
     register relations before facts use them.  Problems become diagnostics."""
@@ -449,7 +443,7 @@ def _terms_to_fact(
             span,
         ))
         return None
-    return _assemble_fact(name, terms, _DOMAIN_POSITIONS[spec.shape], diagnostics)
+    return _assemble_fact(name, terms, spec.shape.domain_positions, diagnostics)
 
 
 def parse_fact_text(text: str, registry, allow_star: bool = False) -> Fact:

@@ -20,15 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .domains import DomainExpr, is_prefix_of, parse_domain
+from .domains import _ATOM_CONT, _ATOM_START, DomainExpr, is_prefix_of, parse_domain
 from .errors import DomainSyntaxError, QuerySyntaxError, StaleClosureError
-from .inference import (
-    ClosureSet,
-    base_of_star,
-    derived_facts_for,
-    star_label,
-    star_pairs,
-)
+from .inference import ClosureSet, base_of_star, derived_facts_for, star_pairs
 from .relations import RelationShape, RelationSpec
 from .store import ConceptId, Fact, FactPattern, FactStore, swap_orientation
 
@@ -115,15 +109,6 @@ def _render_solution(variables: tuple[str, ...], values: tuple[object, ...]) -> 
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
-
-_ATOM_START = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
-_ATOM_CONT = _ATOM_START | set(".-")
-
-_DOMAIN_POSITIONS = {
-    RelationShape.INTRA: (2,),
-    RelationShape.CROSS: (2, 3),
-    RelationShape.FUSION: (3,),
-}
 
 _DERIVED_GOALS = ("all_prerequisites", "inherited_attributes", "analogy_search")
 
@@ -243,7 +228,7 @@ def _resolve_goal(goal: str, registry) -> tuple[str, RelationSpec]:
 
 def _goal_signature(kind: str, spec: RelationSpec) -> tuple[int, tuple[int, ...]]:
     if kind == "relation":
-        return spec.shape.arity, _DOMAIN_POSITIONS[spec.shape]
+        return spec.shape.arity, spec.shape.domain_positions
     # star and inherited goals are (concept, concept, domain)
     return 3, (2,)
 
@@ -324,18 +309,12 @@ def _admitted_domains(store: FactStore, relation: str, literal: DomainExpr, mode
 
 
 def _fact_rows(fact: Fact, spec: RelationSpec) -> list[tuple[object, ...]]:
-    def row_of(f: Fact) -> tuple[object, ...]:
-        if spec.shape is RelationShape.CROSS:
-            return (f.concepts[0], f.concepts[1], f.domains[0], f.domains[1])
-        if spec.shape is RelationShape.FUSION:
-            return (f.concepts[0], f.concepts[1], f.concepts[2], f.domains[0])
-        return (f.concepts[0], f.concepts[1], f.domains[0])
-
-    rows = [row_of(fact)]
+    # every shape puts its domain arguments after its concepts
+    rows = [fact.concepts + fact.domains]
     if spec.symmetric:
         flipped = swap_orientation(fact, spec)
         if flipped != fact:
-            rows.append(row_of(flipped))
+            rows.append(flipped.concepts + flipped.domains)
     return rows
 
 
@@ -346,12 +325,9 @@ def _relation_rows(
     closure: ClosureSet | None,
     strict: bool,
 ) -> list[tuple[object, ...]]:
-    domain_positions = _DOMAIN_POSITIONS[spec.shape]
-    concept_positions = [p for p in range(spec.shape.arity) if p not in domain_positions]
-    concepts = []
-    for position in concept_positions:
-        arg = query.args[position]
-        concepts.append(arg.value if isinstance(arg, ConceptConst) else None)
+    domain_positions = spec.shape.domain_positions
+    # concepts come first in every shape
+    concepts = [arg.value if isinstance(arg, ConceptConst) else None for arg in query.args[: domain_positions[0]]]
     literals = _domain_literals(query, domain_positions)
 
     # pick index-friendly patterns: fix one admitted domain when a literal
@@ -380,12 +356,11 @@ def _relation_rows(
             facts.update(store.match(FactPattern(spec.name, tuple(flipped_concepts), flipped_domains)))
 
     if query.include_derived and spec.inherits_via is not None:
-        if closure is not None and closure.is_current(store):
-            facts.update(closure.derived.get(spec.name, frozenset()))
-        elif strict:
-            raise StaleClosureError(f"closure required for derived facts of {spec.name!r}")
-        else:
-            facts.update(derived_facts_for(store, spec.name))
+        _require_current(closure, store, strict, f"derived facts of {spec.name!r}")
+        # inheriting relations are intra-domain: each pattern fixes one
+        # admitted domain, or none
+        for pattern in patterns:
+            facts.update(derived_facts_for(store, spec.name, pattern.domains[0]))
 
     rows: list[tuple[object, ...]] = []
     for fact in sorted(facts, key=Fact.sort_key):
@@ -407,19 +382,16 @@ def _star_rows(
     else:
         domains = store.relation_domains(relation)
 
+    _require_current(closure, store, strict, query.goal)
     rows: list[tuple[object, ...]] = []
-    if closure is not None and closure.is_current(store):
-        star_facts = closure.derived.get(star_label(relation), frozenset())
-        for domain in domains:
-            for fact in store.partition(relation, domain):
-                rows.append((fact.concepts[0], fact.concepts[1], domain))
-        for fact in sorted(star_facts, key=Fact.sort_key):
-            if fact.domains[0] in domains or literal is None:
-                rows.append((fact.concepts[0], fact.concepts[1], fact.domains[0]))
-    elif strict:
-        raise StaleClosureError(f"closure required for {query.goal}")
-    else:
-        for domain in domains:
-            for x, y in sorted(star_pairs(store, relation, domain), key=lambda p: (p[0].symbol, p[1].symbol)):
-                rows.append((x, y, domain))
+    for domain in domains:
+        for x, y in sorted(star_pairs(store, relation, domain), key=lambda p: (p[0].symbol, p[1].symbol)):
+            rows.append((x, y, domain))
     return rows
+
+
+def _require_current(closure: ClosureSet | None, store: FactStore, strict: bool, what: str) -> None:
+    """``strict`` evaluation refuses a missing or stale closure; otherwise
+    derived goals are answered from the store alone, as the closure would."""
+    if strict and (closure is None or not closure.is_current(store)):
+        raise StaleClosureError(f"closure required for {what}")

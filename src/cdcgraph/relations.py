@@ -22,9 +22,12 @@ class RelationShape(enum.Enum):
     CROSS = "cross"
     FUSION = "fusion"
 
-    @property
-    def arity(self) -> int:
-        return 3 if self is RelationShape.INTRA else 4
+    def __init__(self, value: str) -> None:
+        self.concept_count = 3 if value == "fusion" else 2
+        domains = 2 if value == "cross" else 1
+        # argument positions holding domains; they follow the concepts
+        self.domain_positions = tuple(range(self.concept_count, self.concept_count + domains))
+        self.arity = self.concept_count + domains
 
 
 @dataclass(frozen=True)

@@ -22,17 +22,25 @@ from .relations import RelationRegistry, RelationShape, RelationSpec
 
 
 class ConceptId:
-    """Interned concept symbol: equal strings yield the identical object."""
+    """Interned concept symbol: equal strings yield the identical object.
+
+    A symbol is non-empty, holds no line break and not both quote kinds, so
+    that a saved fact file can always quote it and read it back.
+    """
 
     __slots__ = ("symbol",)
     _interned: dict[str, "ConceptId"] = {}
 
     def __new__(cls, symbol: str) -> "ConceptId":
-        if not symbol:
-            raise ValueError("concept symbol must be non-empty")
         existing = cls._interned.get(symbol)
         if existing is not None:
             return existing
+        if not symbol:
+            raise ValueError("concept symbol must be non-empty")
+        if "\n" in symbol or "\r" in symbol:
+            raise ValueError(f"concept symbol {symbol!r} holds a line break")
+        if "'" in symbol and '"' in symbol:
+            raise ValueError(f"concept symbol {symbol!r} holds both quote kinds")
         obj = super().__new__(cls)
         object.__setattr__(obj, "symbol", symbol)
         cls._interned[symbol] = obj
@@ -206,18 +214,15 @@ class FactStore:
             raise UnknownRelationError(f"unknown relation {relation!r}")
         return spec
 
-    def _validate_shape(self, fact: Fact, spec: RelationSpec) -> None:
-        want_concepts = 3 if spec.shape is RelationShape.FUSION else 2
-        want_domains = 2 if spec.shape is RelationShape.CROSS else 1
-        if len(fact.concepts) != want_concepts or len(fact.domains) != want_domains:
-            raise ShapeMismatchError(
-                f"{fact.relation}: payload does not match {spec.shape.value} shape"
-            )
+    def _check_shape(self, item: Fact | FactPattern, what: str) -> RelationSpec:
+        spec = self._spec_for(item.relation)
+        shape = spec.shape
+        if len(item.concepts) != shape.concept_count or len(item.domains) != len(shape.domain_positions):
+            raise ShapeMismatchError(f"{item.relation}: {what} does not match {shape.value} shape")
+        return spec
 
     def _canonical(self, fact: Fact) -> Fact:
-        spec = self._spec_for(fact.relation)
-        self._validate_shape(fact, spec)
-        return canonicalize_fact(fact, spec)
+        return canonicalize_fact(fact, self._check_shape(fact, "payload"))
 
     def assert_fact(self, fact: Fact) -> bool:
         """Insert; False if already present.  Bumps generation when inserted."""
@@ -268,12 +273,7 @@ class FactStore:
         partition; otherwise a bound subject/object uses the secondary
         index; otherwise the whole relation is scanned.
         """
-        spec = self._spec_for(pattern.relation)
-        want_domains = 2 if spec.shape is RelationShape.CROSS else 1
-        want_concepts = 3 if spec.shape is RelationShape.FUSION else 2
-        if len(pattern.domains) != want_domains or len(pattern.concepts) != want_concepts:
-            raise ShapeMismatchError(f"{pattern.relation}: pattern does not match {spec.shape.value} shape")
-
+        self._check_shape(pattern, "pattern")
         bound_domains = [d for d in pattern.domains if d is not None]
         if bound_domains:
             candidates = self._by_partition.get((pattern.relation, bound_domains[0]), set())

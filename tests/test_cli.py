@@ -143,6 +143,12 @@ def test_prereqs_none_exit_1(capsys):
     assert status == 1
 
 
+def test_prereqs_bad_concept_exit_2(capsys):
+    assert main(["prereqs", "--case", "education", "", "highschool"]) == 2
+    assert main(["prereqs", "--case", "education", "two\nlines", "highschool"]) == 2
+    assert "line break" in capsys.readouterr().err
+
+
 def test_stats_text(apple_path, capsys):
     status = main(["stats", "--kb", apple_path])
     assert status == 0

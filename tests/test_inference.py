@@ -390,3 +390,31 @@ def test_star_pairs_agrees_with_closure():
                 if fact.domains[0] == domain:
                     eager.add((fact.concepts[0], fact.concepts[1]))
             assert lazy == eager
+
+
+@pytest.mark.parametrize("text, answers", [
+    (  # symmetric and transitive: the star set is the whole component
+        '@relation near intra symmetric transitive.\nnear(a, b, "d").\nnear(b, c, "d").',
+        {'near_star(c, ?X, "d")': ["?X = a", "?X = b", "?X = c"],
+         'near_star(?X, a, "d")': ["?X = a", "?X = b", "?X = c"],
+         'near(b, ?X, "d")': ["?X = a", "?X = c"]},
+    ),
+    (  # inheritance along a symmetric carrier reaches both sides
+        '@relation sib intra symmetric.\n@relation trait intra inherits_via=sib.\n'
+        'sib(a, b, "d").\ntrait(a, red, "d").\ntrait(c, blue, "d").',
+        {'trait(b, ?A, "d")': ["?A = red"],
+         'trait(?X, ?A, "d")': ["?X = a, ?A = red", "?X = b, ?A = red", "?X = c, ?A = blue"],
+         'trait(?X, red, ?D)': ["?X = a, ?D = d", "?X = b, ?D = d"]},
+    ),
+])
+def test_lazy_queries_agree_with_closure_on_custom_flags(text, answers):
+    from cdcgraph import eval_query, load_text, parse_query
+
+    store = FactStore(builtin_registry())
+    assert load_text(text, store).ok
+    closure = materialize(store)
+    for goal, want in answers.items():
+        query = parse_query(goal, store.registry)
+        lazy = eval_query(query, store).render_lines()
+        eager = eval_query(query, store, closure, strict=True).render_lines()
+        assert lazy == eager == want, goal

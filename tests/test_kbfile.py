@@ -364,3 +364,48 @@ def test_loader_never_crashes_on_noise():
         load_text(text, store)  # diagnostics, never exceptions
 
     fuzz()
+
+
+def test_save_load_round_trip_property(tmp_path):
+    """Any symbol ConceptId accepts survives save and load; the others are
+    refused at construction."""
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+
+    from cdcgraph import Fact
+
+    domains = [parse_domain(text) for text in ("d", "a@b", "x+y@z")]
+    relations = st.sampled_from(["is_a", "has_attribute", "contrasts_with", "analogous_to", "fuses_with"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(relations, st.text(), st.text(), st.text(), st.sampled_from(domains)), max_size=6))
+    @example([("is_a", "end.", "it's", 'a "b"', domains[0]), ("is_a", "a\rb", "c", "d", domains[0])])
+    def round_trip(rows):
+        store = fresh_store()
+        for relation, *symbols, domain in rows:
+            concepts = []
+            for symbol in symbols:
+                if not symbol or "\n" in symbol or "\r" in symbol or ("'" in symbol and '"' in symbol):
+                    with pytest.raises(ValueError):
+                        ConceptId(symbol)
+                else:
+                    concepts.append(ConceptId(symbol))
+            if len(concepts) < 3:
+                continue
+            a, b, c = concepts
+            if relation == "analogous_to":
+                store.assert_fact(Fact.cross(relation, a, b, domain, domains[0]))
+            elif relation == "fuses_with":
+                store.assert_fact(Fact.fusion(relation, a, b, c, domain))
+            else:
+                store.assert_fact(Fact.intra(relation, a, b, domain))
+        first, second = tmp_path / "first.cdc", tmp_path / "second.cdc"
+        save_file(store, first)
+        reloaded = fresh_store()
+        result = load_file(first, reloaded)
+        assert result.ok, result.diagnostics
+        assert reloaded.fact_set() == store.fact_set()
+        save_file(reloaded, second)
+        assert second.read_bytes() == first.read_bytes()
+
+    round_trip()
