@@ -14,7 +14,7 @@ Grammar (exact):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DomainSyntaxError
 
@@ -22,24 +22,22 @@ _ATOM_START = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz012345678
 _ATOM_CONT = _ATOM_START | set(".-")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class DomainSegment:
     """One path segment: a single atom, or a ``+``-fusion of several.
 
     ``atoms`` keeps the order in which the atoms were written; equality,
     hashing, and formatting use the canonical (sorted, deduplicated) form,
-    since fusion is symmetric.
+    since fusion is symmetric.  It is computed once, at construction.
     """
 
     atoms: tuple[str, ...]
+    canonical_atoms: tuple[str, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.atoms:
             raise ValueError("segment needs at least one atom")
-
-    @property
-    def canonical_atoms(self) -> tuple[str, ...]:
-        return tuple(sorted(set(self.atoms)))
+        object.__setattr__(self, "canonical_atoms", tuple(sorted(set(self.atoms))))
 
     @property
     def is_fusion(self) -> bool:
@@ -57,7 +55,7 @@ class DomainSegment:
         return "+".join(self.canonical_atoms)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class DomainExpr:
     """A parsed domain path, outermost (most general) segment first.
 

@@ -17,12 +17,16 @@ into facts whose traces record the smallest ``(rule, premise sort keys)``
 among their layer's rule instances, which keeps traces minimal-depth and
 deterministic.  The lazy reads run the kernel in the one domain asked for
 and read its bitsets without building traces, so they give the closure's
-answers.
+answers.  A read with a bound concept closes only the facts the answer
+depends on: those reachable from a bound subject, or reaching a bound
+object, over every relation the kernel joins (the whole weakly connected
+part when one of them is symmetric); ``_bound_facts`` collects them by the
+store's subject and object indexes.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter, or_
 
@@ -125,26 +129,17 @@ class _DomainClosure:
       smallest ``(rule, premise sort keys)`` of the fact's instances.
     """
 
-    def __init__(self, registry: RelationRegistry, store: FactStore, domain: DomainExpr,
-                 relations: Sequence[str]) -> None:
-        specs: dict[str, RelationSpec] = {}
-        pending = list(relations)
-        while pending:
-            spec = registry.lookup(pending.pop())
-            if spec.name not in specs:
-                specs[spec.name] = spec
-                if spec.inherits_via is not None:
-                    pending.append(spec.inherits_via)
-        self.domain, self.specs = domain, specs
-        partitions = {name: store.partition(name, domain) for name in specs}
+    def __init__(self, specs: dict[str, RelationSpec], domain: DomainExpr, relations: Sequence[str],
+                 facts: dict[str, Collection[Fact]]) -> None:
+        self.domain, self.specs, self.facts = domain, specs, facts
         self.concepts = sorted(
-            {c for facts in partitions.values() for f in facts for c in f.concepts}, key=attrgetter("symbol"))
+            {c for group in facts.values() for f in group for c in f.concepts}, key=attrgetter("symbol"))
         ids = self.ids = {c: i for i, c in enumerate(self.concepts)}
         n = len(self.concepts)
         self.asserted: dict[str, list[int]] = {}
-        for name, facts in partitions.items():
+        for name, group in facts.items():
             row = self.asserted[name] = [0] * n
-            for fact in facts:
+            for fact in group:
                 x, y = fact.concepts
                 row[ids[x]] |= 1 << ids[y]
         # layers replace rows rather than change them, so ``asserted`` stays as loaded
@@ -210,13 +205,13 @@ class _DomainClosure:
                 layer.append((RULE_SYMMETRIC, name, y, None, hit))
                 grown[y] |= hit
 
-    def record(self, store: FactStore, derived: dict[str, set[Fact]], traces: dict[Fact, DerivationTrace]) -> None:
+    def record(self, derived: dict[str, set[Fact]], traces: dict[Fact, DerivationTrace]) -> None:
         """Turn the claims into facts and traces, layer by layer; premises are
-        the store's facts and the ones built here."""
+        the closed facts and the ones built here."""
         concepts, ids, domain = self.concepts, self.ids, self.domain
         n = len(concepts)
-        facts = {name: {ids[f.concepts[0]] * n + ids[f.concepts[1]]: f for f in store.partition(name, domain)}
-                 for name in self.edges}
+        facts = {name: {ids[f.concepts[0]] * n + ids[f.concepts[1]]: f for f in group}
+                 for name, group in self.facts.items()}
         stars: dict[str, dict[int, Fact]] = {name: {} for name in self.stars}
         for layer in self.layers:
             made = []
@@ -243,6 +238,88 @@ class _DomainClosure:
         """Asserted edges plus ``R_star`` facts out of ``x``."""
         return self.asserted[relation][x] | self.stars[relation][x]
 
+    def pairs(self, table: list[int], subject: ConceptId | None,
+              obj: ConceptId | None) -> Iterator[tuple[ConceptId, ConceptId]]:
+        """(x, y) for each id y in ``table[x]``, keeping to the bound concepts."""
+        ids, concepts = self.ids, self.concepts
+        mask = -1
+        if obj is not None:
+            if obj not in ids:
+                return
+            mask = 1 << ids[obj]
+        if subject is None:
+            sources: Iterable[int] = range(len(concepts))
+        else:
+            sources = [ids[subject]] if subject in ids else []
+        for x in sources:
+            for y in _ids(table[x] & mask):
+                yield concepts[x], concepts[y]
+
+
+def _joined_specs(registry: RelationRegistry, relations: Sequence[str]) -> dict[str, RelationSpec]:
+    """The relations asked for and, transitively, their inheritance carriers:
+    what the kernel joins."""
+    specs: dict[str, RelationSpec] = {}
+    pending = list(relations)
+    while pending:
+        spec = registry.lookup(pending.pop())
+        if spec.name not in specs:
+            specs[spec.name] = spec
+            if spec.inherits_via is not None:
+                pending.append(spec.inherits_via)
+    return specs
+
+
+def _bound_facts(store: FactStore, specs: dict[str, RelationSpec], domain: DomainExpr, start: ConceptId,
+                 forward: bool) -> dict[str, list[Fact]]:
+    """The facts of the joined relations in ``domain`` that the closure
+    facts out of ``start`` (``forward``) or into it depend on.
+
+    Every rule's premises lie on a path of the joined relations' edges
+    towards the conclusion's object (transitive, inheritance), so a walk
+    forward from a subject or backward from an object over those edges
+    collects them.  The symmetric rule turns an edge round, so if any joined
+    relation is symmetric the walk takes the whole weakly connected part.
+    Each fact is collected once, from its subject (its object, walking
+    backward)."""
+    out: dict[str, list[Fact]] = {name: [] for name in specs}
+    both = any(spec.symmetric for spec in specs.values())
+    # (index, position of the far end, whether a fact is collected from here)
+    steps = []
+    if forward or both:
+        steps.append((store.facts_with_subject, 1, True))
+    if not forward or both:
+        steps.append((store.facts_with_object, 0, not both))
+    seen, stack = {start}, [start]
+    while stack:
+        node = stack.pop()
+        for index, far, collect in steps:
+            for fact in index(node):
+                group = out.get(fact.relation)
+                if group is not None and fact.domains[0] == domain:
+                    if collect:
+                        group.append(fact)
+                    nxt = fact.concepts[far]
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        stack.append(nxt)
+    return out
+
+
+def _closure(store: FactStore, relations: Sequence[str], domain: DomainExpr, subject: ConceptId | None = None,
+             obj: ConceptId | None = None) -> _DomainClosure:
+    """The kernel for ``relations`` in ``domain``: over the whole domain, or,
+    when a concept is bound, over only what the goal about it depends on (a
+    magic-sets restriction, as in Bancilhon, Maier, Sagiv & Ullman 1986)."""
+    specs = _joined_specs(store.registry, relations)
+    if subject is not None:
+        facts: dict[str, Collection[Fact]] = _bound_facts(store, specs, domain, subject, forward=True)
+    elif obj is not None:
+        facts = _bound_facts(store, specs, domain, obj, forward=False)
+    else:
+        facts = {name: store.partition(name, domain) for name in specs}
+    return _DomainClosure(specs, domain, relations, facts)
+
 
 def materialize(store: FactStore, registry: RelationRegistry | None = None) -> ClosureSet:
     """Compute the full closure.  Raises CycleError if an acyclic relation
@@ -266,7 +343,9 @@ def materialize(store: FactStore, registry: RelationRegistry | None = None) -> C
             for domain in store.relation_domains(spec.name):
                 by_domain.setdefault(domain, []).append(spec.name)
     for domain, names in by_domain.items():
-        _DomainClosure(registry, store, domain, names).record(store, derived, traces)
+        specs = _joined_specs(registry, names)
+        facts = {name: store.partition(name, domain) for name in specs}
+        _DomainClosure(specs, domain, names, facts).record(derived, traces)
     return ClosureSet(
         generation=store.generation,
         derived={label: frozenset(facts) for label, facts in sorted(derived.items())},
@@ -279,29 +358,32 @@ def materialize(store: FactStore, registry: RelationRegistry | None = None) -> C
 # ---------------------------------------------------------------------------
 
 
-def _star_closure(store: FactStore, relation: str, domain: DomainExpr) -> _DomainClosure:
+def _star_closure(store: FactStore, relation: str, domain: DomainExpr, subject: ConceptId | None = None,
+                  obj: ConceptId | None = None) -> _DomainClosure:
     if not store.registry.lookup(relation).transitive:
         raise RegistryError(f"reachable_star needs a transitive relation, {relation!r} is not")
-    return _DomainClosure(store.registry, store, domain, (relation,))
+    return _closure(store, (relation,), domain, subject, obj)
 
 
 def reachable_star(store: FactStore, relation: str, frm: ConceptId, domain: DomainExpr) -> set[ConceptId]:
     """All concepts reachable from ``frm`` in one or more hops of the relation
     within the domain, over asserted and derived (symmetric or inherited)
     edges: the objects of ``frm``'s asserted edges and ``R_star`` facts."""
-    closure = _star_closure(store, relation, domain)
+    closure = _star_closure(store, relation, domain, subject=frm)
     x = closure.ids.get(frm)
     if x is None:
         return set()
     return {closure.concepts[y] for y in _ids(closure.reach(relation, x))}
 
 
-def star_pairs(store: FactStore, relation: str, domain: DomainExpr) -> set[tuple[ConceptId, ConceptId]]:
+def star_pairs(store: FactStore, relation: str, domain: DomainExpr, *, subject: ConceptId | None = None,
+               obj: ConceptId | None = None) -> set[tuple[ConceptId, ConceptId]]:
     """Every (x, y) with an asserted edge or an ``R_star`` fact in the domain,
-    i.e. a path x -> ... -> y of length >= 1."""
-    closure = _star_closure(store, relation, domain)
-    concepts = closure.concepts
-    return {(concepts[x], concepts[y]) for x in range(len(concepts)) for y in _ids(closure.reach(relation, x))}
+    i.e. a path x -> ... -> y of length >= 1; only those with x = ``subject``
+    and y = ``obj`` when either is given."""
+    closure = _star_closure(store, relation, domain, subject, obj)
+    reach = list(map(or_, closure.asserted[relation], closure.stars[relation]))
+    return set(closure.pairs(reach, subject, obj))
 
 
 def all_prerequisites(
@@ -314,7 +396,7 @@ def all_prerequisites(
     prerequisite precedes anything that requires it.  Lexicographic
     tie-break makes the order deterministic.  Raises CycleError if the
     prerequisite subgraph is cyclic."""
-    closure = _star_closure(store, relation, domain)
+    closure = _star_closure(store, relation, domain, subject=target)
     x = closure.ids.get(target)
     if x is None:
         return []
@@ -346,25 +428,28 @@ def inherited_attributes(
     owners = {concept}
     if attr_spec.inherits_via is not None:
         owners |= reachable_star(store, attr_spec.inherits_via, concept, domain)
-    return {(f.concepts[1], f.concepts[0]) for f in store.partition("has_attribute", domain) if f.concepts[0] in owners}
+    return {(f.concepts[1], owner) for owner in owners for f in store.facts_with_subject(owner)
+            if f.relation == "has_attribute" and domain in f.domains}
 
 
-def derived_facts_for(store: FactStore, relation: str, domain: DomainExpr | None = None) -> set[Fact]:
+def derived_facts_for(store: FactStore, relation: str, domain: DomainExpr | None = None, *,
+                      subject: ConceptId | None = None, obj: ConceptId | None = None) -> set[Fact]:
     """Lazy equivalent of ClosureSet.derived[relation] (symmetric
     completions and inherited facts), in ``domain`` or, without one, in
-    every domain of the relation."""
+    every domain of the relation; only the facts whose first concept is
+    ``subject`` and whose second is ``obj`` when either is given."""
     spec = store.registry.lookup(relation)
     if spec.shape is not RelationShape.INTRA:
         source = store.relation_facts(relation) if domain is None else store.partition(relation, domain)
         asserted = store.fact_set()
         flipped = {swap_orientation(fact, spec) for fact in source} if spec.symmetric else set()
-        return flipped - asserted
+        return {f for f in flipped - asserted
+                if (subject is None or f.concepts[0] == subject) and (obj is None or f.concepts[1] == obj)}
     out: set[Fact] = set()
     for d in [domain] if domain is not None else store.relation_domains(relation):
-        closure = _DomainClosure(store.registry, store, d, (relation,))
-        concepts = closure.concepts
-        for x, (have, asserted_bits) in enumerate(zip(closure.edges[relation], closure.asserted[relation])):
-            out.update(Fact.intra(relation, concepts[x], concepts[y], d) for y in _ids(have & ~asserted_bits))
+        closure = _closure(store, (relation,), d, subject, obj)
+        derived = [have & ~asserted for have, asserted in zip(closure.edges[relation], closure.asserted[relation])]
+        out.update(Fact.intra(relation, x, y, d) for x, y in closure.pairs(derived, subject, obj))
     return out
 
 

@@ -256,19 +256,15 @@ def eval_query(
         rows = _star_rows(query, spec, store, closure, strict)
 
     variables = query.variables
-    rendered_seen: set[tuple[str, ...]] = set()
-    solutions: list[tuple[object, ...]] = []
+    # one rendering per solution serves both the dedup and the sort
+    by_rendered: dict[tuple[str, ...], tuple[object, ...]] = {}
     for row in rows:
         bound = _unify(query, row)
         if bound is None:
             continue
         values = tuple(bound[name] for name in variables)
-        key = tuple(_render_value(v) for v in values)
-        if key not in rendered_seen:
-            rendered_seen.add(key)
-            solutions.append(values)
-    solutions.sort(key=lambda values: tuple(_render_value(v) for v in values))
-    return BindingSet(variables=variables, solutions=tuple(solutions))
+        by_rendered.setdefault(tuple(_render_value(v) for v in values), values)
+    return BindingSet(variables=variables, solutions=tuple(by_rendered[key] for key in sorted(by_rendered)))
 
 
 def _unify(query: Query, row: tuple[object, ...]) -> dict[str, object] | None:
@@ -359,8 +355,9 @@ def _relation_rows(
         _require_current(closure, store, strict, f"derived facts of {spec.name!r}")
         # inheriting relations are intra-domain: each pattern fixes one
         # admitted domain, or none
+        subject, obj = concepts
         for pattern in patterns:
-            facts.update(derived_facts_for(store, spec.name, pattern.domains[0]))
+            facts.update(derived_facts_for(store, spec.name, pattern.domains[0], subject=subject, obj=obj))
 
     rows: list[tuple[object, ...]] = []
     for fact in sorted(facts, key=Fact.sort_key):
@@ -383,9 +380,11 @@ def _star_rows(
         domains = store.relation_domains(relation)
 
     _require_current(closure, store, strict, query.goal)
+    subject, obj = (arg.value if isinstance(arg, ConceptConst) else None for arg in query.args[:2])
     rows: list[tuple[object, ...]] = []
     for domain in domains:
-        for x, y in sorted(star_pairs(store, relation, domain), key=lambda p: (p[0].symbol, p[1].symbol)):
+        pairs = star_pairs(store, relation, domain, subject=subject, obj=obj)
+        for x, y in sorted(pairs, key=lambda p: (p[0].symbol, p[1].symbol)):
             rows.append((x, y, domain))
     return rows
 

@@ -2,7 +2,8 @@
 
 Facts are kept as a set (no multiplicity).  The primary index is keyed by
 (relation, exact canonical domain), so a domain-fixed lookup scans only that
-partition; subject/object secondary indexes serve domain-free lookups.
+partition; subject/object secondary indexes serve domain-free lookups,
+the walks of bound closure reads and the strict-mode cycle check.
 Every match records how many index entries it touched, which is what the
 scan-reduction benchmark measures.
 
@@ -307,6 +308,14 @@ class FactStore:
     def relation_facts(self, relation: str) -> set[Fact]:
         return self._by_relation.get(relation, set())
 
+    def facts_with_subject(self, concept: ConceptId) -> set[Fact]:
+        """Every fact whose first concept is ``concept``, in any relation and domain."""
+        return self._by_subject.get(concept, set())
+
+    def facts_with_object(self, concept: ConceptId) -> set[Fact]:
+        """Every fact whose second concept is ``concept``, in any relation and domain."""
+        return self._by_object.get(concept, set())
+
     def stats(self) -> StoreStats:
         per_domain: dict[str, int] = {}
         for (rel, dom), bucket in self._by_partition.items():
@@ -319,12 +328,10 @@ class FactStore:
         )
 
     def _reject_if_creates_cycle(self, fact: Fact) -> None:
-        """Strict mode: would inserting this edge close a cycle?"""
-        domain = fact.domains[0]
+        """Strict mode: would inserting this edge close a cycle?  Walks the
+        relation's edges in the domain out of the object, by the subject index."""
+        relation, domain = fact.relation, fact.domains[0]
         subject, obj = fact.concepts[0], fact.concepts[1]
-        adjacency: dict[ConceptId, list[ConceptId]] = {}
-        for edge in self._by_partition.get((fact.relation, domain), ()):
-            adjacency.setdefault(edge.concepts[0], []).append(edge.concepts[1])
         # the new subject->object edge closes a cycle iff object reaches subject
         parent: dict[ConceptId, ConceptId] = {}
         stack = [obj]
@@ -338,7 +345,10 @@ class FactStore:
                 path.reverse()  # object -> ... -> subject
                 cycle = (subject,) + tuple(path[:-1])
                 raise CycleError(fact.relation, domain.text, tuple(c.symbol for c in cycle))
-            for succ in adjacency.get(node, ()):
+            for edge in self._by_subject.get(node, ()):
+                if edge.relation != relation or edge.domains[0] != domain:
+                    continue
+                succ = edge.concepts[1]
                 if succ not in seen:
                     seen.add(succ)
                     parent[succ] = node

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cdcgraph import ConceptId, Fact, FactStore, builtin_registry, parse_domain
+from cdcgraph import ConceptId, Fact, FactStore, RelationSpec, builtin_registry, parse_domain
 
 
 @pytest.fixture
@@ -66,3 +66,42 @@ def random_dag_store(
                 store.assert_fact(Fact.intra(relation, a, b, domain))
             edges[(relation, domain_text)] = chosen
     return store, edges
+
+
+def random_registry_store(rng: random.Random) -> FactStore:
+    """Built-ins plus two to four custom relations with random flags: carriers
+    that are themselves symmetric, transitive or inheriting, a relation that
+    inherits along itself, and cycles (self-loops included) in every
+    relation that is not acyclic."""
+    registry = builtin_registry()
+    names = [f"r{i}" for i in range(rng.randint(2, 4))]
+    for k, name in enumerate(names):
+        symmetric = rng.random() < 0.5
+        carriers = names[:k] + ["is_a", "contrasts_with", None, None]
+        registry.register(RelationSpec(
+            name,
+            transitive=rng.random() < 0.5,
+            symmetric=symmetric,
+            acyclic=not symmetric and rng.random() < 0.25,
+            inherits_via=rng.choice(carriers),
+        ))
+    if rng.random() < 0.2:
+        registry.register(RelationSpec(names[0], transitive=rng.random() < 0.5, inherits_via=names[0]), override=True)
+    store = FactStore(registry)
+    concepts = [ConceptId(f"k{i}") for i in range(rng.randint(3, 7))]
+    domains = [parse_domain(f"dom{d}") for d in range(rng.randint(1, 2))]
+    relations = names + ["is_a", "contrasts_with", "has_attribute"]
+    for domain in domains:
+        for name in relations:
+            spec = registry.lookup(name)
+            ranked = concepts[:]
+            rng.shuffle(ranked)
+            for i, a in enumerate(ranked):
+                for j, b in enumerate(ranked):
+                    if spec.acyclic and i >= j:
+                        continue
+                    if rng.random() < 0.2:
+                        store.assert_fact(Fact.intra(name, a, b, domain))
+    if rng.random() < 0.3:
+        store.assert_fact(cross("analogous_to", "k0", "k1", "dom0", "dom1"))
+    return store

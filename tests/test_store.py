@@ -184,3 +184,16 @@ def test_strict_mode_rejects_cycle_at_assert():
         store.assert_fact(intra("requires", "b", "a", "d"))
     assert err.value.relation == "requires"
     assert len(store) == 1
+
+
+def test_strict_cycle_check_stays_in_relation_and_domain():
+    """Only the new edge's own relation and domain can close its cycle; the
+    error names a closed walk of stored edges plus the new one."""
+    store = FactStore(builtin_registry(), strict=True)
+    for fact in (intra("is_a", "a", "b", "d"), intra("is_a", "b", "c", "d"), intra("is_a", "c", "x", "d"),
+                 intra("is_a", "c", "a", "other"), intra("part_of", "c", "a", "d")):
+        assert store.assert_fact(fact)
+    with pytest.raises(CycleError) as err:
+        store.assert_fact(intra("is_a", "c", "a", "d"))
+    assert str(err.value) == "cycle in acyclic relation 'is_a' within domain 'd': c -> a -> b -> c"
+    assert len(store) == 5
