@@ -9,17 +9,23 @@ Grammar (exact):
 
     domain  := segment ('@' segment)*
     segment := atom ('+' atom)*
-    atom    := [A-Za-z0-9_][A-Za-z0-9_.\\-]*
+    atom    := a letter, digit or '_', then letters, digits, '_', '.' or '-'
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import DomainSyntaxError
 
-_ATOM_START = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
-_ATOM_CONT = _ATOM_START | set(".-")
+# The atom alphabet, stated once as regex character classes: the first
+# character of an atom, and any later one.  Domains, fact files, queries and
+# the saver all build their atom rules from these.
+_ATOM_LETTERS = "A-Za-z0-9_"
+_ATOM_FIRST = f"[{_ATOM_LETTERS}]"
+_ATOM_CHAR = rf"[{_ATOM_LETTERS}.\-]"
+_ATOM_RE = re.compile(_ATOM_FIRST + _ATOM_CHAR + "*")
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -98,19 +104,15 @@ def parse_domain(text: str) -> DomainExpr:
     n = len(text)
     while True:
         # one atom must start here; atoms non-empty means we just passed a '+'
-        if i >= n:
-            raise DomainSyntaxError("empty atom" if atoms else "empty segment", i)
-        if text[i] not in _ATOM_START:
-            if text[i] == "@":
+        match = _ATOM_RE.match(text, i)
+        if match is None:
+            if i >= n or text[i] == "@":
                 raise DomainSyntaxError("empty atom" if atoms else "empty segment", i)
             if text[i] == "+":
                 raise DomainSyntaxError("empty atom", i)
             raise DomainSyntaxError(f"illegal character {text[i]!r}", i)
-        start = i
-        i += 1
-        while i < n and text[i] in _ATOM_CONT:
-            i += 1
-        atoms.append(text[start:i])
+        atoms.append(match.group())
+        i = match.end()
         if i >= n:
             segments.append(DomainSegment(tuple(atoms)))
             return DomainExpr(tuple(segments))

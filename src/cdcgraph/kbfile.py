@@ -21,20 +21,20 @@ and the loader moves on to the next clause.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .domains import _ATOM_CONT, _ATOM_START, DomainExpr, parse_domain
+from .domains import _ATOM_CHAR, _ATOM_FIRST, DomainExpr, parse_domain
 from .errors import CdcError, CycleError, DomainSyntaxError, RegistryError
+from .inference import base_of_star, star_label
 from .relations import RelationShape, RelationSpec, builtin_specs, spec_with_flags
 from .store import ConceptId, Fact, FactStore
 
 CASESTUDY_NAMES = ("cbt", "education", "enterprise", "techdocs")
 
-# a symbol saved bare must lex back as one atom; the lexer reads a trailing
-# '.' as the clause terminator
-_BARE_ATOM_RE = re.compile(r"[A-Za-z0-9_]([A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?")
 _PROLOG_BARE_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
 _PROLOG_NUMBER_RE = re.compile(r"\d+(\.\d+)?")
 
@@ -91,89 +91,46 @@ class LoadResult:
 # Lexer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ATOM SQUOTED DQUOTED LPAREN RPAREN COMMA DOT NECK EQUALS ATREL OTHER ERROR EOF
-    text: str
-    line: int
-    col: int
+# A '.' stays in an atom only when an atom character follows, so a
+# clause-final dot stays a terminator.  `save` writes a symbol bare exactly
+# when this pattern matches all of it.
+_ATOM_TOKEN = rf"{_ATOM_FIRST}(?:(?!\.(?!{_ATOM_CHAR})){_ATOM_CHAR})*"
+_ATOM_TOKEN_RE = re.compile(_ATOM_TOKEN)
+
+# One alternative per token kind, tried in order at each offset.  A quoted
+# term ends at a line break (file reads turn "\r" into one too); an
+# unterminated quote runs to the line break and becomes an ERROR token.
+_TOKEN_TABLE = (
+    ("SKIP", r"(?:[ \t\r\n]+|%[^\n]*)+"),
+    ("NECK", ":-"),
+    ("ATREL", rf"@relation(?!{_ATOM_CHAR})"),
+    ("SQUOTED", r"'[^'\n\r]*'"),
+    ("DQUOTED", r'"[^"\n\r]*"'),
+    ("ERROR", r"""['"][^\n\r]*"""),
+    ("ATOM", _ATOM_TOKEN),
+    ("LPAREN", r"\("),
+    ("RPAREN", r"\)"),
+    ("COMMA", ","),
+    ("EQUALS", "="),
+    ("DOT", r"\."),
+    ("OTHER", r"(?s:.)"),
+)
+_TOKEN_RE = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _TOKEN_TABLE))
 
 
-def _lex(text: str, file: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def advance(k: int = 1) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance()
+def _lex(text: str) -> Iterator[tuple[str, str, int]]:
+    """Yield (kind, text, offset) tokens, ending with an EOF token."""
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "SKIP":
             continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                advance()
-            continue
-        start_line, start_col = line, col
-        if ch == "(":
-            tokens.append(_Token("LPAREN", ch, start_line, start_col)); advance(); continue
-        if ch == ")":
-            tokens.append(_Token("RPAREN", ch, start_line, start_col)); advance(); continue
-        if ch == ",":
-            tokens.append(_Token("COMMA", ch, start_line, start_col)); advance(); continue
-        if ch == "=":
-            tokens.append(_Token("EQUALS", ch, start_line, start_col)); advance(); continue
-        if ch == ".":
-            tokens.append(_Token("DOT", ch, start_line, start_col)); advance(); continue
-        if ch == ":" and i + 1 < n and text[i + 1] == "-":
-            tokens.append(_Token("NECK", ":-", start_line, start_col)); advance(2); continue
-        if ch == "@":
-            rest = text[i + 1 : i + 9]
-            after = text[i + 9] if i + 9 < n else ""
-            if rest == "relation" and after not in _ATOM_CONT:
-                tokens.append(_Token("ATREL", "@relation", start_line, start_col))
-                advance(9)
-                continue
-            tokens.append(_Token("OTHER", ch, start_line, start_col)); advance(); continue
-        if ch in ("'", '"'):
-            quote = ch
-            advance()
-            start = i
-            # a line break ends the term: file reads turn "\r" into one too
-            while i < n and text[i] not in (quote, "\n", "\r"):
-                advance()
-            if i >= n or text[i] != quote:
-                tokens.append(_Token("ERROR", "unterminated quote", start_line, start_col))
-                continue
-            content = text[start:i]
-            advance()
-            kind = "SQUOTED" if quote == "'" else "DQUOTED"
-            tokens.append(_Token(kind, content, start_line, start_col))
-            continue
-        if ch in _ATOM_START:
-            start = i
-            advance()
-            while i < n and text[i] in _ATOM_CONT:
-                # '.' belongs to the atom only when another atom char follows,
-                # so a clause-final dot stays a terminator
-                if text[i] == "." and (i + 1 >= n or text[i + 1] not in _ATOM_CONT):
-                    break
-                advance()
-            tokens.append(_Token("ATOM", text[start:i], start_line, start_col))
-            continue
-        tokens.append(_Token("OTHER", ch, start_line, start_col))
-        advance()
-    tokens.append(_Token("EOF", "", line, col))
-    return tokens
+        if kind == "SQUOTED" or kind == "DQUOTED":
+            yield kind, match.group()[1:-1], match.start()
+        elif kind == "ERROR":
+            yield kind, "unterminated quote", match.start()
+        else:
+            yield kind, match.group(), match.start()
+    yield "EOF", "", len(text)
 
 
 # ---------------------------------------------------------------------------
@@ -181,84 +138,85 @@ def _lex(text: str, file: str) -> list[_Token]:
 # ---------------------------------------------------------------------------
 
 _TERM_KINDS = ("ATOM", "SQUOTED", "DQUOTED")
+_NEWLINE_RE = re.compile("\n")
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], file: str, diagnostics: list[Diagnostic]):
-        self.tokens = tokens
+    """Reads clauses from the token stream.  Items and terms carry offsets;
+    a SourceSpan is built only for a clause head or a diagnostic."""
+
+    def __init__(self, text: str, file: str, diagnostics: list[Diagnostic]):
+        self.tokens = list(_lex(text))
         self.file = file
         self.pos = 0
         self.diagnostics = diagnostics
+        self.line_starts = [0, *(match.end() for match in _NEWLINE_RE.finditer(text))]
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
 
-    def take(self) -> _Token:
+    def take(self) -> tuple[str, str, int]:
         token = self.tokens[self.pos]
-        if token.kind != "EOF":
+        if token[0] != "EOF":
             self.pos += 1
         return token
 
-    def span(self, token: _Token) -> SourceSpan:
-        return SourceSpan(self.file, token.line, token.col)
+    def span(self, offset: int) -> SourceSpan:
+        line = bisect_right(self.line_starts, offset)
+        return SourceSpan(self.file, line, offset - self.line_starts[line - 1] + 1)
 
-    def error(self, message: str, token: _Token) -> None:
-        self.diagnostics.append(Diagnostic("error", message, self.span(token)))
+    def error(self, message: str, offset: int) -> None:
+        self.diagnostics.append(Diagnostic("error", message, self.span(offset)))
 
     def skip_to_dot(self) -> None:
-        while self.peek().kind not in ("DOT", "EOF"):
+        while self.peek()[0] not in ("DOT", "EOF"):
             self.take()
-        if self.peek().kind == "DOT":
+        if self.peek()[0] == "DOT":
             self.take()
 
     def items(self):
-        """Yield ("directive", ...), ("dynamic", name, arity, span), and
-        ("clause", name, terms, span) tuples."""
+        """Yield ("directive", name, shape, flags, offset), ("dynamic", name,
+        arity, offset), and ("clause", name, terms, offset) tuples."""
         while True:
-            token = self.peek()
-            if token.kind == "EOF":
+            kind, text, offset = self.peek()
+            if kind == "EOF":
                 return
-            if token.kind == "NECK":
+            if kind == "NECK":
                 # ':- dynamic name/arity.' declarations matter (they name the
                 # relations an interop export uses); other Prolog directives
                 # are skipped
                 yield from self.parse_prolog_directive()
                 continue
-            if token.kind == "ATREL":
+            if kind == "ATREL":
                 item = self.parse_directive()
                 if item is not None:
                     yield item
                 continue
-            if token.kind == "ATOM":
+            if kind == "ATOM":
                 item = self.parse_clause()
                 if item is not None:
                     yield item
                 continue
-            if token.kind == "ERROR":
-                self.error(token.text, token)
-                self.take()
-                self.skip_to_dot()
-                continue
-            self.error(f"unexpected {token.text!r}", token)
+            self.error(text if kind == "ERROR" else f"unexpected {text!r}", offset)
             self.take()
             self.skip_to_dot()
 
     def parse_prolog_directive(self):
         neck = self.take()
-        if self.peek().kind == "ATOM" and self.peek().text == "dynamic":
+        if self.peek()[:2] == ("ATOM", "dynamic"):
             self.take()
             while True:
                 name = self.take()
-                if name.kind != "ATOM":
+                if name[0] != "ATOM":
                     break
-                if self.peek().kind != "OTHER" or self.peek().text != "/":
+                if self.peek()[:2] != ("OTHER", "/"):
                     break
                 self.take()
                 arity = self.take()
-                if arity.kind != "ATOM" or not arity.text.isdigit():
+                if arity[0] != "ATOM" or not arity[1].isdigit():
                     break
-                yield ("dynamic", name.text, int(arity.text), self.span(neck))
-                if self.peek().kind == "COMMA":
+                yield ("dynamic", name[1], int(arity[1]), neck[2])
+                if self.peek()[0] == "COMMA":
                     self.take()
                     continue
                 break
@@ -266,79 +224,112 @@ class _Parser:
 
     def parse_directive(self):
         at = self.take()
-        name = self.take()
-        if name.kind != "ATOM":
-            self.error("@relation needs a relation name", name)
+        name_kind, name, name_offset = self.take()
+        if name_kind != "ATOM":
+            self.error("@relation needs a relation name", name_offset)
             self.skip_to_dot()
             return None
-        shape = self.take()
-        if shape.kind != "ATOM" or shape.text not in ("intra", "cross", "fusion"):
-            self.error("@relation shape must be intra, cross, or fusion", shape)
+        shape_kind, shape, shape_offset = self.take()
+        if shape_kind != "ATOM" or shape not in ("intra", "cross", "fusion"):
+            self.error("@relation shape must be intra, cross, or fusion", shape_offset)
             self.skip_to_dot()
             return None
         flags: dict[str, str | bool] = {}
         while True:
-            token = self.peek()
-            if token.kind == "DOT":
+            kind, text, offset = self.peek()
+            if kind == "DOT":
                 self.take()
-                return ("directive", name.text, shape.text, flags, self.span(at))
-            if token.kind == "EOF":
-                self.error("unterminated @relation directive", token)
+                return ("directive", name, shape, flags, at[2])
+            if kind == "EOF":
+                self.error("unterminated @relation directive", offset)
                 return None
-            if token.kind != "ATOM":
-                self.error(f"bad @relation flag {token.text!r}", token)
+            if kind != "ATOM":
+                self.error(f"bad @relation flag {text!r}", offset)
                 self.skip_to_dot()
                 return None
-            flag = self.take()
-            if self.peek().kind == "EQUALS":
+            self.take()
+            if self.peek()[0] == "EQUALS":
                 self.take()
-                value = self.take()
-                if value.kind != "ATOM":
-                    self.error(f"flag {flag.text} needs an identifier value", value)
+                value_kind, value, value_offset = self.take()
+                if value_kind != "ATOM":
+                    self.error(f"flag {text} needs an identifier value", value_offset)
                     self.skip_to_dot()
                     return None
-                flags[flag.text] = value.text
+                flags[text] = value
             else:
-                flags[flag.text] = True
+                flags[text] = True
 
     def parse_clause(self):
-        head = self.take()
-        if self.peek().kind == "NECK":  # rule clause from an interop export
+        _, head, head_offset = self.take()
+        if self.peek()[0] == "NECK":  # rule clause from an interop export
             self.skip_to_dot()
             return None
-        if self.peek().kind != "LPAREN":
-            self.error(f"expected '(' after {head.text!r}", self.peek())
+        if self.peek()[0] != "LPAREN":
+            self.error(f"expected '(' after {head!r}", self.peek()[2])
             self.skip_to_dot()
             return None
         self.take()
-        terms: list[tuple[str, str, SourceSpan]] = []
+        terms: list[tuple[str, str, int]] = []
         while True:
             token = self.take()
-            if token.kind not in _TERM_KINDS:
-                if token.kind == "ERROR":
-                    self.error(token.text, token)
-                else:
-                    self.error(f"expected a term, found {token.text!r}", token)
+            kind, text, offset = token
+            if kind not in _TERM_KINDS:
+                self.error(text if kind == "ERROR" else f"expected a term, found {text!r}", offset)
                 self.skip_to_dot()
                 return None
-            terms.append((token.kind, token.text, self.span(token)))
+            terms.append(token)
             sep = self.take()
-            if sep.kind == "COMMA":
+            if sep[0] == "COMMA":
                 continue
-            if sep.kind == "RPAREN":
+            if sep[0] == "RPAREN":
                 break
-            self.error("expected ',' or ')'", sep)
+            self.error("expected ',' or ')'", sep[2])
             self.skip_to_dot()
             return None
-        if self.peek().kind == "NECK":  # rule clause: skip silently
+        if self.peek()[0] == "NECK":  # rule clause: skip silently
             self.skip_to_dot()
             return None
         end = self.take()
-        if end.kind != "DOT":
-            self.error("missing '.' after clause", end)
+        if end[0] != "DOT":
+            self.error("missing '.' after clause", end[2])
             self.skip_to_dot()
             return None
-        return ("clause", head.text, terms, self.span(head))
+        return ("clause", head, terms, head_offset)
+
+    def assemble_fact(
+        self, name: str, terms: list[tuple[str, str, int]], domain_positions: tuple[int, ...]
+    ) -> Fact | None:
+        concepts: list[ConceptId] = []
+        domains: list[DomainExpr] = []
+        for index, (kind, text, offset) in enumerate(terms):
+            if index in domain_positions:
+                try:
+                    domains.append(parse_domain(text))
+                except DomainSyntaxError as exc:
+                    quote = 1 if kind in ("SQUOTED", "DQUOTED") else 0
+                    self.error(f"bad domain: {exc}", offset + quote + exc.offset)
+                    return None
+            else:
+                if not text:
+                    self.error("empty concept symbol", offset)
+                    return None
+                concepts.append(ConceptId(text))
+        return Fact(name, tuple(concepts), tuple(domains))
+
+    def terms_to_fact(self, name: str, terms: list[tuple[str, str, int]], span: SourceSpan, registry) -> Fact | None:
+        spec = registry.get(name)
+        if spec is None:
+            self.diagnostics.append(Diagnostic("error", f"unknown relation {name!r}", span))
+            return None
+        arity = spec.shape.arity
+        if len(terms) != arity:
+            self.diagnostics.append(Diagnostic(
+                "error",
+                f"{name} is a {spec.shape.value} relation and takes {arity} arguments, got {len(terms)}",
+                span,
+            ))
+            return None
+        return self.assemble_fact(name, terms, spec.shape.domain_positions)
 
 
 # ---------------------------------------------------------------------------
@@ -349,37 +340,40 @@ def load_text(text: str, store: FactStore, file: str = "<string>") -> LoadResult
     """Parse and assert every well-formed clause, in order.  Directives
     register relations before facts use them.  Problems become diagnostics."""
     result = LoadResult()
-    parser = _Parser(_lex(text, file), file, result.diagnostics)
+    parser = _Parser(text, file, result.diagnostics)
     registry = store.registry
     for item in parser.items():
         if item[0] == "directive":
-            _, name, shape_text, flags, span = item
+            _, name, shape_text, flags, offset = item
             try:
                 spec = spec_with_flags(name, RelationShape(shape_text), flags)
                 registry.register(spec, override=name in registry)
             except RegistryError as exc:
-                result.diagnostics.append(Diagnostic("error", str(exc), span))
+                result.diagnostics.append(Diagnostic("error", str(exc), parser.span(offset)))
             continue
         if item[0] == "dynamic":
             # interop exports declare their relations this way; register
             # unknown ternary ones as plain relations so facts reload.
             # Property flags are not representable in the export, and a
             # 4-ary declaration cannot distinguish cross from fusion.
-            _, name, arity, span = item
+            _, name, arity, offset = item
             if name in registry:
                 continue
             if arity != 3:
                 result.diagnostics.append(Diagnostic(
-                    "warning", f"cannot infer the shape of {name}/{arity}; declare it with @relation", span,
+                    "warning",
+                    f"cannot infer the shape of {name}/{arity}; declare it with @relation",
+                    parser.span(offset),
                 ))
                 continue
             try:
                 registry.register(RelationSpec(name))
             except RegistryError as exc:
-                result.diagnostics.append(Diagnostic("warning", str(exc), span))
+                result.diagnostics.append(Diagnostic("warning", str(exc), parser.span(offset)))
             continue
-        _, name, terms, span = item
-        fact = _terms_to_fact(name, terms, span, registry, result.diagnostics)
+        _, name, terms, offset = item
+        span = parser.span(offset)
+        fact = parser.terms_to_fact(name, terms, span, registry)
         if fact is None:
             continue
         try:
@@ -399,53 +393,6 @@ def load_file(path: str | Path, store: FactStore) -> LoadResult:
     return load_text(path.read_text(encoding="utf-8"), store, file=str(path))
 
 
-def _assemble_fact(
-    name: str,
-    terms: list[tuple[str, str, SourceSpan]],
-    domain_positions: tuple[int, ...],
-    diagnostics: list[Diagnostic],
-) -> Fact | None:
-    concepts: list[ConceptId] = []
-    domains: list[DomainExpr] = []
-    for index, (kind, text, term_span) in enumerate(terms):
-        if index in domain_positions:
-            try:
-                domains.append(parse_domain(text))
-            except DomainSyntaxError as exc:
-                offset = exc.offset + (1 if kind in ("SQUOTED", "DQUOTED") else 0)
-                where = SourceSpan(term_span.file, term_span.line, term_span.column + offset)
-                diagnostics.append(Diagnostic("error", f"bad domain: {exc}", where))
-                return None
-        else:
-            if not text:
-                diagnostics.append(Diagnostic("error", "empty concept symbol", term_span))
-                return None
-            concepts.append(ConceptId(text))
-    return Fact(name, tuple(concepts), tuple(domains))
-
-
-def _terms_to_fact(
-    name: str,
-    terms: list[tuple[str, str, SourceSpan]],
-    span: SourceSpan,
-    registry,
-    diagnostics: list[Diagnostic],
-) -> Fact | None:
-    spec = registry.get(name)
-    if spec is None:
-        diagnostics.append(Diagnostic("error", f"unknown relation {name!r}", span))
-        return None
-    arity = spec.shape.arity
-    if len(terms) != arity:
-        diagnostics.append(Diagnostic(
-            "error",
-            f"{name} is a {spec.shape.value} relation and takes {arity} arguments, got {len(terms)}",
-            span,
-        ))
-        return None
-    return _assemble_fact(name, terms, spec.shape.domain_positions, diagnostics)
-
-
 def parse_fact_text(text: str, registry, allow_star: bool = False) -> Fact:
     """Parse one fact clause (the trailing '.' may be omitted).
 
@@ -456,24 +403,24 @@ def parse_fact_text(text: str, registry, allow_star: bool = False) -> Fact:
     if not source.endswith("."):
         source += "."
     diagnostics: list[Diagnostic] = []
-    parser = _Parser(_lex(source, "<fact>"), "<fact>", diagnostics)
+    parser = _Parser(source, "<fact>", diagnostics)
     items = list(parser.items())
     if diagnostics:
         raise CdcError(diagnostics[0].message)
     if len(items) != 1 or items[0][0] != "clause":
         raise CdcError("expected exactly one fact clause")
-    _, name, terms, span = items[0]
-    if name not in registry and allow_star and name.endswith("_star"):
-        base = name[: -len("_star")]
+    _, name, terms, offset = items[0]
+    base = base_of_star(name) if allow_star and name not in registry else None
+    if base is not None:
         base_spec = registry.get(base)
         if base_spec is not None and base_spec.transitive:
             if len(terms) != 3:
                 raise CdcError(f"{name} takes 3 arguments, got {len(terms)}")
-            fact = _assemble_fact(name, terms, (2,), diagnostics)
+            fact = parser.assemble_fact(name, terms, (2,))
             if fact is None:
                 raise CdcError(diagnostics[0].message)
             return fact
-    fact = _terms_to_fact(name, terms, span, registry, diagnostics)
+    fact = parser.terms_to_fact(name, terms, parser.span(offset), registry)
     if fact is None:
         raise CdcError(diagnostics[0].message if diagnostics else "malformed fact")
     return fact
@@ -484,7 +431,7 @@ def parse_fact_text(text: str, registry, allow_star: bool = False) -> Fact:
 # ---------------------------------------------------------------------------
 
 def _render_concept(concept: ConceptId) -> str:
-    if _BARE_ATOM_RE.fullmatch(concept.symbol):
+    if _ATOM_TOKEN_RE.fullmatch(concept.symbol):
         return concept.symbol
     if "'" not in concept.symbol:
         return f"'{concept.symbol}'"
@@ -554,7 +501,7 @@ def export_interop(store: FactStore, path: str | Path, registry=None) -> None:
     for name in registry.names():
         spec = registry.lookup(name)
         if spec.transitive:
-            star = name + "_star"
+            star = star_label(name)
             lines.append(f"{star}(X, Y, Domain) :-")
             lines.append(f"    {name}(X, Y, Domain).")
             lines.append(f"{star}(X, Z, Domain) :-")
@@ -563,7 +510,7 @@ def export_interop(store: FactStore, path: str | Path, registry=None) -> None:
     requires = registry.get("requires")
     if requires is not None and requires.transitive:
         lines.append("all_prerequisites(Target, Domain, Prereqs) :-")
-        lines.append("    findall(P, requires_star(Target, P, Domain), Prereqs).")
+        lines.append(f"    findall(P, {star_label('requires')}(Target, P, Domain), Prereqs).")
     for name in registry.names():
         spec = registry.lookup(name)
         if spec.inherits_via is not None:

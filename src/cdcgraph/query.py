@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .domains import _ATOM_CONT, _ATOM_START, DomainExpr, is_prefix_of, parse_domain
+from .domains import _ATOM_RE, DomainExpr, is_prefix_of, parse_domain
 from .errors import DomainSyntaxError, QuerySyntaxError, StaleClosureError
 from .inference import ClosureSet, base_of_star, derived_facts_for, star_pairs
 from .relations import RelationShape, RelationSpec
@@ -119,12 +119,11 @@ def _skip_ws(text: str, i: int) -> int:
     return i
 
 
-def _scan_atom(text: str, i: int) -> tuple[str, int]:
-    start = i
-    i += 1
-    while i < len(text) and text[i] in _ATOM_CONT:
-        i += 1
-    return text[start:i], i
+def _scan_atom(text: str, i: int, error: str) -> tuple[str, int]:
+    match = _ATOM_RE.match(text, i)
+    if match is None:
+        raise QuerySyntaxError(error, i)
+    return match.group(), match.end()
 
 
 def parse_query(text: str, registry) -> Query:
@@ -134,9 +133,7 @@ def parse_query(text: str, registry) -> Query:
     i = _skip_ws(raw, 0)
     if raw[i : i + 2] == "?-":
         i = _skip_ws(raw, i + 2)
-    if i >= len(raw) or raw[i] not in _ATOM_START:
-        raise QuerySyntaxError("expected a goal name", i)
-    goal, i = _scan_atom(raw, i)
+    goal, i = _scan_atom(raw, i, "expected a goal name")
     i = _skip_ws(raw, i)
     if i >= len(raw) or raw[i] != "(":
         raise QuerySyntaxError("expected '('", i)
@@ -149,10 +146,7 @@ def parse_query(text: str, registry) -> Query:
         ch = raw[i]
         if ch == "?":
             start = i
-            i += 1
-            if i >= len(raw) or raw[i] not in _ATOM_START:
-                raise QuerySyntaxError("expected a variable name after '?'", i)
-            name, i = _scan_atom(raw, i)
+            name, i = _scan_atom(raw, i + 1, "expected a variable name after '?'")
             terms.append(("var", name, start))
         elif ch == '"':
             start = i
@@ -161,12 +155,10 @@ def parse_query(text: str, registry) -> Query:
                 raise QuerySyntaxError("unterminated domain literal", i)
             terms.append(("domain", raw[i + 1 : end], start))
             i = end + 1
-        elif ch in _ATOM_START:
-            start = i
-            atom, i = _scan_atom(raw, i)
-            terms.append(("atom", atom, start))
         else:
-            raise QuerySyntaxError(f"unexpected character {ch!r}", i)
+            start = i
+            atom, i = _scan_atom(raw, i, f"unexpected character {ch!r}")
+            terms.append(("atom", atom, start))
         i = _skip_ws(raw, i)
         if i < len(raw) and raw[i] == ",":
             i += 1

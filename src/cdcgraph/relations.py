@@ -1,7 +1,9 @@
 """Relation vocabulary: named predicates with declared algebraic properties.
 
-The property flags (transitive / symmetric / reflexive / acyclic) are what
-drive inference and validation; the shape decides the fact payload:
+The transitive, symmetric and acyclic flags (and ``inherits_via``) drive
+inference and validation.  The reflexive flag is declarative only: it is
+validated against acyclic and saved, but no rule reads it.  The shape
+decides the fact payload:
 
     INTRA   rel(subject, object, domain)
     CROSS   rel(c1, c2, domain1, domain2)

@@ -23,7 +23,9 @@ from .relations import RelationRegistry, RelationShape, RelationSpec
 
 
 class ConceptId:
-    """Interned concept symbol: equal strings yield the identical object.
+    """Interned concept symbol: equal strings yield the identical object, so
+    equality and hashing are by identity.  Copying or unpickling cannot make
+    a second instance: both call ``__new__`` without a symbol and fail.
 
     A symbol is non-empty, holds no line break and not both quote kinds, so
     that a saved fact file can always quote it and read it back.
@@ -49,14 +51,6 @@ class ConceptId:
 
     def __setattr__(self, name, value):
         raise AttributeError("ConceptId is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ConceptId):
-            return self.symbol == other.symbol
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.symbol)
 
     def __lt__(self, other: "ConceptId") -> bool:
         return self.symbol < other.symbol

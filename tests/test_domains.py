@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdcgraph import DomainSyntaxError, format_domain, fuse, is_prefix_of, parse_domain
+from cdcgraph import DomainExpr, DomainSyntaxError, format_domain, fuse, is_prefix_of, parse_domain
+from conftest import grammar_text
 
 ATOM_START = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_"
 ATOM_CONT = ATOM_START + ".-"
@@ -66,6 +67,15 @@ def test_parse_illegal_character_names_offset(text, offset):
         parse_domain(text)
     assert "illegal character" in str(err.value)
     assert err.value.offset == offset
+
+
+@settings(max_examples=300, deadline=None)
+@given(grammar_text())
+def test_parse_domain_never_crashes(text):
+    try:
+        assert isinstance(parse_domain(text), DomainExpr)
+    except DomainSyntaxError:
+        pass
 
 
 def test_fusion_order_insensitive_equality():

@@ -17,7 +17,7 @@ from cdcgraph import (
     save_file,
 )
 from cdcgraph.kbfile import render_clause
-from conftest import fusion, intra
+from conftest import fusion, grammar_text, intra
 
 
 def fresh_store() -> FactStore:
@@ -323,6 +323,25 @@ def test_parse_fact_text_errors():
         parse_fact_text('unknown_rel(a, b, "d")', registry)
 
 
+def test_parse_fact_text_never_crashes():
+    from hypothesis import given, settings
+
+    from cdcgraph import Fact
+
+    registry = builtin_registry()
+
+    @settings(max_examples=300, deadline=None)
+    @given(grammar_text())
+    def fuzz(text):
+        for allow_star in (False, True):
+            try:
+                assert isinstance(parse_fact_text(text, registry, allow_star=allow_star), Fact)
+            except CdcError:
+                pass
+
+    fuzz()
+
+
 def test_round_trip_random_stores(tmp_path):
     import random
 
@@ -358,7 +377,7 @@ def test_loader_never_crashes_on_noise():
     from hypothesis import strategies as st
 
     @settings(max_examples=150, deadline=None)
-    @given(st.text(max_size=80))
+    @given(st.text(max_size=80) | grammar_text())
     def fuzz(text):
         store = fresh_store()
         load_text(text, store)  # diagnostics, never exceptions

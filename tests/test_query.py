@@ -3,9 +3,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from cdcgraph import (
     FactStore,
+    Query,
     QuerySyntaxError,
     StaleClosureError,
     builtin_registry,
@@ -14,7 +16,7 @@ from cdcgraph import (
     parse_query,
 )
 from cdcgraph.query import ConceptConst, DomainConst, Variable
-from conftest import apple_store, cross, intra, random_dag_store
+from conftest import apple_store, cross, grammar_text, intra, random_dag_store
 from oracles import reachable_from
 
 
@@ -73,6 +75,18 @@ def test_parse_tolerates_prolog_dress(registry):
 def test_parse_bad_domain_literal(registry):
     with pytest.raises(QuerySyntaxError, match="bad domain"):
         parse_query('is_a(a, b, "x@@y")', registry)
+
+
+def test_parse_query_never_crashes(registry):
+    @settings(max_examples=300, deadline=None)
+    @given(grammar_text())
+    def fuzz(text):
+        try:
+            assert isinstance(parse_query(text, registry), Query)
+        except QuerySyntaxError:
+            pass
+
+    fuzz()
 
 
 # ---------------------------------------------------------------------------

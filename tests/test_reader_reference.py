@@ -1,0 +1,167 @@
+"""The regex fact-file reader against the character-loop reference it
+replaced (``tests/reference_lexer.py``): the same tokens at the same line
+and column, the same clauses, diagnostics and spans, and the same facts."""
+
+from __future__ import annotations
+
+from unittest import mock
+
+import pytest
+from hypothesis import example, given, settings
+
+from cdcgraph import (
+    CASESTUDY_NAMES,
+    CdcError,
+    ConceptId,
+    Fact,
+    FactStore,
+    builtin_registry,
+    load_text,
+    parse_domain,
+    parse_fact_text,
+    save_file,
+)
+from cdcgraph import kbfile
+from cdcgraph.kbfile import casestudy_text
+from cdcgraph.cli import generate_synthetic_store
+from conftest import grammar_text
+import reference_lexer
+
+PINNED = (
+    "",
+    'is_a(a, b, "d").\r\nis_a(c, e, "d").\r\n',
+    "is_a(a.., b, d).",
+    "a..",
+    "@relationx r intra.",
+    "@relation. is_a(a, b, d).",
+    "is_a('a, b, \"d\").\nis_a(c, e, \"d\").\n",
+    "is_a('a\rb', c, d).\nis_a(\"x\ry\", c, d).",
+    'is_a(a, b, "d").\n% a comment at the end of the file',
+    "% only a comment",
+)
+
+
+def _offset_to_line_col(text: str, offset: int) -> tuple[int, int]:
+    return text.count("\n", 0, offset) + 1, offset - (text.rfind("\n", 0, offset) + 1) + 1
+
+
+class _ReferenceReader(kbfile._Parser):
+    """The loader's fact assembly fed by the reference lexer and parser:
+    their line/column spans are turned into offsets, and offsets back into
+    spans, by counting newlines rather than through the new reader."""
+
+    def __init__(self, text: str, file: str, diagnostics: list):
+        self.text = text
+        self.file = file
+        self.diagnostics = diagnostics
+        self.line_starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
+        self.reference = reference_lexer._Parser(reference_lexer._lex(text, file), file, diagnostics)
+
+    def offset(self, span: kbfile.SourceSpan) -> int:
+        return self.line_starts[span.line - 1] + span.column - 1
+
+    def span(self, offset: int) -> kbfile.SourceSpan:
+        return kbfile.SourceSpan(self.file, *_offset_to_line_col(self.text, offset))
+
+    def items(self):
+        for item in self.reference.items():
+            if item[0] == "clause":
+                _, name, terms, span = item
+                terms = [(kind, text, self.offset(term_span)) for kind, text, term_span in terms]
+                yield ("clause", name, terms, self.offset(span))
+            else:
+                yield (*item[:-1], self.offset(item[-1]))
+
+
+def reference_tokens(text: str) -> list[tuple[str, str, int, int]]:
+    return [(t.kind, t.text, t.line, t.col) for t in reference_lexer._lex(text, "f.cdc")]
+
+
+def reader_tokens(text: str) -> list[tuple[str, str, int, int]]:
+    parser = kbfile._Parser(text, "f.cdc", [])
+    tokens = []
+    for kind, value, offset in parser.tokens:
+        span = parser.span(offset)
+        tokens.append((kind, value, span.line, span.column))
+    return tokens
+
+
+def load_outcome(text: str):
+    store = FactStore(builtin_registry())
+    result = load_text(text, store, file="f.cdc")
+    return (
+        [str(d) for d in result.diagnostics],
+        [(loaded.fact, loaded.span) for loaded in result.facts],
+        store.fact_set(),
+    )
+
+
+def fact_outcome(text: str, allow_star: bool):
+    try:
+        return repr(parse_fact_text(text, builtin_registry(), allow_star=allow_star))
+    except CdcError as exc:
+        return ("error", str(exc))
+
+
+def outcomes(text: str):
+    lines = text.splitlines()[:50]
+    return (
+        load_outcome(text),
+        [fact_outcome(line, allow_star) for line in lines for allow_star in (False, True)],
+    )
+
+
+def assert_reads_like_reference(text: str) -> None:
+    assert reader_tokens(text) == reference_tokens(text)
+    with mock.patch.object(kbfile, "_Parser", _ReferenceReader):
+        expected = outcomes(text)
+    assert outcomes(text) == expected
+
+
+def _saved_text(store: FactStore, tmp_path) -> str:
+    path = tmp_path / "saved.cdc"
+    save_file(store, path)
+    return path.read_text(encoding="utf-8")
+
+
+def _odd_symbol_store() -> FactStore:
+    store = FactStore(builtin_registry())
+    symbols = [ConceptId(s) for s in ("New York", "it's", "end.", "x.-y", "a..b", 'say "hi"', "plain")]
+    domains = [parse_domain(text) for text in ("d", "x.y@z", "a+b@c")]
+    for i, subject in enumerate(symbols):
+        for j, obj in enumerate(symbols):
+            if i != j:
+                store.assert_fact(Fact.intra("is_a", subject, obj, domains[(i + j) % 3]))
+    store.assert_fact(Fact.fusion("fuses_with", symbols[0], symbols[2], symbols[3], domains[2]))
+    return store
+
+
+@pytest.mark.parametrize("name", CASESTUDY_NAMES)
+def test_case_studies_read_like_reference(name):
+    assert_reads_like_reference(casestudy_text(name))
+
+
+def test_saved_synthetic_store_reads_like_reference(tmp_path):
+    assert_reads_like_reference(_saved_text(generate_synthetic_store(2000, 20, 0), tmp_path))
+
+
+def test_saved_odd_symbols_read_like_reference(tmp_path):
+    text = _saved_text(_odd_symbol_store(), tmp_path)
+    assert "'New York'" in text and "'end.'" in text and " x.-y," in text and "a..b" in text
+    assert_reads_like_reference(text)
+
+
+@pytest.mark.parametrize("text", PINNED)
+def test_pinned_inputs_read_like_reference(text):
+    assert_reads_like_reference(text)
+
+
+def test_noise_reads_like_reference():
+    @settings(max_examples=300, deadline=None)
+    @given(grammar_text())
+    @example('is_a(x, y, "a@@b").\nis_a(p, q, "a+").')
+    @example(":- dynamic is_a/3, foo/2.\n:- dynamic bar/3.\nbar(a, b, d).")
+    def check(text):
+        assert_reads_like_reference(text)
+
+    check()

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -24,6 +26,16 @@ def test_concept_interning():
     assert ConceptId("apple") != ConceptId("Apple")
     with pytest.raises(ValueError):
         ConceptId("")
+    # equality is identity: a symbol built at run time finds the interned
+    # object, and copying or unpickling cannot make a second one
+    apple = ConceptId("apple")
+    assert ConceptId("".join(["ap", "ple"])) is apple
+    assert {apple: 1}[ConceptId("apple")] == 1
+    for duplicate in (copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))):
+        try:
+            assert duplicate(apple) is apple
+        except TypeError:
+            pass
 
 
 def test_assert_and_duplicate(store):
