@@ -180,27 +180,57 @@ def _separation_witnesses(store: FactStore, registry: RelationRegistry) -> list[
 
 
 def edit_distance_at_most(a: str, b: str, bound: int) -> bool:
-    """Levenshtein(a, b) <= bound, with cheap cutoffs."""
+    """Levenshtein(a, b) <= bound.  Fills only the band of cells with
+    |i - j| <= bound: a cell off the band costs more than the bound, so none
+    is read as less, and the rows are abandoned once all of a row is over."""
     if abs(len(a) - len(b)) > bound:
         return False
     if a == b:
         return True
-    previous = list(range(len(b) + 1))
+    # a shared prefix or suffix costs no edit; what is left of the longer
+    # text bounds the distance
+    n = min(len(a), len(b))
+    start = 0
+    while start < n and a[start] == b[start]:
+        start += 1
+    end = 0
+    while end < n - start and a[-1 - end] == b[-1 - end]:
+        end += 1
+    a, b = a[start:len(a) - end], b[start:len(b) - end]
+    if max(len(a), len(b)) <= bound:
+        return True
+    over = bound + 1
+    m = len(b)
+    previous = [j if j <= bound else over for j in range(m + 1)]
+    current = [over] * (m + 1)
     for i, ca in enumerate(a, start=1):
-        current = [i]
-        best = i
-        for j, cb in enumerate(b, start=1):
+        lo = max(1, i - bound)
+        hi = min(m, i + bound)
+        # the cell left of the band: the first column, or off the band
+        best = current[lo - 1] = i if lo == 1 else over
+        for j in range(lo, hi + 1):
             cost = min(
                 previous[j] + 1,
                 current[j - 1] + 1,
-                previous[j - 1] + (ca != cb),
+                previous[j - 1] + (ca != b[j - 1]),
             )
-            current.append(cost)
-            best = min(best, cost)
+            current[j] = cost
+            if cost < best:
+                best = cost
         if best > bound:
             return False
-        previous = current
-    return previous[-1] <= bound
+        previous, current = current, previous
+    return previous[m] <= bound
+
+
+def _two_deletion_variants(text: str) -> set[str]:
+    """``text`` and every string that one or two deletions reach."""
+    variants = {text}
+    for i in range(len(text)):
+        once = text[:i] + text[i + 1:]
+        variants.add(once)
+        variants.update([once[:j] + once[j + 1:] for j in range(i, len(once))])
+    return variants
 
 
 def _domain_lints(store: FactStore) -> list[Lint]:
@@ -216,8 +246,24 @@ def _domain_lints(store: FactStore) -> list[Lint]:
                 kind="case-variant-domains",
                 description="domains differ only by case: " + ", ".join(variants),
             ))
-    for i in range(len(texts)):
-        for j in range(i + 1, len(texts)):
+    # Two texts within 2 edits share a string that at most 2 deletions reach
+    # from each (delete the substituted characters from both sides and each
+    # side's extra characters from that side), so only texts that share a
+    # deletion variant are compared: SymSpell's symmetric deletion.
+    by_variant: dict[str, list[int]] = {}
+    for i, text in enumerate(texts):
+        for variant in _two_deletion_variants(text):
+            by_variant.setdefault(variant, []).append(i)
+    shared: list[list[list[int]]] = [[] for _ in texts]  # each text's buckets of two or more
+    for members in by_variant.values():
+        if len(members) > 1:
+            for i in members:
+                shared[i].append(members)
+    for i, buckets in enumerate(shared):
+        partners: set[int] = set()
+        for members in buckets:
+            partners.update(members)
+        for j in sorted(j for j in partners if j > i):
             a, b = texts[i], texts[j]
             if a.lower() == b.lower():
                 continue  # already flagged as a case variant

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import DomainSyntaxError
 
@@ -65,27 +66,29 @@ class DomainSegment:
 class DomainExpr:
     """A parsed domain path, outermost (most general) segment first.
 
-    Immutable value; safe to share and to use as a dict key.
+    Immutable value; safe to share and to use as a dict key.  ``text``, the
+    canonical rendering (fusion atoms sorted), is computed once, at
+    construction, and the hash is the hash of that text.
     """
 
     segments: tuple[DomainSegment, ...]
+    text: str = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.segments:
             raise ValueError("domain needs at least one segment")
-
-    @property
-    def text(self) -> str:
-        """Canonical rendering (fusion atoms sorted)."""
-        return "@".join(str(seg) for seg in self.segments)
+        object.__setattr__(self, "text", "@".join(str(seg) for seg in self.segments))
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, DomainExpr):
             return NotImplemented
         return self.segments == other.segments
 
     def __hash__(self) -> int:
-        return hash(self.segments)
+        # equal segments render equal text, so this agrees with __eq__
+        return hash(self.text)
 
     def __str__(self) -> str:
         return self.text
@@ -94,8 +97,19 @@ class DomainExpr:
         return f"DomainExpr({self.text!r})"
 
 
+# Distinct domain texts remembered by parse_domain; a knowledge base has far
+# fewer domains than facts.
+_PARSE_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_PARSE_CACHE_SIZE)
 def parse_domain(text: str) -> DomainExpr:
-    """Parse a domain string; raises DomainSyntaxError naming the offset."""
+    """Parse a domain string; raises DomainSyntaxError naming the offset.
+
+    Memoized by the text as written, so repeated text returns one shared
+    (immutable) value whose segments keep their written atom order.  Syntax
+    errors are not remembered: they raise on every call.
+    """
     if not text:
         raise DomainSyntaxError("empty domain", 0)
     segments: list[DomainSegment] = []

@@ -169,10 +169,13 @@ class _Parser:
         self.diagnostics.append(Diagnostic("error", message, self.span(offset)))
 
     def skip_to_dot(self) -> None:
-        while self.peek()[0] not in ("DOT", "EOF"):
-            self.take()
-        if self.peek()[0] == "DOT":
-            self.take()
+        """Skip the rest of a malformed clause: through its '.', or through an
+        unterminated quote, which ran to the line break and took the line's
+        '.' with it, so the next clause starts on the next line."""
+        if self.tokens[self.pos - 1][0] == "ERROR":
+            return
+        while self.take()[0] not in ("DOT", "EOF", "ERROR"):
+            pass
 
     def items(self):
         """Yield ("directive", name, shape, flags, offset), ("dynamic", name,

@@ -24,8 +24,8 @@ from .relations import RelationRegistry, RelationShape, RelationSpec
 
 class ConceptId:
     """Interned concept symbol: equal strings yield the identical object, so
-    equality and hashing are by identity.  Copying or unpickling cannot make
-    a second instance: both call ``__new__`` without a symbol and fail.
+    equality and hashing are by identity.  Copying or unpickling re-interns
+    the symbol, so it returns that same object.
 
     A symbol is non-empty, holds no line break and not both quote kinds, so
     that a saved fact file can always quote it and read it back.
@@ -51,6 +51,9 @@ class ConceptId:
 
     def __setattr__(self, name, value):
         raise AttributeError("ConceptId is immutable")
+
+    def __reduce__(self):
+        return (ConceptId, (self.symbol,))
 
     def __lt__(self, other: "ConceptId") -> bool:
         return self.symbol < other.symbol

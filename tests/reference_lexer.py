@@ -1,6 +1,7 @@
 """The character-loop fact-file lexer and the token-object parser that the
-regex reader in ``cdcgraph.kbfile`` replaced, kept unchanged as the
-reference for ``tests/test_reader_reference.py``.
+regex reader in ``cdcgraph.kbfile`` replaced, kept as the reference for
+``tests/test_reader_reference.py``.  Unchanged but for ``skip_to_dot``, whose
+recovery after an unterminated quote was fixed in both readers.
 
 ``_lex`` walks the text one character at a time, tracking line and column;
 ``_Parser`` reads its ``_Token`` objects with the grammar and error recovery
@@ -132,10 +133,13 @@ class _Parser:
         self.diagnostics.append(Diagnostic("error", message, self.span(token)))
 
     def skip_to_dot(self) -> None:
-        while self.peek().kind not in ("DOT", "EOF"):
-            self.take()
-        if self.peek().kind == "DOT":
-            self.take()
+        # Changed on purpose from the replaced reader, in step with
+        # kbfile._Parser: recovery also stops after an unterminated quote,
+        # which ran to the line break and took that line's '.' with it.
+        if self.tokens[self.pos - 1].kind == "ERROR":
+            return
+        while self.take().kind not in ("DOT", "EOF", "ERROR"):
+            pass
 
     def items(self):
         """Yield ("directive", ...), ("dynamic", name, arity, span), and

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
-from hypothesis import given
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cdcgraph import FactStore, builtin_registry, check
+from cdcgraph import CASESTUDY_NAMES, FactStore, builtin_registry, check, load_casestudy, load_text
+from cdcgraph.cli import generate_synthetic_store
 from cdcgraph.consistency import edit_distance_at_most
 from conftest import apple_store, intra
+import reference_consistency
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def brute_levenshtein(a: str, b: str) -> int:
@@ -20,6 +26,19 @@ def brute_levenshtein(a: str, b: str) -> int:
         brute_levenshtein(a, b[:-1]) + 1,
         brute_levenshtein(a[:-1], b[:-1]) + (a[-1] != b[-1]),
     )
+
+
+def levenshtein(a: str, b: str) -> int:
+    """The whole (len(a) + 1) x (len(b) + 1) table, no cutoffs."""
+    table = [[i + j if i * j == 0 else 0 for j in range(len(b) + 1)] for i in range(len(a) + 1)]
+    for i in range(1, len(a) + 1):
+        for j in range(1, len(b) + 1):
+            table[i][j] = min(
+                table[i - 1][j] + 1,
+                table[i][j - 1] + 1,
+                table[i - 1][j - 1] + (a[i - 1] != b[j - 1]),
+            )
+    return table[-1][-1]
 
 
 def test_apple_kb_separation():
@@ -128,6 +147,89 @@ def test_random_cycle_edges_always_in_store():
             assert fact in store
 
 
-@given(st.text(max_size=6), st.text(max_size=6), st.integers(min_value=0, max_value=3))
-def test_edit_distance_matches_brute_force(a, b, bound):
-    assert edit_distance_at_most(a, b, bound) == (brute_levenshtein(a, b) <= bound)
+@given(st.text(max_size=6), st.text(max_size=6))
+def test_full_table_matches_recursion(a, b):
+    assert levenshtein(a, b) == brute_levenshtein(a, b)
+
+
+@st.composite
+def nearby(draw, text):
+    """``text`` after up to four random deletions, insertions or substitutions."""
+    chars = list(text)
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from("dis"))
+        if op == "i" or not chars:
+            chars.insert(draw(st.integers(0, len(chars))), draw(st.sampled_from("abc")))
+        elif op == "d":
+            del chars[draw(st.integers(0, len(chars) - 1))]
+        else:
+            chars[draw(st.integers(0, len(chars) - 1))] = draw(st.sampled_from("abc"))
+    return "".join(chars)
+
+
+abc_texts = st.text(alphabet="abc", max_size=12)
+abc_pairs = st.tuples(abc_texts, abc_texts) | abc_texts.flatmap(lambda a: st.tuples(st.just(a), nearby(a)))
+
+
+@settings(max_examples=500)
+@given(abc_pairs, st.integers(min_value=0, max_value=4))
+@example(("abcabcabcabc", "bcabcabcabca"), 2)
+@example(("", "abc"), 3)
+@example(("aaaaaaaaaaaa", "aaaaaaaaaaab"), 0)
+@example(("abaa", "bb"), 2)  # a stale cell left of the band would read 2
+def test_edit_distance_matches_brute_force(pair, bound):
+    a, b = pair
+    expected = levenshtein(a, b) <= bound
+    assert edit_distance_at_most(a, b, bound) == expected
+    assert reference_consistency.edit_distance_at_most(a, b, bound) == expected
+
+
+# --- the candidate-pair lint against the all-pairs reference ---------------
+
+def assert_lints_like_reference(store: FactStore) -> list:
+    warnings = check(store).warnings
+    assert [(w.kind, w.description) for w in warnings] == [
+        (w.kind, w.description) for w in reference_consistency._domain_lints(store)
+    ]
+    return warnings
+
+
+@pytest.mark.parametrize("name", CASESTUDY_NAMES)
+def test_lints_match_reference_on_case_studies(name):
+    store = FactStore(builtin_registry())
+    load_casestudy(name, store)
+    assert_lints_like_reference(store)
+
+
+@pytest.mark.parametrize("workload", ["closure-deep", "lazy-wide", "edit-readback"])
+def test_lints_match_reference_on_benchmark_kbs(workload, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    store = FactStore(builtin_registry())
+    result = load_text(workloads.generate(workload, 1).kb_text, store)
+    assert result.ok
+    assert_lints_like_reference(store)
+
+
+def test_lints_match_reference_on_synthetic_store():
+    warnings = assert_lints_like_reference(generate_synthetic_store(4000, 200, 0))
+    assert len(warnings) == 11961
+
+
+# Short texts over a few letters in both cases: many pairs sit 0-3 edits
+# apart, and some differ only by case.
+lint_domains = st.lists(
+    st.lists(st.text(alphabet="abAB", min_size=1, max_size=4), min_size=1, max_size=2).map("@".join),
+    max_size=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lint_domains)
+@example(["ab", "AB", "aB", "abab", "b", "a@b", "A@b"])
+def test_lints_match_reference_on_drawn_domains(texts):
+    store = FactStore(builtin_registry())
+    for text in texts:
+        store.assert_fact(intra("is_a", "x", "y", text))
+    assert_lints_like_reference(store)

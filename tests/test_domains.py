@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdcgraph import DomainExpr, DomainSyntaxError, format_domain, fuse, is_prefix_of, parse_domain
+from cdcgraph.domains import DomainSegment
 from conftest import grammar_text
 
 ATOM_START = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_"
@@ -82,6 +83,34 @@ def test_fusion_order_insensitive_equality():
     assert parse_domain("a+b@c") == parse_domain("b+a@c")
     assert hash(parse_domain("a+b@c")) == hash(parse_domain("b+a@c"))
     assert parse_domain("a+b") != parse_domain("a@b")
+
+
+def test_hand_built_domain_equals_parsed():
+    built = DomainExpr((DomainSegment(("product", "engineering")), DomainSegment(("mobile",))))
+    parsed = parse_domain("engineering+product@mobile")
+    assert built.text == parsed.text == "engineering+product@mobile"
+    assert built == parsed and hash(built) == hash(parsed)
+    assert {parsed: 1}[built] == 1
+    assert built != parse_domain("engineering@product@mobile")
+
+
+def test_parse_domain_shares_one_value_per_text():
+    first = parse_domain("product+engineering@mobile")
+    assert parse_domain("".join(["product+engineering", "@mobile"])) is first
+    # the memo is keyed by the text as written: another spelling of the same
+    # domain is an equal value that keeps its own atom order
+    other = parse_domain("engineering+product@mobile")
+    assert other == first and other is not first
+    assert first.segments[0].atoms == ("product", "engineering")
+    assert other.segments[0].atoms == ("engineering", "product")
+
+
+@pytest.mark.parametrize("text,offset", [("a@@b", 2), ("a b", 1), ("", 0)])
+def test_parse_domain_raises_on_every_call(text, offset):
+    for _ in range(3):
+        with pytest.raises(DomainSyntaxError) as err:
+            parse_domain(text)
+        assert err.value.offset == offset
 
 
 def test_duplicate_atoms_collapse():

@@ -89,6 +89,15 @@ def test_error_recovery_continues():
     assert len(result.facts) == 1
 
 
+def test_unterminated_quote_recovers_at_the_line_break():
+    # the quote runs to the line break and takes the line's '.' with it;
+    # the next line's clause still loads
+    store = fresh_store()
+    result = load_text('is_a(\'a, b, "d").\nis_a(c, e, "d").\nis_a(f, g, "d").\n', store)
+    assert [str(d) for d in result.diagnostics] == ["<string>:1:6: error: unterminated quote"]
+    assert [repr(loaded.fact) for loaded in result.facts] == ['is_a(c, e, "d")', 'is_a(f, g, "d")']
+
+
 def test_unknown_relation_diagnostic():
     store = fresh_store()
     result = load_text('totally_new(a, b, "d").', store)

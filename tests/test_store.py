@@ -27,15 +27,35 @@ def test_concept_interning():
     with pytest.raises(ValueError):
         ConceptId("")
     # equality is identity: a symbol built at run time finds the interned
-    # object, and copying or unpickling cannot make a second one
+    # object, and copying or unpickling returns that same object
     apple = ConceptId("apple")
     assert ConceptId("".join(["ap", "ple"])) is apple
     assert {apple: 1}[ConceptId("apple")] == 1
     for duplicate in (copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))):
-        try:
-            assert duplicate(apple) is apple
-        except TypeError:
-            pass
+        assert duplicate(apple) is apple
+
+
+@pytest.mark.parametrize(
+    "duplicate", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_facts_and_domains_survive_copy_and_pickle(duplicate):
+    facts = [
+        intra("is_a", "Apple", "Fruit", "Biology@Plant_Taxonomy"),
+        cross("analogous_to", "atom", "solar_system", "Physics@Atomic", "Astronomy@Planetary"),
+        fusion("fuses_with", "a", "b", "ab", "product+engineering@mobile"),
+    ]
+    for fact in facts:
+        copied = duplicate(fact)
+        assert copied == fact and hash(copied) == hash(fact)
+        for have, want in zip(copied.domains, fact.domains):
+            assert have == want and hash(have) == hash(want)
+            assert have.text == want.text and have.segments == want.segments
+        assert all(have is want for have, want in zip(copied.concepts, fact.concepts))
+    store = FactStore(builtin_registry())
+    for fact in facts:
+        store.assert_fact(fact)
+    assert all(duplicate(fact) in store for fact in facts)
 
 
 def test_assert_and_duplicate(store):
