@@ -92,39 +92,25 @@ def find_cycle(adjacency: dict[ConceptId, list[ConceptId]]) -> list[ConceptId] |
     return None
 
 
-def _edge_adjacency(store: FactStore, relation: str, domain: DomainExpr) -> dict[ConceptId, list[ConceptId]]:
-    adjacency: dict[ConceptId, list[ConceptId]] = {}
-    for fact in store.partition(relation, domain):
-        adjacency.setdefault(fact.concepts[0], []).append(fact.concepts[1])
-        adjacency.setdefault(fact.concepts[1], [])
-    return adjacency
-
-
 def _acyclicity_violations(store: FactStore, registry: RelationRegistry) -> list[Violation]:
     violations: list[Violation] = []
     for spec in registry:
         if not spec.acyclic:
             continue
         for domain in store.relation_domains(spec.name):
-            adjacency = _edge_adjacency(store, spec.name, domain)
             # self-loops violate asymmetry; report them separately and keep
             # them out of the cycle search
             clean: dict[ConceptId, list[ConceptId]] = {}
-            for node, succs in adjacency.items():
-                kept = []
-                for succ in succs:
-                    if succ == node:
-                        loop = Fact.intra(spec.name, node, node, domain)
-                        violations.append(Violation(
-                            kind="irreflexive",
-                            relation=spec.name,
-                            domain=domain.text,
-                            description=f"{spec.name}({node}, {node}, \"{domain.text}\") relates a concept to itself",
-                            facts=(loop,),
-                        ))
-                    else:
-                        kept.append(succ)
-                clean[node] = kept
+            for node, objects in store.successors(spec.name, domain).items():
+                if node in objects:
+                    violations.append(Violation(
+                        kind="irreflexive",
+                        relation=spec.name,
+                        domain=domain.text,
+                        description=f"{spec.name}({node}, {node}, \"{domain.text}\") relates a concept to itself",
+                        facts=(objects[node],),
+                    ))
+                clean[node] = [succ for succ in objects if succ != node]
             cycle = find_cycle(clean)
             if cycle is not None:
                 edges = []
@@ -167,7 +153,7 @@ def _separation_witnesses(store: FactStore, registry: RelationRegistry) -> list[
             for i in range(len(group)):
                 for j in range(i + 1, len(group)):
                     a, b = group[i], group[j]
-                    if a.domains[0] != b.domains[0] and a.concepts[1] != b.concepts[1]:
+                    if a.domains[0].text != b.domains[0].text and a.concepts[1] != b.concepts[1]:
                         witnesses.append(SeparationWitness(
                             concept=subject,
                             relation=spec.name,

@@ -15,26 +15,30 @@ R_star is identified with the asserted edge itself, so every derivation
 bottoms out in asserted leaves.  ``materialize`` turns every domain's layers
 into facts whose traces record the smallest ``(rule, premise sort keys)``
 among their layer's rule instances, which keeps traces minimal-depth and
-deterministic.  The lazy reads run the kernel in the one domain asked for
-and read its bitsets without building traces, so they give the closure's
-answers.  A read with a bound concept closes only the facts the answer
-depends on: those reachable from a bound subject, or reaching a bound
-object, over every relation the kernel joins (the whole weakly connected
-part when one of them is symmetric); ``_bound_facts`` collects them by the
-store's subject and object indexes.
+deterministic.
+
+The lazy reads give the closure's answers without traces, in the one domain
+asked for.  A read with a bound concept computes only that concept's row.
+When the relations joined hold no symmetric relation, ``_Rows`` evaluates
+the rules left-linearly from the bound concept (``R_star(x, z) <-
+R_star(x, y), R(y, z)``), as frontiers over the store's per-partition
+successor index, or its predecessor index for a bound object.  Otherwise
+the kernel runs over what the row depends on, the bound concept's weakly
+connected part, which ``_bound_facts`` collects from the same indexes.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable, Iterator, Sequence
+from collections.abc import Collection, Iterator, Sequence
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from operator import attrgetter, or_
 
 from .consistency import ensure_acyclic, find_cycle
 from .domains import DomainExpr
 from .errors import CycleError, NotDerivableError, RegistryError
 from .relations import RelationRegistry, RelationShape, RelationSpec
-from .store import ConceptId, Fact, FactStore, swap_orientation
+from .store import _NO_ROWS, ConceptId, Fact, FactStore, swap_orientation
 
 RULE_ASSERTED = "asserted"
 RULE_SYMMETRIC = "symmetric"
@@ -234,25 +238,11 @@ class _DomainClosure:
             for table, key, fact in made:
                 table[key] = fact
 
-    def reach(self, relation: str, x: int) -> int:
-        """Asserted edges plus ``R_star`` facts out of ``x``."""
-        return self.asserted[relation][x] | self.stars[relation][x]
-
-    def pairs(self, table: list[int], subject: ConceptId | None,
-              obj: ConceptId | None) -> Iterator[tuple[ConceptId, ConceptId]]:
-        """(x, y) for each id y in ``table[x]``, keeping to the bound concepts."""
-        ids, concepts = self.ids, self.concepts
-        mask = -1
-        if obj is not None:
-            if obj not in ids:
-                return
-            mask = 1 << ids[obj]
-        if subject is None:
-            sources: Iterable[int] = range(len(concepts))
-        else:
-            sources = [ids[subject]] if subject in ids else []
-        for x in sources:
-            for y in _ids(table[x] & mask):
+    def pairs(self, table: list[int]) -> Iterator[tuple[ConceptId, ConceptId]]:
+        """(x, y) for each id y in ``table[x]``."""
+        concepts = self.concepts
+        for x, bits in enumerate(table):
+            for y in _ids(bits):
                 yield concepts[x], concepts[y]
 
 
@@ -284,25 +274,24 @@ def _bound_facts(store: FactStore, specs: dict[str, RelationSpec], domain: Domai
     backward)."""
     out: dict[str, list[Fact]] = {name: [] for name in specs}
     both = any(spec.symmetric for spec in specs.values())
-    # (index, position of the far end, whether a fact is collected from here)
+    # (a partition's facts by the near end then the far end, where its facts
+    # go, whether a fact is collected from here)
     steps = []
-    if forward or both:
-        steps.append((store.facts_with_subject, 1, True))
-    if not forward or both:
-        steps.append((store.facts_with_object, 0, not both))
+    for name in specs:
+        if forward or both:
+            steps.append((store.successors(name, domain), out[name], True))
+        if not forward or both:
+            steps.append((store.predecessors(name, domain), out[name], not both))
     seen, stack = {start}, [start]
     while stack:
         node = stack.pop()
-        for index, far, collect in steps:
-            for fact in index(node):
-                group = out.get(fact.relation)
-                if group is not None and fact.domains[0] == domain:
-                    if collect:
-                        group.append(fact)
-                    nxt = fact.concepts[far]
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
+        for index, group, collect in steps:
+            for far, fact in index.get(node, _NO_ROWS).items():
+                if collect:
+                    group.append(fact)
+                if far not in seen:
+                    seen.add(far)
+                    stack.append(far)
     return out
 
 
@@ -319,6 +308,105 @@ def _closure(store: FactStore, relations: Sequence[str], domain: DomainExpr, sub
     else:
         facts = {name: store.partition(name, domain) for name in specs}
     return _DomainClosure(specs, domain, relations, facts)
+
+
+class _Rows:
+    """Single rows of one domain's closure of a relation whose join holds no
+    symmetric relation and no carrier cycle: the far ends of one concept's
+    facts, out of it (``forward``) or into it.  Reads only the successor
+    (predecessor) index of the joined relations' partitions in the domain.
+
+    With no symmetric rule, r(x, z) holds exactly when x reaches, over zero or
+    more carrier edges, an owner of an asserted r(owner, z); r_star(x, z)
+    when z is the far end of an asserted edge of x or lies two or more edges
+    away.  Both are frontiers of rows, as in the left-linear evaluation of
+    Naughton, Ramakrishnan, Sagiv & Ullman 1989, "Efficient evaluation of
+    right-, left-, and multi-linear rules".
+    """
+
+    def __init__(self, store: FactStore, specs: dict[str, RelationSpec], domain: DomainExpr,
+                 forward: bool) -> None:
+        index = store.successors if forward else store.predecessors
+        self.index = {name: index(name, domain) for name in specs}
+        self.carrier = {name: spec.inherits_via for name, spec in specs.items()}
+        self.forward = forward
+        self._inherited: dict[tuple[str, ConceptId], set[ConceptId]] = {}
+
+    def asserted(self, name: str, concept: ConceptId) -> Collection[ConceptId]:
+        return self.index[name].get(concept, _NO_ROWS).keys()
+
+    def edges(self, name: str, concept: ConceptId) -> Collection[ConceptId]:
+        """The far ends of the concept's asserted and inherited facts."""
+        carrier = self.carrier[name]
+        if carrier is None:
+            return self.asserted(name, concept)
+        row = self._inherited.get((name, concept))
+        if row is None:
+            index = self.index[name]
+            if self.forward:
+                # the owners of what the concept inherits: itself and what
+                # its carrier edges reach
+                owners = self.at_least_once(carrier, {concept}) | {concept}
+                row = set().union(*[index.get(owner, _NO_ROWS) for owner in owners])
+            else:
+                # the inheritors of the owners of asserted facts into the concept
+                owners = set(self.asserted(name, concept))
+                row = self.at_least_once(carrier, owners) | owners
+            self._inherited[(name, concept)] = row
+        return row
+
+    def at_least_once(self, name: str, start: Collection[ConceptId]) -> set[ConceptId]:
+        """Everything one or more edges reach from ``start``."""
+        seen: set[ConceptId] = set()
+        frontier = start
+        while frontier:
+            step: set[ConceptId] = set()
+            for concept in frontier:
+                step.update(self.edges(name, concept))
+            frontier = step - seen
+            seen |= frontier
+        return seen
+
+    def reach(self, name: str, concept: ConceptId) -> set[ConceptId]:
+        """The far ends of the concept's asserted edges and ``R_star`` facts."""
+        return self.at_least_once(name, self.edges(name, concept)).union(self.asserted(name, concept))
+
+
+class _KernelRows:
+    """The same rows read off the kernel over the bound concept's part of the
+    domain, for the joins ``_Rows`` does not serve."""
+
+    def __init__(self, closure: _DomainClosure, forward: bool) -> None:
+        self.closure, self.forward = closure, forward
+
+    def _row(self, table: list[int], concept: ConceptId) -> set[ConceptId]:
+        x = self.closure.ids.get(concept)
+        if x is None:
+            return set()
+        bits = table[x] if self.forward else sum(1 << w for w, row in enumerate(table) if row >> x & 1)
+        return {self.closure.concepts[y] for y in _ids(bits)}
+
+    def asserted(self, name: str, concept: ConceptId) -> set[ConceptId]:
+        return self._row(self.closure.asserted[name], concept)
+
+    def edges(self, name: str, concept: ConceptId) -> set[ConceptId]:
+        return self._row(self.closure.edges[name], concept)
+
+    def reach(self, name: str, concept: ConceptId) -> set[ConceptId]:
+        return self.asserted(name, concept) | self._row(self.closure.stars[name], concept)
+
+
+def _bound_rows(store: FactStore, relation: str, domain: DomainExpr, subject: ConceptId | None,
+                obj: ConceptId | None) -> _Rows | _KernelRows:
+    """Rows for a goal about ``relation`` with a bound subject (forward) or
+    object.  A join's carriers form a chain, which has a cycle exactly when
+    every relation in it has a carrier."""
+    specs = _joined_specs(store.registry, (relation,))
+    forward = subject is not None
+    joined = specs.values()
+    if any(spec.symmetric for spec in joined) or all(spec.inherits_via is not None for spec in joined):
+        return _KernelRows(_closure(store, (relation,), domain, subject, obj), forward)
+    return _Rows(store, specs, domain, forward)
 
 
 def materialize(store: FactStore, registry: RelationRegistry | None = None) -> ClosureSet:
@@ -358,22 +446,17 @@ def materialize(store: FactStore, registry: RelationRegistry | None = None) -> C
 # ---------------------------------------------------------------------------
 
 
-def _star_closure(store: FactStore, relation: str, domain: DomainExpr, subject: ConceptId | None = None,
-                  obj: ConceptId | None = None) -> _DomainClosure:
+def _require_transitive(store: FactStore, relation: str) -> None:
     if not store.registry.lookup(relation).transitive:
         raise RegistryError(f"reachable_star needs a transitive relation, {relation!r} is not")
-    return _closure(store, (relation,), domain, subject, obj)
 
 
 def reachable_star(store: FactStore, relation: str, frm: ConceptId, domain: DomainExpr) -> set[ConceptId]:
     """All concepts reachable from ``frm`` in one or more hops of the relation
     within the domain, over asserted and derived (symmetric or inherited)
     edges: the objects of ``frm``'s asserted edges and ``R_star`` facts."""
-    closure = _star_closure(store, relation, domain, subject=frm)
-    x = closure.ids.get(frm)
-    if x is None:
-        return set()
-    return {closure.concepts[y] for y in _ids(closure.reach(relation, x))}
+    _require_transitive(store, relation)
+    return _bound_rows(store, relation, domain, frm, None).reach(relation, frm)
 
 
 def star_pairs(store: FactStore, relation: str, domain: DomainExpr, *, subject: ConceptId | None = None,
@@ -381,9 +464,14 @@ def star_pairs(store: FactStore, relation: str, domain: DomainExpr, *, subject: 
     """Every (x, y) with an asserted edge or an ``R_star`` fact in the domain,
     i.e. a path x -> ... -> y of length >= 1; only those with x = ``subject``
     and y = ``obj`` when either is given."""
-    closure = _star_closure(store, relation, domain, subject, obj)
-    reach = list(map(or_, closure.asserted[relation], closure.stars[relation]))
-    return set(closure.pairs(reach, subject, obj))
+    _require_transitive(store, relation)
+    if subject is None and obj is None:
+        closure = _closure(store, (relation,), domain)
+        return set(closure.pairs(list(map(or_, closure.asserted[relation], closure.stars[relation]))))
+    rows = _bound_rows(store, relation, domain, subject, obj)
+    if subject is not None:
+        return {(subject, y) for y in rows.reach(relation, subject) if obj is None or y == obj}
+    return {(x, obj) for x in rows.reach(relation, obj)}
 
 
 def all_prerequisites(
@@ -396,22 +484,32 @@ def all_prerequisites(
     prerequisite precedes anything that requires it.  Lexicographic
     tie-break makes the order deterministic.  Raises CycleError if the
     prerequisite subgraph is cyclic."""
-    closure = _star_closure(store, relation, domain, subject=target)
-    x = closure.ids.get(target)
-    if x is None:
-        return []
-    edges, concepts = closure.edges[relation], closure.concepts
+    _require_transitive(store, relation)
+    rows = _bound_rows(store, relation, domain, target, None)
+    left = rows.reach(relation, target)
+    # Kahn's order: the smallest prerequisite whose own prerequisites are
+    # all placed goes next
+    waiting: dict[ConceptId, int] = {}
+    needed_by: dict[ConceptId, list[ConceptId]] = {}
+    for y in left:
+        needs = [z for z in rows.edges(relation, y) if z in left]
+        waiting[y] = len(needs)
+        for z in needs:
+            needed_by.setdefault(z, []).append(y)
+    ready = [(y.symbol, y) for y, count in waiting.items() if not count]
+    heapify(ready)
     order: list[ConceptId] = []
-    left = closure.reach(relation, x)
-    while left:
-        # ids follow symbol order: the smallest prerequisite whose own
-        # prerequisites are all placed goes next
-        ready = next((y for y in _ids(left) if not edges[y] & left), None)
-        if ready is None:
-            cycle = find_cycle({concepts[y]: [concepts[z] for z in _ids(edges[y] & left)] for y in _ids(left)})
-            raise CycleError(relation, domain.text, tuple(c.symbol for c in cycle))
-        order.append(concepts[ready])
-        left &= ~(1 << ready)
+    while ready:
+        y = heappop(ready)[1]
+        order.append(y)
+        for w in needed_by.get(y, ()):
+            waiting[w] -= 1
+            if not waiting[w]:
+                heappush(ready, (w.symbol, w))
+    if len(order) < len(left):
+        rest = left.difference(order)
+        cycle = find_cycle({y: [z for z in rows.edges(relation, y) if z in rest] for y in rest})
+        raise CycleError(relation, domain.text, tuple(c.symbol for c in cycle))
     return order
 
 
@@ -428,8 +526,8 @@ def inherited_attributes(
     owners = {concept}
     if attr_spec.inherits_via is not None:
         owners |= reachable_star(store, attr_spec.inherits_via, concept, domain)
-    return {(f.concepts[1], owner) for owner in owners for f in store.facts_with_subject(owner)
-            if f.relation == "has_attribute" and domain in f.domains}
+    attributes = store.successors("has_attribute", domain)
+    return {(attribute, owner) for owner in owners for attribute in attributes.get(owner, ())}
 
 
 def derived_facts_for(store: FactStore, relation: str, domain: DomainExpr | None = None, *,
@@ -447,9 +545,19 @@ def derived_facts_for(store: FactStore, relation: str, domain: DomainExpr | None
                 if (subject is None or f.concepts[0] == subject) and (obj is None or f.concepts[1] == obj)}
     out: set[Fact] = set()
     for d in [domain] if domain is not None else store.relation_domains(relation):
-        closure = _closure(store, (relation,), d, subject, obj)
-        derived = [have & ~asserted for have, asserted in zip(closure.edges[relation], closure.asserted[relation])]
-        out.update(Fact.intra(relation, x, y, d) for x, y in closure.pairs(derived, subject, obj))
+        if subject is None and obj is None:
+            closure = _closure(store, (relation,), d)
+            derived = [have & ~asserted for have, asserted in zip(closure.edges[relation], closure.asserted[relation])]
+            out.update(Fact.intra(relation, x, y, d) for x, y in closure.pairs(derived))
+            continue
+        rows = _bound_rows(store, relation, d, subject, obj)
+        near = subject if subject is not None else obj
+        own = rows.asserted(relation, near)
+        derived_ends = [far for far in rows.edges(relation, near) if far not in own]
+        if subject is not None:
+            out.update(Fact.intra(relation, subject, y, d) for y in derived_ends if obj is None or y == obj)
+        else:
+            out.update(Fact.intra(relation, x, obj, d) for x in derived_ends)
     return out
 
 

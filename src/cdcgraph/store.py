@@ -2,8 +2,12 @@
 
 Facts are kept as a set (no multiplicity).  The primary index is keyed by
 (relation, exact canonical domain), so a domain-fixed lookup scans only that
-partition; subject/object secondary indexes serve domain-free lookups,
-the walks of bound closure reads and the strict-mode cycle check.
+partition.  Inside each partition of an intra-domain relation, a successor
+index maps a subject to its facts by object and a predecessor index an
+object to its facts by subject: they serve bound-concept lookups, the walks
+of bound closure reads, the acyclicity check and the strict-mode cycle
+check, none of which leaves its (relation, domain) partition.  Cross-domain
+and fusion facts are indexed by relation and first or second concept.
 Every match records how many index entries it touched, which is what the
 scan-reduction benchmark measures.
 
@@ -14,8 +18,11 @@ staleness.  Reads never mutate, apart from the scan counter.
 
 from __future__ import annotations
 
+from bisect import insort
+from collections.abc import Collection, Iterator, Mapping
 from dataclasses import dataclass
-from typing import Iterator
+from operator import attrgetter
+from types import MappingProxyType
 
 from .domains import DomainExpr
 from .errors import CycleError, ShapeMismatchError, UnknownRelationError
@@ -182,6 +189,22 @@ def swap_orientation(fact: Fact, spec: RelationSpec) -> Fact:
     return Fact(fact.relation, (b, a), fact.domains)
 
 
+_NO_ROWS: Mapping = MappingProxyType({})
+_text = attrgetter("text")
+
+
+# one partition's facts by the near concept, then by the far concept
+_Adjacency = dict[ConceptId, dict[ConceptId, Fact]]
+
+
+def _discard(index: dict, key, fact: Fact) -> None:
+    """Take ``fact`` out of the set at ``key``; drop the key once empty."""
+    bucket = index[key]
+    bucket.discard(fact)
+    if not bucket:
+        del index[key]
+
+
 class FactStore:
     """Set-semantics quad store bound to a relation registry.
 
@@ -196,8 +219,16 @@ class FactStore:
         self._facts: set[Fact] = set()
         self._by_partition: dict[tuple[str, DomainExpr], set[Fact]] = {}
         self._by_relation: dict[str, set[Fact]] = {}
-        self._by_subject: dict[ConceptId, set[Fact]] = {}
-        self._by_object: dict[ConceptId, set[Fact]] = {}
+        # intra-domain partitions: relation -> domain -> subject -> object ->
+        # fact, and relation -> domain -> object -> subject -> fact
+        self._successors: dict[str, dict[DomainExpr, _Adjacency]] = {}
+        self._predecessors: dict[str, dict[DomainExpr, _Adjacency]] = {}
+        # cross-domain and fusion facts by (relation, first concept) and
+        # (relation, second concept)
+        self._by_first: dict[tuple[str, ConceptId], set[Fact]] = {}
+        self._by_second: dict[tuple[str, ConceptId], set[Fact]] = {}
+        # each relation's domains with a non-empty partition, sorted by text
+        self._domains: dict[str, list[DomainExpr]] = {}
         self._last_scanned = 0
 
     def __len__(self) -> int:
@@ -224,63 +255,94 @@ class FactStore:
 
     def assert_fact(self, fact: Fact) -> bool:
         """Insert; False if already present.  Bumps generation when inserted."""
-        fact = self._canonical(fact)
+        spec = self._check_shape(fact, "payload")
+        fact = canonicalize_fact(fact, spec)
         if fact in self._facts:
             return False
-        spec = self.registry.lookup(fact.relation)
         if self.strict and spec.acyclic:
             self._reject_if_creates_cycle(fact)
         self._facts.add(fact)
+        relation = fact.relation
         for dom in set(fact.domains):
-            self._by_partition.setdefault((fact.relation, dom), set()).add(fact)
-        self._by_relation.setdefault(fact.relation, set()).add(fact)
-        self._by_subject.setdefault(fact.concepts[0], set()).add(fact)
-        self._by_object.setdefault(fact.concepts[1], set()).add(fact)
+            bucket = self._by_partition.get((relation, dom))
+            if bucket is None:
+                bucket = self._by_partition[(relation, dom)] = set()
+                insort(self._domains.setdefault(relation, []), dom, key=_text)
+            bucket.add(fact)
+        self._by_relation.setdefault(relation, set()).add(fact)
+        first, second = fact.concepts[0], fact.concepts[1]
+        if spec.shape is RelationShape.INTRA:
+            domain = fact.domains[0]
+            self._successors.setdefault(relation, {}).setdefault(domain, {}).setdefault(first, {})[second] = fact
+            self._predecessors.setdefault(relation, {}).setdefault(domain, {}).setdefault(second, {})[first] = fact
+        else:
+            self._by_first.setdefault((relation, first), set()).add(fact)
+            self._by_second.setdefault((relation, second), set()).add(fact)
         self.generation += 1
         return True
 
     def retract_fact(self, fact: Fact) -> bool:
         """Remove; False if absent.  Purges all indexes."""
-        fact = self._canonical(fact)
+        spec = self._check_shape(fact, "payload")
+        fact = canonicalize_fact(fact, spec)
         if fact not in self._facts:
             return False
         self._facts.discard(fact)
+        relation = fact.relation
         for dom in set(fact.domains):
-            bucket = self._by_partition.get((fact.relation, dom))
-            if bucket is not None:
-                bucket.discard(fact)
-                if not bucket:
-                    del self._by_partition[(fact.relation, dom)]
-        for index, key in (
-            (self._by_relation, fact.relation),
-            (self._by_subject, fact.concepts[0]),
-            (self._by_object, fact.concepts[1]),
-        ):
-            bucket = index.get(key)
-            if bucket is not None:
-                bucket.discard(fact)
-                if not bucket:
-                    del index[key]
+            bucket = self._by_partition[(relation, dom)]
+            bucket.discard(fact)
+            if not bucket:
+                del self._by_partition[(relation, dom)]
+                domains = self._domains[relation]
+                domains.remove(dom)
+                if not domains:
+                    del self._domains[relation]
+        _discard(self._by_relation, relation, fact)
+        first, second = fact.concepts[0], fact.concepts[1]
+        if spec.shape is RelationShape.INTRA:
+            for index, near, far in ((self._successors, first, second), (self._predecessors, second, first)):
+                partitions = index[relation]
+                adjacency = partitions[fact.domains[0]]
+                del adjacency[near][far]
+                if not adjacency[near]:
+                    del adjacency[near]
+                if not adjacency:
+                    del partitions[fact.domains[0]]
+                    if not partitions:
+                        del index[relation]
+        else:
+            _discard(self._by_first, (relation, first), fact)
+            _discard(self._by_second, (relation, second), fact)
         self.generation += 1
         return True
 
     def match(self, pattern: FactPattern) -> Iterator[Fact]:
         """Facts unifying with the pattern, in sorted order.
 
-        Plan: domain-fixed patterns scan only the (relation, domain)
-        partition; otherwise a bound subject/object uses the secondary
-        index; otherwise the whole relation is scanned.
+        Plan: an intra-domain pattern with a bound subject (else object)
+        reads that concept's entry in the successor (predecessor) index of
+        its domain's partition, or of each of the relation's partitions.
+        Otherwise a domain-fixed pattern scans only the (relation, domain)
+        partition, a bound first (else second) concept reads the relation's
+        entry for it, and any other pattern scans the whole relation.
         """
-        self._check_shape(pattern, "pattern")
+        spec = self._check_shape(pattern, "pattern")
+        relation = pattern.relation
         bound_domains = [d for d in pattern.domains if d is not None]
-        if bound_domains:
-            candidates = self._by_partition.get((pattern.relation, bound_domains[0]), set())
-        elif pattern.concepts[0] is not None:
-            candidates = self._by_subject.get(pattern.concepts[0], set())
-        elif pattern.concepts[1] is not None:
-            candidates = self._by_object.get(pattern.concepts[1], set())
+        first, second = pattern.concepts[0], pattern.concepts[1]
+        concept = first if first is not None else second
+        candidates: Collection[Fact]
+        if concept is not None and spec.shape is RelationShape.INTRA:
+            partitions = (self._successors if first is not None else self._predecessors).get(relation, _NO_ROWS)
+            adjacencies = [partitions.get(bound_domains[0], _NO_ROWS)] if bound_domains else partitions.values()
+            candidates = [fact for adjacency in adjacencies for fact in adjacency.get(concept, _NO_ROWS).values()]
+        elif bound_domains:
+            candidates = self._by_partition.get((relation, bound_domains[0]), set())
+        elif concept is not None:
+            candidates = (self._by_first if first is not None else self._by_second).get((relation, concept), set())
         else:
-            candidates = self._by_relation.get(pattern.relation, set())
+            candidates = self._by_relation.get(relation, set())
 
         self._last_scanned = len(candidates)
         hits = [f for f in candidates if pattern.matches(f)]
@@ -296,8 +358,7 @@ class FactStore:
 
     def relation_domains(self, relation: str) -> list[DomainExpr]:
         """Domains that hold at least one fact of the relation, sorted."""
-        doms = {dom for (rel, dom) in self._by_partition if rel == relation}
-        return sorted(doms, key=lambda d: d.text)
+        return list(self._domains.get(relation, ()))
 
     def partition(self, relation: str, domain: DomainExpr) -> set[Fact]:
         return self._by_partition.get((relation, domain), set())
@@ -305,13 +366,15 @@ class FactStore:
     def relation_facts(self, relation: str) -> set[Fact]:
         return self._by_relation.get(relation, set())
 
-    def facts_with_subject(self, concept: ConceptId) -> set[Fact]:
-        """Every fact whose first concept is ``concept``, in any relation and domain."""
-        return self._by_subject.get(concept, set())
+    def successors(self, relation: str, domain: DomainExpr) -> Mapping[ConceptId, Mapping[ConceptId, Fact]]:
+        """An intra-domain relation's facts in the domain, by subject, then by
+        object.  Read only."""
+        return self._successors.get(relation, _NO_ROWS).get(domain, _NO_ROWS)
 
-    def facts_with_object(self, concept: ConceptId) -> set[Fact]:
-        """Every fact whose second concept is ``concept``, in any relation and domain."""
-        return self._by_object.get(concept, set())
+    def predecessors(self, relation: str, domain: DomainExpr) -> Mapping[ConceptId, Mapping[ConceptId, Fact]]:
+        """An intra-domain relation's facts in the domain, by object, then by
+        subject.  Read only."""
+        return self._predecessors.get(relation, _NO_ROWS).get(domain, _NO_ROWS)
 
     def stats(self) -> StoreStats:
         per_domain: dict[str, int] = {}
@@ -326,8 +389,8 @@ class FactStore:
 
     def _reject_if_creates_cycle(self, fact: Fact) -> None:
         """Strict mode: would inserting this edge close a cycle?  Walks the
-        relation's edges in the domain out of the object, by the subject index."""
-        relation, domain = fact.relation, fact.domains[0]
+        successor index of the fact's partition out of the object."""
+        successors = self.successors(fact.relation, fact.domains[0])
         subject, obj = fact.concepts[0], fact.concepts[1]
         # the new subject->object edge closes a cycle iff object reaches subject
         parent: dict[ConceptId, ConceptId] = {}
@@ -341,11 +404,8 @@ class FactStore:
                     path.append(parent[path[-1]])
                 path.reverse()  # object -> ... -> subject
                 cycle = (subject,) + tuple(path[:-1])
-                raise CycleError(fact.relation, domain.text, tuple(c.symbol for c in cycle))
-            for edge in self._by_subject.get(node, ()):
-                if edge.relation != relation or edge.domains[0] != domain:
-                    continue
-                succ = edge.concepts[1]
+                raise CycleError(fact.relation, fact.domains[0].text, tuple(c.symbol for c in cycle))
+            for succ in successors.get(node, _NO_ROWS):
                 if succ not in seen:
                     seen.add(succ)
                     parent[succ] = node
