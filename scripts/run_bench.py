@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 
-from cdcgraph.cli import run_bench
+from cdcgraph.synthetic import run_bench
 
 
 def main() -> None:

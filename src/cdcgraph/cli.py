@@ -10,13 +10,9 @@ field names for golden-file tests.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
-import random
 import sys
-import time
-from dataclasses import dataclass, field
 
 from .consistency import Lint, check
 from .domains import parse_domain
@@ -33,64 +29,37 @@ from .kbfile import (
     render_clause,
     save_file,
 )
-from .query import eval_query, parse_query
+from .query import BindingSet, eval_query, parse_query
 from .relations import builtin_registry
-from .store import ConceptId, Fact, FactPattern, FactStore
+from .store import ConceptId, Fact, FactStore
 
 ENV_KB_PATH = "CDC_KB_PATH"
 
 
-@dataclass
-class CliConfig:
-    kb_paths: list[str] = field(default_factory=list)
-    case: str | None = None
-    strict: bool = False
-    domain_mode: str = "exact"
-    fmt: str = "text"
-    seed: int = 0
-
-
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    kb_paths = list(args.kb or [])
-    case = args.case
-    if not kb_paths and case is None:
-        env_path = os.environ.get(ENV_KB_PATH)
-        if env_path:
-            kb_paths = [env_path]
-    return CliConfig(
-        kb_paths=kb_paths,
-        case=case,
-        strict=args.strict,
-        domain_mode=args.domain_mode,
-        fmt=args.format,
-        seed=args.seed,
-    )
-
-
-def _emit(config: CliConfig, record: dict, text: str) -> None:
-    if config.fmt == "json-lines":
+def _emit(args: argparse.Namespace, record: dict, text: str) -> None:
+    if args.format == "json-lines":
         print(json.dumps(record, sort_keys=True))
     else:
         print(text)
 
 
-def _load_session(config: CliConfig, need_kb: bool = True) -> tuple[FactStore, LoadResult] | None:
-    """Build registry + store and load the configured KBs.  Returns None
-    (after printing diagnostics) when loading fails."""
-    if need_kb and not config.kb_paths and config.case is None:
+def _load_session(args: argparse.Namespace) -> tuple[FactStore, LoadResult] | None:
+    """Build registry + store and load the KBs named by ``--case``, ``--kb``
+    or, failing both, ``CDC_KB_PATH``.  Returns None (after printing
+    diagnostics) when loading fails."""
+    paths = list(args.kb or [])
+    if not paths and args.case is None and os.environ.get(ENV_KB_PATH):
+        paths = [os.environ[ENV_KB_PATH]]
+    if not paths and args.case is None and args.command != "repl":
         print("error: no knowledge base given (use --kb, --case, or CDC_KB_PATH)", file=sys.stderr)
         return None
     registry = builtin_registry()
-    store = FactStore(registry, strict=config.strict)
+    store = FactStore(registry, strict=args.strict)
     combined = LoadResult()
-    try:
-        if config.case is not None:
-            combined.merge(load_casestudy(config.case, store))
-        for path in config.kb_paths:
-            combined.merge(load_file(path, store))
-    except (OSError, CdcError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+    if args.case is not None:
+        combined.merge(load_casestudy(args.case, store))
+    for path in paths:
+        combined.merge(load_file(path, store))
     registry.freeze()
     for diagnostic in combined.diagnostics:
         print(str(diagnostic), file=sys.stderr)
@@ -104,65 +73,54 @@ def _caret_diagnostic(text: str, offset: int, message: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each takes the parsed arguments and the loaded store; a CdcError
+# or OSError it lets escape becomes "error: ..." and exit 2 in main()
 # ---------------------------------------------------------------------------
 
-def cmd_load(config: CliConfig) -> int:
-    loaded = _load_session(config)
-    if loaded is None:
-        return 2
-    store, result = loaded
+def cmd_load(args: argparse.Namespace, store: FactStore, result: LoadResult) -> int:
     _emit(
-        config,
+        args,
         {"type": "load", "facts": len(store), "warnings": len(result.warnings)},
         f"loaded {len(store)} facts ({len(result.warnings)} warnings)",
     )
     return 0
 
 
-def cmd_query(config: CliConfig, text: str) -> int:
-    loaded = _load_session(config)
-    if loaded is None:
-        return 2
-    store, _ = loaded
+def cmd_query(args: argparse.Namespace, store: FactStore, result: LoadResult) -> int:
     try:
-        query = parse_query(text, store.registry).with_modes(domain_mode=config.domain_mode)
+        query = parse_query(args.text, store.registry).with_modes(domain_mode=args.domain_mode)
     except QuerySyntaxError as exc:
-        print(_caret_diagnostic(text, exc.offset, str(exc)), file=sys.stderr)
+        print(_caret_diagnostic(args.text, exc.offset, str(exc)), file=sys.stderr)
         return 2
-    try:
-        bindings = eval_query(query, store)
-    except CdcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if config.fmt == "json-lines":
+    bindings = eval_query(query, store)
+    if args.format == "json-lines":
         for solution in bindings:
             record = {f"?{name}": _plain(value) for name, value in solution.items()}
             print(json.dumps({"type": "solution", "bindings": record}, sort_keys=True))
     else:
-        for line in bindings.render_lines():
-            print(line)
-        if not bindings:
-            print("no solutions")
+        _print_solutions(bindings)
     return 0 if bindings else 1
+
+
+def _print_solutions(bindings: BindingSet) -> None:
+    for line in bindings.render_lines():
+        print(line)
+    if not bindings:
+        print("no solutions")
 
 
 def _plain(value: object) -> str:
     return getattr(value, "text", None) or str(value)
 
 
-def cmd_check(config: CliConfig) -> int:
-    loaded = _load_session(config)
-    if loaded is None:
-        return 2
-    store, result = loaded
+def cmd_check(args: argparse.Namespace, store: FactStore, result: LoadResult) -> int:
     extra = tuple(
         Lint(kind="duplicate-fact", description=str(d)) for d in result.warnings
     )
     report = check(store, extra_warnings=extra)
     for violation in report.errors:
         _emit(
-            config,
+            args,
             {
                 "type": "error",
                 "kind": violation.kind,
@@ -174,13 +132,13 @@ def cmd_check(config: CliConfig) -> int:
         )
     for lint in report.warnings:
         _emit(
-            config,
+            args,
             {"type": "warning", "kind": lint.kind, "description": lint.description},
             f"warning [{lint.kind}]: {lint.description}",
         )
     for witness in report.separation_witnesses:
         _emit(
-            config,
+            args,
             {
                 "type": "witness",
                 "concept": witness.concept.symbol,
@@ -193,7 +151,7 @@ def cmd_check(config: CliConfig) -> int:
             f"witness: {witness.describe()}",
         )
     _emit(
-        config,
+        args,
         {
             "type": "summary",
             "errors": len(report.errors),
@@ -206,11 +164,7 @@ def cmd_check(config: CliConfig) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_materialize(config: CliConfig) -> int:
-    loaded = _load_session(config)
-    if loaded is None:
-        return 2
-    store, _ = loaded
+def cmd_materialize(args: argparse.Namespace, store: FactStore, result: LoadResult) -> int:
     try:
         closure = materialize(store)
     except CycleError as exc:
@@ -220,34 +174,22 @@ def cmd_materialize(config: CliConfig) -> int:
     lines = [f"materialized {closure.size()} derived facts"]
     lines += [f"  {label}: {count}" for label, count in by_label.items()]
     _emit(
-        config,
+        args,
         {"type": "materialize", "derived": closure.size(), "by_relation": by_label},
         "\n".join(lines),
     )
     return 0
 
 
-def cmd_explain(config: CliConfig, fact_text: str) -> int:
-    loaded = _load_session(config)
-    if loaded is None:
-        return 2
-    store, _ = loaded
-    try:
-        fact = parse_fact_text(fact_text, store.registry, allow_star=True)
-    except CdcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        closure = materialize(store)
-    except CycleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def cmd_explain(args: argparse.Namespace, store: FactStore, result: LoadResult) -> int:
+    fact = parse_fact_text(args.fact, store.registry, allow_star=True)
+    closure = materialize(store)
     try:
         explain(fact, store, closure)
     except NotDerivableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if config.fmt == "json-lines":
+    if args.format == "json-lines":
         print(json.dumps(_trace_record(fact, store, closure), sort_keys=True))
     else:
         for line in _render_trace_lines(fact, store, closure, 0):
@@ -273,29 +215,21 @@ def _render_trace_lines(fact: Fact, store: FactStore, closure: ClosureSet, depth
     return lines
 
 
-def cmd_prereqs(config: CliConfig, concept: str, domain: str) -> int:
-    loaded = _load_session(config)
-    if loaded is None:
-        return 2
-    store, _ = loaded
+def cmd_prereqs(args: argparse.Namespace, store: FactStore, result: LoadResult) -> int:
     try:
-        domain_expr = parse_domain(domain)
+        domain_expr = parse_domain(args.domain)
     except DomainSyntaxError as exc:
-        print(_caret_diagnostic(domain, exc.offset, str(exc)), file=sys.stderr)
+        print(_caret_diagnostic(args.domain, exc.offset, str(exc)), file=sys.stderr)
         return 2
     try:
-        target = ConceptId(concept)
+        target = ConceptId(args.concept)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        order = all_prerequisites(store, target, domain_expr)
-    except CycleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if config.fmt == "json-lines":
+    order = all_prerequisites(store, target, domain_expr)
+    if args.format == "json-lines":
         print(json.dumps(
-            {"type": "prereqs", "concept": concept, "domain": domain_expr.text,
+            {"type": "prereqs", "concept": args.concept, "domain": domain_expr.text,
              "order": [c.symbol for c in order]},
             sort_keys=True,
         ))
@@ -307,16 +241,12 @@ def cmd_prereqs(config: CliConfig, concept: str, domain: str) -> int:
     return 0 if order else 1
 
 
-def cmd_stats(config: CliConfig) -> int:
-    loaded = _load_session(config)
-    if loaded is None:
-        return 2
-    store, _ = loaded
+def cmd_stats(args: argparse.Namespace, store: FactStore, result: LoadResult) -> int:
     stats = store.stats()
     lines = [f"total facts: {stats.total_facts}", f"last query scanned: {stats.last_query_scanned}"]
     lines += [f"  {domain}: {count}" for domain, count in stats.facts_per_domain.items()]
     _emit(
-        config,
+        args,
         {
             "type": "stats",
             "total_facts": stats.total_facts,
@@ -328,108 +258,24 @@ def cmd_stats(config: CliConfig) -> int:
     return 0
 
 
-def cmd_save(config: CliConfig, out: str) -> int:
-    loaded = _load_session(config)
-    if loaded is None:
-        return 2
-    store, _ = loaded
-    try:
-        save_file(store, out)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit(config, {"type": "save", "path": out, "facts": len(store)}, f"saved {len(store)} facts to {out}")
+# command -> (writer, record type, verb)
+_WRITERS = {"save": (save_file, "save", "saved"), "export-prolog": (export_interop, "export", "exported")}
+
+
+def cmd_write(args: argparse.Namespace, store: FactStore, result: LoadResult) -> int:
+    write, kind, verb = _WRITERS[args.command]
+    write(store, args.out)
+    _emit(args, {"type": kind, "path": args.out, "facts": len(store)}, f"{verb} {len(store)} facts to {args.out}")
     return 0
 
 
-def cmd_export_prolog(config: CliConfig, out: str) -> int:
-    loaded = _load_session(config)
-    if loaded is None:
-        return 2
-    store, _ = loaded
-    try:
-        export_interop(store, out)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit(config, {"type": "export", "path": out, "facts": len(store)}, f"exported {len(store)} facts to {out}")
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# Benchmark
-# ---------------------------------------------------------------------------
-
-def generate_synthetic_store(n_facts: int, n_domains: int, seed: int) -> FactStore:
-    """Uniform random is_a facts over ``n_domains`` domains; each domain's
-    edges form a DAG (edges only go from lower- to higher-numbered concepts)
-    so materialization is always well-defined."""
-    rng = random.Random(seed)
-    registry = builtin_registry()
-    store = FactStore(registry)
-    width = max(2, len(str(n_domains - 1)))
-    counts = [0] * n_domains
-    for _ in range(n_facts):
-        counts[rng.randrange(n_domains)] += 1
-    for index, k in enumerate(counts):
-        if k == 0:
-            continue
-        name = f"d{index:0{width}d}"
-        domain = parse_domain(name)
-        m = 3
-        while m * (m - 1) // 2 < 3 * k:
-            m += 1
-        pairs = rng.sample(list(itertools.combinations(range(m), 2)), k)
-        for i, j in pairs:
-            store.assert_fact(Fact.intra(
-                "is_a",
-                ConceptId(f"{name}_n{i:03d}"),
-                ConceptId(f"{name}_n{j:03d}"),
-                domain,
-            ))
-    return store
-
-
-def run_bench(n_facts: int, n_domains: int, seed: int) -> dict:
-    """Scan accounting for full-relation vs domain-filtered matching, plus
-    materialization wall time, on a synthetic KB."""
-    store = generate_synthetic_store(n_facts, n_domains, seed)
-    width = max(2, len(str(n_domains - 1)))
-
-    full_pattern = FactPattern("is_a", (None, None), (None,))
-    list(store.match(full_pattern))
-    scanned_full = store.stats().last_query_scanned
-
-    filtered_scans = []
-    for index in range(n_domains):
-        domain = parse_domain(f"d{index:0{width}d}")
-        list(store.match(FactPattern("is_a", (None, None), (domain,))))
-        filtered_scans.append(store.stats().last_query_scanned)
-    mean_filtered = sum(filtered_scans) / len(filtered_scans)
-
-    start = time.perf_counter()
-    closure = materialize(store)
-    elapsed = time.perf_counter() - start
-
-    return {
-        "type": "bench",
-        "n_facts": n_facts,
-        "n_domains": n_domains,
-        "seed": seed,
-        "scanned_full": scanned_full,
-        "scanned_filtered_mean": mean_filtered,
-        "scanned_filtered_max": max(filtered_scans),
-        "reduction_factor": (scanned_full / mean_filtered) if mean_filtered else 1.0,
-        "materialize_seconds": elapsed,
-        "derived_facts": closure.size(),
-    }
-
-
-def cmd_bench(config: CliConfig, n_facts: int, n_domains: int) -> int:
-    if n_domains < 1 or n_facts < n_domains:
+def cmd_bench(args: argparse.Namespace) -> int:
+    if args.n_domains < 1 or args.n_facts < args.n_domains:
         print("error: need n_facts >= n_domains >= 1", file=sys.stderr)
         return 2
-    report = run_bench(n_facts, n_domains, config.seed)
+    from .synthetic import run_bench  # only the benchmark needs the generator
+
+    report = run_bench(args.n_facts, args.n_domains, args.seed)
     text = "\n".join([
         f"facts={report['n_facts']} domains={report['n_domains']} seed={report['seed']}",
         f"full-scan entries:       {report['scanned_full']}",
@@ -438,7 +284,7 @@ def cmd_bench(config: CliConfig, n_facts: int, n_domains: int) -> int:
         f"materialize time:        {report['materialize_seconds']:.3f} s",
         f"derived facts:           {report['derived_facts']}",
     ])
-    _emit(config, report, text)
+    _emit(args, report, text)
     return 0
 
 
@@ -454,18 +300,11 @@ check | stats | quit  housekeeping
 """
 
 
-def cmd_repl(config: CliConfig, stdin=None, prompt: bool = True) -> int:
-    loaded = _load_session(config, need_kb=False)
-    if loaded is None:
-        return 2
-    store, _ = loaded
-    stream = stdin or sys.stdin
-    if prompt:
-        print("cdc repl - 'help' lists commands, 'quit' leaves", file=sys.stderr)
+def cmd_repl(args: argparse.Namespace, store: FactStore, result: LoadResult) -> int:
+    print("cdc repl - 'help' lists commands, 'quit' leaves", file=sys.stderr)
     while True:
-        if prompt:
-            print("cdc> ", end="", file=sys.stderr, flush=True)
-        line = stream.readline()
+        print("cdc> ", end="", file=sys.stderr, flush=True)
+        line = sys.stdin.readline()
         if not line:
             return 0
         line = line.strip()
@@ -487,15 +326,12 @@ def cmd_repl(config: CliConfig, stdin=None, prompt: bool = True) -> int:
             continue
         if line.startswith("?-"):
             try:
-                query = parse_query(line, store.registry).with_modes(domain_mode=config.domain_mode)
+                query = parse_query(line, store.registry).with_modes(domain_mode=args.domain_mode)
                 bindings = eval_query(query, store)
             except CdcError as exc:
                 print(f"error: {exc}")
                 continue
-            for rendered in bindings.render_lines():
-                print(rendered)
-            if not bindings:
-                print("no solutions")
+            _print_solutions(bindings)
             continue
         if line.startswith("retract "):
             try:
@@ -505,11 +341,11 @@ def cmd_repl(config: CliConfig, stdin=None, prompt: bool = True) -> int:
                 continue
             print("retracted" if store.retract_fact(fact) else "not found")
             continue
-        result = load_text(line, store, file="<repl>")
-        for diagnostic in result.diagnostics:
+        added = load_text(line, store, file="<repl>")
+        for diagnostic in added.diagnostics:
             print(str(diagnostic))
-        if result.facts:
-            print(f"asserted {len(result.facts)} fact(s)")
+        if added.facts:
+            print(f"asserted {len(added.facts)} fact(s)")
 
 
 # ---------------------------------------------------------------------------
@@ -517,53 +353,65 @@ def cmd_repl(config: CliConfig, stdin=None, prompt: bool = True) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--kb", action="append", metavar="PATH", help="knowledge-base file (repeatable)")
-    common.add_argument("--case", choices=CASESTUDY_NAMES, help="bundled case-study KB")
-    common.add_argument("--strict", action="store_true", help="reject cycle-creating asserts at load time")
-    common.add_argument("--domain-mode", choices=("exact", "inherit"), default="exact", dest="domain_mode")
-    common.add_argument("--format", choices=("text", "json-lines"), default="text")
-    common.add_argument("--seed", type=int, default=0)
+    """Each subcommand takes only the flags it reads: the KB source flags
+    (all but bench), --format (all but repl), --domain-mode (query, repl)
+    and --seed (bench)."""
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--kb", action="append", metavar="PATH", help="knowledge-base file (repeatable)")
+    source.add_argument("--case", choices=CASESTUDY_NAMES, help="bundled case-study KB")
+    source.add_argument("--strict", action="store_true", help="reject cycle-creating asserts at load time")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "json-lines"), default="text")
+    mode = argparse.ArgumentParser(add_help=False)
+    mode.add_argument("--domain-mode", choices=("exact", "inherit"), default="exact", dest="domain_mode")
 
     parser = argparse.ArgumentParser(prog="cdc", description="domain-contextualized concept graph engine")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("load", parents=[common], help="load KBs and report diagnostics")
-    p.set_defaults(func=lambda config, args: cmd_load(config))
-    p = sub.add_parser("check", parents=[common], help="consistency report")
-    p.set_defaults(func=lambda config, args: cmd_check(config))
-    p = sub.add_parser("materialize", parents=[common], help="compute the deductive closure")
-    p.set_defaults(func=lambda config, args: cmd_materialize(config))
-    p = sub.add_parser("query", parents=[common], help="evaluate a DSL query")
+    p = sub.add_parser("load", parents=[source, fmt], help="load KBs and report diagnostics")
+    p.set_defaults(func=cmd_load)
+    p = sub.add_parser("check", parents=[source, fmt], help="consistency report")
+    p.set_defaults(func=cmd_check)
+    p = sub.add_parser("materialize", parents=[source, fmt], help="compute the deductive closure")
+    p.set_defaults(func=cmd_materialize)
+    p = sub.add_parser("query", parents=[source, fmt, mode], help="evaluate a DSL query")
     p.add_argument("text", metavar="QUERY")
-    p.set_defaults(func=lambda config, args: cmd_query(config, args.text))
-    p = sub.add_parser("explain", parents=[common], help="derivation trace for a fact")
+    p.set_defaults(func=cmd_query)
+    p = sub.add_parser("explain", parents=[source, fmt], help="derivation trace for a fact")
     p.add_argument("fact", metavar="FACT")
-    p.set_defaults(func=lambda config, args: cmd_explain(config, args.fact))
-    p = sub.add_parser("prereqs", parents=[common], help="topologically ordered prerequisites")
+    p.set_defaults(func=cmd_explain)
+    p = sub.add_parser("prereqs", parents=[source, fmt], help="topologically ordered prerequisites")
     p.add_argument("concept")
     p.add_argument("domain")
-    p.set_defaults(func=lambda config, args: cmd_prereqs(config, args.concept, args.domain))
-    p = sub.add_parser("stats", parents=[common], help="store statistics")
-    p.set_defaults(func=lambda config, args: cmd_stats(config))
-    p = sub.add_parser("save", parents=[common], help="write the canonical fact file")
+    p.set_defaults(func=cmd_prereqs)
+    p = sub.add_parser("stats", parents=[source, fmt], help="store statistics")
+    p.set_defaults(func=cmd_stats)
+    p = sub.add_parser("save", parents=[source, fmt], help="write the canonical fact file")
     p.add_argument("out", metavar="OUT")
-    p.set_defaults(func=lambda config, args: cmd_save(config, args.out))
-    p = sub.add_parser("export-prolog", parents=[common], help="write the ISO-Prolog interop file")
+    p.set_defaults(func=cmd_write)
+    p = sub.add_parser("export-prolog", parents=[source, fmt], help="write the ISO-Prolog interop file")
     p.add_argument("out", metavar="OUT")
-    p.set_defaults(func=lambda config, args: cmd_export_prolog(config, args.out))
-    p = sub.add_parser("bench", parents=[common], help="partition-scan reduction benchmark")
+    p.set_defaults(func=cmd_write)
+    p = sub.add_parser("bench", parents=[fmt], help="partition-scan reduction benchmark")
     p.add_argument("n_facts", type=int)
     p.add_argument("n_domains", type=int)
-    p.set_defaults(func=lambda config, args: cmd_bench(config, args.n_facts, args.n_domains))
-    p = sub.add_parser("repl", parents=[common], help="interactive session")
-    p.set_defaults(func=lambda config, args: cmd_repl(config))
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(func=cmd_bench)
+    p = sub.add_parser("repl", parents=[source, mode], help="interactive session")
+    p.set_defaults(func=cmd_repl)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(_config_from_args(args), args)
+    try:
+        if "kb" not in args:  # bench reads no KB
+            return args.func(args)
+        loaded = _load_session(args)
+        return 2 if loaded is None else args.func(args, *loaded)
+    except (CdcError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def console_main() -> None:

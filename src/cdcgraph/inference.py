@@ -446,16 +446,16 @@ def materialize(store: FactStore, registry: RelationRegistry | None = None) -> C
 # ---------------------------------------------------------------------------
 
 
-def _require_transitive(store: FactStore, relation: str) -> None:
+def _require_transitive(store: FactStore, relation: str, caller: str) -> None:
     if not store.registry.lookup(relation).transitive:
-        raise RegistryError(f"reachable_star needs a transitive relation, {relation!r} is not")
+        raise RegistryError(f"{caller} needs a transitive relation, {relation!r} is not")
 
 
 def reachable_star(store: FactStore, relation: str, frm: ConceptId, domain: DomainExpr) -> set[ConceptId]:
     """All concepts reachable from ``frm`` in one or more hops of the relation
     within the domain, over asserted and derived (symmetric or inherited)
     edges: the objects of ``frm``'s asserted edges and ``R_star`` facts."""
-    _require_transitive(store, relation)
+    _require_transitive(store, relation, "reachable_star")
     return _bound_rows(store, relation, domain, frm, None).reach(relation, frm)
 
 
@@ -464,7 +464,7 @@ def star_pairs(store: FactStore, relation: str, domain: DomainExpr, *, subject: 
     """Every (x, y) with an asserted edge or an ``R_star`` fact in the domain,
     i.e. a path x -> ... -> y of length >= 1; only those with x = ``subject``
     and y = ``obj`` when either is given."""
-    _require_transitive(store, relation)
+    _require_transitive(store, relation, "star_pairs")
     if subject is None and obj is None:
         closure = _closure(store, (relation,), domain)
         return set(closure.pairs(list(map(or_, closure.asserted[relation], closure.stars[relation]))))
@@ -484,7 +484,7 @@ def all_prerequisites(
     prerequisite precedes anything that requires it.  Lexicographic
     tie-break makes the order deterministic.  Raises CycleError if the
     prerequisite subgraph is cyclic."""
-    _require_transitive(store, relation)
+    _require_transitive(store, relation, "all_prerequisites")
     rows = _bound_rows(store, relation, domain, target, None)
     left = rows.reach(relation, target)
     # Kahn's order: the smallest prerequisite whose own prerequisites are

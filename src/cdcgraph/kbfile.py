@@ -392,8 +392,23 @@ def load_text(text: str, store: FactStore, file: str = "<string>") -> LoadResult
 
 
 def load_file(path: str | Path, store: FactStore) -> LoadResult:
+    """Load a UTF-8 fact file.  A file that is not UTF-8 loads nothing: the
+    result holds one error at the first byte that does not decode."""
     path = Path(path)
-    return load_text(path.read_text(encoding="utf-8"), store, file=str(path))
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = _universal_newlines(data[: exc.start].decode("utf-8"))
+        span = SourceSpan(str(path), before.count("\n") + 1, len(before) - before.rfind("\n"))
+        message = f"not UTF-8: byte 0x{data[exc.start]:02x} at offset {exc.start} does not decode"
+        return LoadResult(diagnostics=[Diagnostic("error", message, span)])
+    return load_text(_universal_newlines(text), store, file=str(path))
+
+
+def _universal_newlines(text: str) -> str:
+    """Line breaks as a text-mode read gives them: '\\r\\n' and '\\r' become '\\n'."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def parse_fact_text(text: str, registry, allow_star: bool = False) -> Fact:

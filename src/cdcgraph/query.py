@@ -352,7 +352,7 @@ def _relation_rows(
             facts.update(derived_facts_for(store, spec.name, pattern.domains[0], subject=subject, obj=obj))
 
     rows: list[tuple[object, ...]] = []
-    for fact in sorted(facts, key=Fact.sort_key):
+    for fact in facts:
         rows.extend(_fact_rows(fact, spec))
     return rows
 
@@ -376,7 +376,7 @@ def _star_rows(
     rows: list[tuple[object, ...]] = []
     for domain in domains:
         pairs = star_pairs(store, relation, domain, subject=subject, obj=obj)
-        for x, y in sorted(pairs, key=lambda p: (p[0].symbol, p[1].symbol)):
+        for x, y in pairs:
             rows.append((x, y, domain))
     return rows
 

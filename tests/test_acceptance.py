@@ -25,9 +25,9 @@ from cdcgraph import (
     save_file,
     export_interop,
 )
-from cdcgraph.cli import run_bench
 from cdcgraph.inference import star_label
 from cdcgraph.relations import RelationShape
+from cdcgraph.synthetic import run_bench
 from conftest import intra, random_dag_store
 from oracles import brute_force_inherited, floyd_warshall_pairs
 

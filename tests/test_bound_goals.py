@@ -32,10 +32,10 @@ from cdcgraph import (
     reachable_star,
     star_pairs,
 )
-from cdcgraph.cli import generate_synthetic_store
 from cdcgraph.inference import _bound_rows, _closure, _joined_specs, _Rows, derived_facts_for, star_label
 from cdcgraph.query import EXACT, INHERIT, ConceptConst, DomainConst, Query, Variable
 from cdcgraph.relations import RelationShape
+from cdcgraph.synthetic import generate_synthetic_store
 from conftest import random_dag_store, random_registry_store
 from oracles import brute_force_inherited, floyd_warshall_pairs
 import reference_bound as reference

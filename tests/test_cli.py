@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import argparse
 import io
 import json
 
 import pytest
 
-from cdcgraph.cli import main, run_bench
+from cdcgraph.cli import build_parser, main
+from cdcgraph.synthetic import run_bench
 
 APPLE_KB = """\
 is_a(apple, fruit, "Biology@Plant_Taxonomy").
@@ -281,3 +283,53 @@ def test_save_preserves_custom_relation_directives(tmp_path, capsys):
     capsys.readouterr()
     assert main(["query", "--kb", str(out), 'triggers_star(bug, ?X, "ops")']) == 0
     assert capsys.readouterr().out.strip() == "?X = panic"
+
+
+def test_prereqs_over_intransitive_requires_exit_2(tmp_path, capsys):
+    path = tmp_path / "flat.cdc"
+    path.write_text('@relation requires intra.\nrequires(a, b, "d").\n')
+    assert main(["prereqs", "--kb", str(path), "a", "d"]) == 2
+    assert capsys.readouterr().err == "error: all_prerequisites needs a transitive relation, 'requires' is not\n"
+
+
+@pytest.mark.parametrize("argv", [["load"], ["check"], ["stats"], ["query", 'is_a(?X, ?Y, "d")']])
+def test_kb_not_utf8_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "latin1.cdc"
+    path.write_bytes(b'is_a(a, b, "d").\n\xff\xfe')
+    assert main([*argv, "--kb", str(path)]) == 2
+    assert capsys.readouterr().err == f"{path}:2:1: error: not UTF-8: byte 0xff at offset 17 does not decode\n"
+
+
+# the flags of each subcommand besides its positionals and --help
+SUBCOMMAND_FLAGS = {
+    **dict.fromkeys(
+        ["load", "check", "materialize", "explain", "prereqs", "stats", "save", "export-prolog"],
+        {"--kb", "--case", "--strict", "--format"},
+    ),
+    "query": {"--kb", "--case", "--strict", "--format", "--domain-mode"},
+    "repl": {"--kb", "--case", "--strict", "--domain-mode"},
+    "bench": {"--format", "--seed"},
+}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    [commands] = [action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)]
+    taken = {
+        name: {flag for flag in parser._option_string_actions if flag.startswith("--")} - {"--help"}
+        for name, parser in commands.choices.items()
+    }
+    assert taken == SUBCOMMAND_FLAGS
+    assert sum(map(len, taken.values())) == 43
+
+
+@pytest.mark.parametrize("argv", [
+    ["load", "--case", "education", "--seed", "3"],
+    ["check", "--case", "education", "--domain-mode", "inherit"],
+    ["repl", "--format", "json-lines"],
+    ["bench", "10", "1", "--case", "education"],
+])
+def test_ignored_flag_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

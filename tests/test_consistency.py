@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdcgraph import CASESTUDY_NAMES, FactStore, builtin_registry, check, load_casestudy, load_text
-from cdcgraph.cli import generate_synthetic_store
 from cdcgraph.consistency import edit_distance_at_most
+from cdcgraph.synthetic import generate_synthetic_store
 from conftest import apple_store, intra
 import reference_consistency
 

@@ -206,6 +206,18 @@ def test_reachable_star_requires_transitive_relation(store):
         reachable_star(store, "cause_of", cid("a"), parse_domain("d"))
 
 
+@pytest.mark.parametrize("read, call", [
+    ("reachable_star", lambda s, d: reachable_star(s, "cause_of", cid("a"), d)),
+    ("star_pairs", lambda s, d: star_pairs(s, "cause_of", d)),
+    ("all_prerequisites", lambda s, d: all_prerequisites(s, cid("a"), d, relation="cause_of")),
+])
+def test_intransitive_relation_error_names_the_read_called(store, read, call):
+    from cdcgraph import RegistryError
+
+    with pytest.raises(RegistryError, match=f"^{read} needs a transitive relation, 'cause_of' is not$"):
+        call(store, parse_domain("d"))
+
+
 def test_reachable_star_matches_oracle_rows():
     rng = random.Random(3)
     for _ in range(25):

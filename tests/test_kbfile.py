@@ -43,6 +43,46 @@ def test_load_empty_file(tmp_path):
     assert result.facts == [] and result.diagnostics == []
 
 
+def test_load_file_not_utf8_is_one_error_diagnostic(tmp_path):
+    path = tmp_path / "latin1.cdc"
+    path.write_bytes('is_a(a, b, "d").\r\nis_a(\u00e9, '.encode() + b"\xff\xfe, \"d\").\n")
+    store = fresh_store()
+    result = load_file(path, store)
+    assert result.facts == [] and len(store) == 0
+    [error] = result.diagnostics
+    assert str(error) == f"{path}:2:9: error: not UTF-8: byte 0xff at offset 27 does not decode"
+
+
+def test_load_file_reads_any_bytes_like_a_text_mode_read(tmp_path):
+    """On arbitrary bytes load_file returns a result or raises CdcError or
+    OSError; on UTF-8 it loads what a text-mode read would give load_text."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from cdcgraph import LoadResult
+
+    path = tmp_path / "noise.cdc"
+    pieces = st.lists(grammar_text(8).map(str.encode) | st.binary(max_size=3), max_size=8).map(b"".join)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=80) | pieces)
+    def fuzz(data):
+        path.write_bytes(data)
+        try:
+            result = load_file(path, fresh_store())
+        except (CdcError, OSError):
+            return
+        assert isinstance(result, LoadResult)
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            assert result.facts == [] and [d.severity for d in result.diagnostics] == ["error"]
+            return
+        assert result == load_text(text, fresh_store(), file=str(path))
+
+    fuzz()
+
+
 def test_load_comments_and_multiline():
     store = fresh_store()
     result = load_text(

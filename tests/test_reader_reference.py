@@ -23,7 +23,7 @@ from cdcgraph import (
 )
 from cdcgraph import kbfile
 from cdcgraph.kbfile import casestudy_text
-from cdcgraph.cli import generate_synthetic_store
+from cdcgraph.synthetic import generate_synthetic_store
 from conftest import grammar_text
 import reference_lexer
 
