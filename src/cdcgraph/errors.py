@@ -12,7 +12,7 @@ class DomainSyntaxError(CdcError):
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} at offset {offset}")
-        self.offset = offset
+        self.message, self.offset = message, offset
 
 
 class QuerySyntaxError(CdcError):

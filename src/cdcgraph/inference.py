@@ -11,20 +11,20 @@ One kernel, ``_DomainClosure``, computes a domain's closure over bitsets of
 dense concept ids, applying the three rules together in semi-naive layers;
 a fact's layer is the length of its shortest derivation.  Multi-hop closure
 facts carry the relation name ``<rel>_star``; the one-hop base case of
-R_star is identified with the asserted edge itself, so every derivation
-bottoms out in asserted leaves.  ``materialize`` turns every domain's layers
-into facts whose traces record the smallest ``(rule, premise sort keys)``
-among their layer's rule instances, which keeps traces minimal-depth and
+R_star is the edge itself, asserted or derived, so every derivation bottoms
+out in asserted leaves.  ``materialize`` turns every domain's layers into
+facts whose traces record the smallest ``(rule, premise sort keys)`` among
+their layer's rule instances, which keeps traces minimal-depth and
 deterministic.
 
 The lazy reads give the closure's answers without traces, in the one domain
-asked for.  A read with a bound concept computes only that concept's row.
-When the relations joined hold no symmetric relation, ``_Rows`` evaluates
-the rules left-linearly from the bound concept (``R_star(x, z) <-
-R_star(x, y), R(y, z)``), as frontiers over the store's per-partition
-successor index, or its predecessor index for a bound object.  Otherwise
-the kernel runs over what the row depends on, the bound concept's weakly
-connected part, which ``_bound_facts`` collects from the same indexes.
+asked for.  A read with a bound concept computes only that concept's row:
+``_Rows`` evaluates the rules left-linearly from the bound concept
+(``R_star(x, z) <- R_star(x, y), R(y, z)``), as frontiers over the store's
+per-partition successor index, or its predecessor index for a bound object;
+a symmetric relation's rows read both.  Only a carrier cycle, which an
+``inherits_via=`` override can make, reads its rows off the whole domain's
+kernel.
 """
 
 from __future__ import annotations
@@ -260,100 +260,65 @@ def _joined_specs(registry: RelationRegistry, relations: Sequence[str]) -> dict[
     return specs
 
 
-def _bound_facts(store: FactStore, specs: dict[str, RelationSpec], domain: DomainExpr, start: ConceptId,
-                 forward: bool) -> dict[str, list[Fact]]:
-    """The facts of the joined relations in ``domain`` that the closure
-    facts out of ``start`` (``forward``) or into it depend on.
-
-    Every rule's premises lie on a path of the joined relations' edges
-    towards the conclusion's object (transitive, inheritance), so a walk
-    forward from a subject or backward from an object over those edges
-    collects them.  The symmetric rule turns an edge round, so if any joined
-    relation is symmetric the walk takes the whole weakly connected part.
-    Each fact is collected once, from its subject (its object, walking
-    backward)."""
-    out: dict[str, list[Fact]] = {name: [] for name in specs}
-    both = any(spec.symmetric for spec in specs.values())
-    # (a partition's facts by the near end then the far end, where its facts
-    # go, whether a fact is collected from here)
-    steps = []
-    for name in specs:
-        if forward or both:
-            steps.append((store.successors(name, domain), out[name], True))
-        if not forward or both:
-            steps.append((store.predecessors(name, domain), out[name], not both))
-    seen, stack = {start}, [start]
-    while stack:
-        node = stack.pop()
-        for index, group, collect in steps:
-            for far, fact in index.get(node, _NO_ROWS).items():
-                if collect:
-                    group.append(fact)
-                if far not in seen:
-                    seen.add(far)
-                    stack.append(far)
-    return out
-
-
-def _closure(store: FactStore, relations: Sequence[str], domain: DomainExpr, subject: ConceptId | None = None,
-             obj: ConceptId | None = None) -> _DomainClosure:
-    """The kernel for ``relations`` in ``domain``: over the whole domain, or,
-    when a concept is bound, over only what the goal about it depends on (a
-    magic-sets restriction, as in Bancilhon, Maier, Sagiv & Ullman 1986)."""
+def _closure(store: FactStore, relations: Sequence[str], domain: DomainExpr) -> _DomainClosure:
+    """The kernel for ``relations`` over the whole of ``domain``."""
     specs = _joined_specs(store.registry, relations)
-    if subject is not None:
-        facts: dict[str, Collection[Fact]] = _bound_facts(store, specs, domain, subject, forward=True)
-    elif obj is not None:
-        facts = _bound_facts(store, specs, domain, obj, forward=False)
-    else:
-        facts = {name: store.partition(name, domain) for name in specs}
-    return _DomainClosure(specs, domain, relations, facts)
+    return _DomainClosure(specs, domain, relations, {name: store.partition(name, domain) for name in specs})
 
 
 class _Rows:
-    """Single rows of one domain's closure of a relation whose join holds no
-    symmetric relation and no carrier cycle: the far ends of one concept's
-    facts, out of it (``forward``) or into it.  Reads only the successor
-    (predecessor) index of the joined relations' partitions in the domain.
+    """Single rows of one domain's closure of a relation whose carrier chain
+    ends: the far ends of one concept's facts, out of it (``forward``) or
+    into it.  Reads only the joined relations' partitions in the domain: the
+    successor (predecessor) index, and both for a symmetric relation.
 
-    With no symmetric rule, r(x, z) holds exactly when x reaches, over zero or
-    more carrier edges, an owner of an asserted r(owner, z); r_star(x, z)
-    when z is the far end of an asserted edge of x or lies two or more edges
-    away.  Both are frontiers of rows, as in the left-linear evaluation of
+    With carrier c, write x c* y when zero or more c edges lead from x to
+    y.  r(x, w) holds when x c* an owner with an asserted r(owner, w).  A
+    symmetric r(x, w) holds when x c* an owner, the owner and some e share
+    an asserted r fact in either direction, and w c* e; that relation is its
+    own reverse.  r_star(x, z) holds when z lies one or more r edges from x.
+    All of these are frontiers of rows, as in the left-linear evaluation of
     Naughton, Ramakrishnan, Sagiv & Ullman 1989, "Efficient evaluation of
     right-, left-, and multi-linear rules".
     """
 
-    def __init__(self, store: FactStore, specs: dict[str, RelationSpec], domain: DomainExpr,
-                 forward: bool) -> None:
+    def __init__(self, store: FactStore, specs: dict[str, RelationSpec], domain: DomainExpr, forward: bool,
+                 flipped: _Rows | None = None) -> None:
         index = store.successors if forward else store.predecessors
         self.index = {name: index(name, domain) for name in specs}
         self.carrier = {name: spec.inherits_via for name, spec in specs.items()}
+        self.symmetric = {name for name, spec in specs.items() if spec.symmetric}
+        self.plain = {name for name, spec in specs.items() if spec.inherits_via is None and not spec.symmetric}
         self.forward = forward
-        self._inherited: dict[tuple[str, ConceptId], set[ConceptId]] = {}
+        # the rows the other way round, which symmetric rows read as well
+        self.flipped = flipped or (_Rows(store, specs, domain, not forward, self) if self.symmetric else None)
+        self._derived: dict[tuple[str, ConceptId], set[ConceptId]] = {}
 
     def asserted(self, name: str, concept: ConceptId) -> Collection[ConceptId]:
         return self.index[name].get(concept, _NO_ROWS).keys()
 
     def edges(self, name: str, concept: ConceptId) -> Collection[ConceptId]:
-        """The far ends of the concept's asserted and inherited facts."""
-        carrier = self.carrier[name]
-        if carrier is None:
+        """The far ends of the concept's asserted and derived facts."""
+        if name in self.plain:
             return self.asserted(name, concept)
-        row = self._inherited.get((name, concept))
+        row = self._derived.get((name, concept))
         if row is None:
-            index = self.index[name]
-            if self.forward:
-                # the owners of what the concept inherits: itself and what
-                # its carrier edges reach
-                owners = self.at_least_once(carrier, {concept}) | {concept}
-                row = set().union(*[index.get(owner, _NO_ROWS) for owner in owners])
-            else:
-                # the inheritors of the owners of asserted facts into the concept
-                owners = set(self.asserted(name, concept))
-                row = self.at_least_once(carrier, owners) | owners
-            self._inherited[(name, concept)] = row
+            row = self._derived[(name, concept)] = self._derive(name, concept)
         return row
+
+    def _derive(self, name: str, concept: ConceptId) -> set[ConceptId]:
+        carrier, symmetric = self.carrier[name], name in self.symmetric
+        ahead, behind = (self, self.flipped) if self.forward else (self.flipped, self)
+        near = {concept}
+        if carrier is not None and (symmetric or self.forward):
+            # the owners of what the concept inherits
+            near |= ahead.at_least_once(carrier, near)
+        sides = (self, self.flipped) if symmetric else (self,)
+        far = set().union(*[rows.index[name].get(owner, _NO_ROWS) for rows in sides for owner in near])
+        if carrier is not None and (symmetric or not self.forward):
+            # and everything that inherits from those ends
+            far |= behind.at_least_once(carrier, far)
+        return far
 
     def at_least_once(self, name: str, start: Collection[ConceptId]) -> set[ConceptId]:
         """Everything one or more edges reach from ``start``."""
@@ -368,13 +333,12 @@ class _Rows:
         return seen
 
     def reach(self, name: str, concept: ConceptId) -> set[ConceptId]:
-        """The far ends of the concept's asserted edges and ``R_star`` facts."""
-        return self.at_least_once(name, self.edges(name, concept)).union(self.asserted(name, concept))
+        """The far ends of the concept's edges and ``R_star`` facts."""
+        return self.at_least_once(name, (concept,))
 
 
 class _KernelRows:
-    """The same rows read off the kernel over the bound concept's part of the
-    domain, for the joins ``_Rows`` does not serve."""
+    """The same rows read off the whole domain's kernel, for a carrier cycle."""
 
     def __init__(self, closure: _DomainClosure, forward: bool) -> None:
         self.closure, self.forward = closure, forward
@@ -393,19 +357,17 @@ class _KernelRows:
         return self._row(self.closure.edges[name], concept)
 
     def reach(self, name: str, concept: ConceptId) -> set[ConceptId]:
-        return self.asserted(name, concept) | self._row(self.closure.stars[name], concept)
+        return self.edges(name, concept) | self._row(self.closure.stars[name], concept)
 
 
-def _bound_rows(store: FactStore, relation: str, domain: DomainExpr, subject: ConceptId | None,
-                obj: ConceptId | None) -> _Rows | _KernelRows:
-    """Rows for a goal about ``relation`` with a bound subject (forward) or
-    object.  A join's carriers form a chain, which has a cycle exactly when
-    every relation in it has a carrier."""
+def _bound_rows(store: FactStore, relation: str, domain: DomainExpr, forward: bool) -> _Rows | _KernelRows:
+    """Rows for a goal about ``relation`` with a bound subject (``forward``)
+    or object.  A join's carriers form a chain, which has a cycle exactly
+    when every relation in it has a carrier; only an ``inherits_via=``
+    override can close one."""
     specs = _joined_specs(store.registry, (relation,))
-    forward = subject is not None
-    joined = specs.values()
-    if any(spec.symmetric for spec in joined) or all(spec.inherits_via is not None for spec in joined):
-        return _KernelRows(_closure(store, (relation,), domain, subject, obj), forward)
+    if all(spec.inherits_via is not None for spec in specs.values()):
+        return _KernelRows(_closure(store, (relation,), domain), forward)
     return _Rows(store, specs, domain, forward)
 
 
@@ -454,21 +416,21 @@ def _require_transitive(store: FactStore, relation: str, caller: str) -> None:
 def reachable_star(store: FactStore, relation: str, frm: ConceptId, domain: DomainExpr) -> set[ConceptId]:
     """All concepts reachable from ``frm`` in one or more hops of the relation
     within the domain, over asserted and derived (symmetric or inherited)
-    edges: the objects of ``frm``'s asserted edges and ``R_star`` facts."""
+    edges: the objects of ``frm``'s edges and ``R_star`` facts."""
     _require_transitive(store, relation, "reachable_star")
-    return _bound_rows(store, relation, domain, frm, None).reach(relation, frm)
+    return _bound_rows(store, relation, domain, True).reach(relation, frm)
 
 
 def star_pairs(store: FactStore, relation: str, domain: DomainExpr, *, subject: ConceptId | None = None,
                obj: ConceptId | None = None) -> set[tuple[ConceptId, ConceptId]]:
-    """Every (x, y) with an asserted edge or an ``R_star`` fact in the domain,
-    i.e. a path x -> ... -> y of length >= 1; only those with x = ``subject``
-    and y = ``obj`` when either is given."""
+    """Every (x, y) with an edge, asserted or derived, or an ``R_star`` fact
+    in the domain, i.e. a path x -> ... -> y of length >= 1; only those with
+    x = ``subject`` and y = ``obj`` when either is given."""
     _require_transitive(store, relation, "star_pairs")
     if subject is None and obj is None:
         closure = _closure(store, (relation,), domain)
-        return set(closure.pairs(list(map(or_, closure.asserted[relation], closure.stars[relation]))))
-    rows = _bound_rows(store, relation, domain, subject, obj)
+        return set(closure.pairs(list(map(or_, closure.edges[relation], closure.stars[relation]))))
+    rows = _bound_rows(store, relation, domain, subject is not None)
     if subject is not None:
         return {(subject, y) for y in rows.reach(relation, subject) if obj is None or y == obj}
     return {(x, obj) for x in rows.reach(relation, obj)}
@@ -485,7 +447,7 @@ def all_prerequisites(
     tie-break makes the order deterministic.  Raises CycleError if the
     prerequisite subgraph is cyclic."""
     _require_transitive(store, relation, "all_prerequisites")
-    rows = _bound_rows(store, relation, domain, target, None)
+    rows = _bound_rows(store, relation, domain, True)
     left = rows.reach(relation, target)
     # Kahn's order: the smallest prerequisite whose own prerequisites are
     # all placed goes next
@@ -532,17 +494,10 @@ def inherited_attributes(
 
 def derived_facts_for(store: FactStore, relation: str, domain: DomainExpr | None = None, *,
                       subject: ConceptId | None = None, obj: ConceptId | None = None) -> set[Fact]:
-    """Lazy equivalent of ClosureSet.derived[relation] (symmetric
-    completions and inherited facts), in ``domain`` or, without one, in
-    every domain of the relation; only the facts whose first concept is
-    ``subject`` and whose second is ``obj`` when either is given."""
-    spec = store.registry.lookup(relation)
-    if spec.shape is not RelationShape.INTRA:
-        source = store.relation_facts(relation) if domain is None else store.partition(relation, domain)
-        asserted = store.fact_set()
-        flipped = {swap_orientation(fact, spec) for fact in source} if spec.symmetric else set()
-        return {f for f in flipped - asserted
-                if (subject is None or f.concepts[0] == subject) and (obj is None or f.concepts[1] == obj)}
+    """Lazy equivalent of ClosureSet.derived[relation] for an intra-domain
+    relation (symmetric completions and inherited facts), in ``domain`` or,
+    without one, in every domain of the relation; only the facts whose first
+    concept is ``subject`` and whose second is ``obj`` when either is given."""
     out: set[Fact] = set()
     for d in [domain] if domain is not None else store.relation_domains(relation):
         if subject is None and obj is None:
@@ -550,7 +505,7 @@ def derived_facts_for(store: FactStore, relation: str, domain: DomainExpr | None
             derived = [have & ~asserted for have, asserted in zip(closure.edges[relation], closure.asserted[relation])]
             out.update(Fact.intra(relation, x, y, d) for x, y in closure.pairs(derived))
             continue
-        rows = _bound_rows(store, relation, d, subject, obj)
+        rows = _bound_rows(store, relation, d, subject is not None)
         near = subject if subject is not None else obj
         own = rows.asserted(relation, near)
         derived_ends = [far for far in rows.edges(relation, near) if far not in own]
@@ -580,15 +535,17 @@ def analogy_search(
 
 def explain(fact: Fact, store: FactStore, closure: ClosureSet | None = None) -> DerivationTrace:
     """Leaf trace for asserted facts; recorded minimal-depth derivation for
-    derived ones.  Star-named facts whose pair is a direct edge resolve to
-    the asserted edge (leaf)."""
-    if fact.relation in store.registry:
-        if fact in store:
-            return LEAF
+    derived ones.  A star-named fact whose pair is an edge is that edge, the
+    one-hop base case: a leaf if asserted, the edge's trace if derived."""
+    if fact.relation in store.registry and fact in store:
+        return LEAF
     base = base_of_star(fact.relation)
     if base is not None and base in store.registry and _intra_shaped(fact):
-        if Fact(base, fact.concepts, fact.domains) in store:
+        edge = Fact(base, fact.concepts, fact.domains)
+        if edge in store:
             return LEAF
+        if closure is not None and edge in closure.traces:
+            return closure.traces[edge]
     if closure is not None:
         trace = closure.traces.get(fact)
         if trace is not None:

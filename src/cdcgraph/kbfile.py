@@ -310,7 +310,7 @@ class _Parser:
                     domains.append(parse_domain(text))
                 except DomainSyntaxError as exc:
                     quote = 1 if kind in ("SQUOTED", "DQUOTED") else 0
-                    self.error(f"bad domain: {exc}", offset + quote + exc.offset)
+                    self.error(f"bad domain: {exc.message}", offset + quote + exc.offset)
                     return None
             else:
                 if not text:

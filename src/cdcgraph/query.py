@@ -188,7 +188,8 @@ def parse_query(text: str, registry) -> Query:
             try:
                 args.append(DomainConst(parse_domain(term_text)))
             except DomainSyntaxError as exc:
-                raise QuerySyntaxError(f"bad domain: {exc}", offset) from None
+                # the literal's text starts after its opening quote
+                raise QuerySyntaxError(f"bad domain: {exc.message}", offset + 1 + exc.offset) from None
         else:
             args.append(ConceptConst(ConceptId(term_text)))
     return Query(goal=goal, args=tuple(args))

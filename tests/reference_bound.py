@@ -6,8 +6,11 @@ kernel over the facts ``_bound_facts`` collected by walking the store's
 global subject and object indexes, across every relation and domain.  The
 store now keeps only per-partition indexes, so ``GlobalIndexes`` rebuilds
 the global ones from the store's facts, and ``_bound_facts`` below is the
-old walk, unchanged.  The reads under it are the old kernel reads; the
-differential tests in ``test_bound_goals.py`` hold the engine to them.
+old walk, unchanged.  The reads under it are the old kernel reads, except
+that a star row starts from every edge of the bound concept, asserted or
+derived, where the old reads started from its asserted edges only and so
+missed a one-hop edge that inheritance derives.  The differential tests in
+``test_bound_goals.py`` hold the engine to these reads.
 """
 
 from __future__ import annotations
@@ -111,7 +114,7 @@ def pairs(kernel: _DomainClosure, table: list[int], subject: ConceptId | None,
 def star_pairs(store: FactStore, relation: str, domain: DomainExpr, subject: ConceptId | None = None,
                obj: ConceptId | None = None) -> set[tuple[ConceptId, ConceptId]]:
     kernel = closure(store, relation, domain, subject, obj)
-    reach = list(map(or_, kernel.asserted[relation], kernel.stars[relation]))
+    reach = list(map(or_, kernel.edges[relation], kernel.stars[relation]))
     return set(pairs(kernel, reach, subject, obj))
 
 
@@ -127,7 +130,7 @@ def all_prerequisites(store: FactStore, target: ConceptId, domain: DomainExpr,
         return []
     edges, concepts = kernel.edges[relation], kernel.concepts
     order: list[ConceptId] = []
-    left = kernel.asserted[relation][x] | kernel.stars[relation][x]
+    left = kernel.edges[relation][x] | kernel.stars[relation][x]
     while left:
         ready = next((y for y in _ids(left) if not edges[y] & left), None)
         if ready is None:

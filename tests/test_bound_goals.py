@@ -1,7 +1,7 @@
 """Differential tests for bound goals.  A goal with a bound subject or object
 computes only the bound concept's row: one row of frontiers over the
-per-partition indexes when the relations it joins hold no symmetric relation,
-else the kernel over the bound concept's part of the domain.  Every such goal
+per-partition indexes when the carrier chain of the relations it joins ends,
+else a row of the whole domain's kernel.  Every such goal
 must give what the whole-domain path gives, filtered to the bound value, what
 the old whole-index walk and kernel in ``reference_bound.py`` give, and, for
 plain transitive relations and inheritance, what Floyd-Warshall and
@@ -22,17 +22,23 @@ from cdcgraph import (
     CycleError,
     Fact,
     FactStore,
+    RelationSpec,
     all_prerequisites,
     builtin_registry,
     eval_query,
+    explain,
     inherited_attributes,
     load_casestudy,
+    load_text,
+    materialize,
     parse_domain,
     parse_query,
     reachable_star,
     star_pairs,
 )
-from cdcgraph.inference import _bound_rows, _closure, _joined_specs, _Rows, derived_facts_for, star_label
+from cdcgraph.inference import (
+    RULE_INHERITANCE, _bound_rows, _closure, _joined_specs, _Rows, derived_facts_for, star_label,
+)
 from cdcgraph.query import EXACT, INHERIT, ConceptConst, DomainConst, Query, Variable
 from cdcgraph.relations import RelationShape
 from cdcgraph.synthetic import generate_synthetic_store
@@ -103,10 +109,9 @@ def assert_bound_queries_agree(store: FactStore, rng: random.Random, modes=(EXAC
 
 
 def single_row(store: FactStore, relation: str) -> bool:
-    """Whether a bound goal about the relation is read as one row: its join
-    holds no symmetric relation and its carrier chain ends."""
-    specs = _joined_specs(store.registry, (relation,)).values()
-    return not any(spec.symmetric for spec in specs) and any(spec.inherits_via is None for spec in specs)
+    """Whether a bound goal about the relation is read as one row: its
+    join's carrier chain ends."""
+    return any(spec.inherits_via is None for spec in _joined_specs(store.registry, (relation,)).values())
 
 
 def prerequisites_or_cycle(read, *args):
@@ -119,28 +124,21 @@ def prerequisites_or_cycle(read, *args):
 def assert_bound_reads_agree(store: FactStore, rng: random.Random) -> set:
     """The inference reads with a bound concept equal the whole-domain reads
     filtered to it and the reference reads; returns the kinds of join read
-    as one row: ``(relation is transitive, carrier or None, carrier is
-    transitive)``."""
+    as one row: ``(relation is transitive, relation is symmetric, carrier or
+    None, carrier is transitive, carrier is symmetric)``."""
     registry = store.registry
     single_rows = set()
-    for spec in registry:
-        if spec.shape is not RelationShape.INTRA and spec.symmetric:
-            whole = derived_facts_for(store, spec.name)
-            for c in sorted({c for f in store.relation_facts(spec.name) for c in f.concepts}):
-                assert derived_facts_for(store, spec.name, subject=c) == {f for f in whole if f.concepts[0] == c}
-                assert derived_facts_for(store, spec.name, obj=c) == {f for f in whole if f.concepts[1] == c}
     for domain, concepts in intra_domains(store).items():
         for spec in registry:
             if spec.shape is not RelationShape.INTRA:
                 continue
             one_row = single_row(store, spec.name)
-            for c in concepts:
-                for bound in ({"subject": c}, {"obj": c}):
-                    assert isinstance(_bound_rows(store, spec.name, domain, bound.get("subject"), bound.get("obj")),
-                                      _Rows) == one_row
-            if one_row and (spec.transitive or spec.inherits_via is not None):
-                carrier = spec.inherits_via
-                single_rows.add((spec.transitive, carrier, carrier is not None and registry.lookup(carrier).transitive))
+            for forward in (True, False):
+                assert isinstance(_bound_rows(store, spec.name, domain, forward), _Rows) == one_row
+            if one_row and (spec.transitive or spec.symmetric or spec.inherits_via is not None):
+                carrier = registry.get(spec.inherits_via)  # None without a carrier
+                single_rows.add((spec.transitive, spec.symmetric, spec.inherits_via,
+                                 carrier is not None and carrier.transitive, carrier is not None and carrier.symmetric))
             if spec.transitive:
                 whole = star_pairs(store, spec.name, domain)
                 for c in concepts:
@@ -209,11 +207,14 @@ def test_bound_goals_agree_on_random_registries():
         single_rows |= assert_bound_reads_agree(store, rng)
         assert_bound_queries_agree(nested(store), rng, modes=(EXACT, INHERIT))
     # one-row reads of inheritance over transitive and non-transitive
-    # carriers, of a transitive relation that inherits, and of plain
-    # transitive relations were all held to the references
+    # carriers, of a transitive relation that inherits, of symmetric
+    # relations with and without a carrier, over a symmetric carrier, and of
+    # plain transitive relations were all held to the references
     assert {(False, True), (False, False), (True, True)} <= {
-        (transitive, carrier_transitive) for transitive, carrier, carrier_transitive in single_rows if carrier}
-    assert any(carrier is None for _, carrier, _ in single_rows)
+        (transitive, carrier_transitive) for transitive, _, carrier, carrier_transitive, _ in single_rows if carrier}
+    assert {True, False} <= {carrier is not None for _, symmetric, carrier, _, _ in single_rows if symmetric}
+    assert any(carrier_symmetric for *_, carrier_symmetric in single_rows)
+    assert any(transitive and not symmetric and carrier is None for transitive, symmetric, carrier, _, _ in single_rows)
 
 
 @pytest.mark.parametrize("name", CASESTUDY_NAMES)
@@ -274,32 +275,61 @@ def test_bound_inheritance_matches_enumeration():
                                    and any(a == t for a, _ in brute_force_inherited(c, isa_edges, attrs))}
 
 
+def test_star_rows_start_from_derived_edges():
+    """The one-hop base case of R_star is the edge itself, asserted or
+    derived: r1(k0, k3), inherited across contrasts_with(k0, k2), makes
+    r1_star(k0, k3), as the exported rule ``r_star(X,Y,D) :- r(X,Y,D).``
+    says."""
+    store = FactStore(builtin_registry())
+    text = ('@relation r1 intra transitive inherits_via=contrasts_with.\n'
+            'contrasts_with(k0, k2, "d").\nr1(k1, k0, "d").\nr1(k2, k3, "d").\n')
+    assert load_text(text, store).ok
+    closure = materialize(store)
+    domain, k0, k3 = parse_domain("d"), ConceptId("k0"), ConceptId("k3")
+    for goal, want in {'r1(k0, ?Y, "d")': ["?Y = k3"],
+                       'r1_star(k0, ?Y, "d")': ["?Y = k3"],
+                       'r1_star(?X, k3, "d")': ["?X = k0", "?X = k1", "?X = k2"]}.items():
+        query = parse_query(goal, store.registry)
+        assert eval_query(query, store).render_lines() == want, goal
+        assert eval_query(query, store, closure, strict=True).render_lines() == want, goal
+    assert star_pairs(store, "r1", domain, subject=k0) == {(k0, k3)}
+    assert (k0, k3) in star_pairs(store, "r1", domain)
+    assert all_prerequisites(store, k0, domain, "r1") == [k3]
+    edge = Fact.intra("r1", k0, k3, domain)
+    assert closure.traces[edge].rule == RULE_INHERITANCE
+    assert explain(Fact.intra("r1_star", k0, k3, domain), store, closure) == closure.traces[edge]
+
+
 def test_disconnected_subgraph_leaves_bound_goals_alone():
     """A large part of the domain that the bound concept neither reaches nor
-    is reached from changes neither its answers nor what its kernel closes."""
-    store = FactStore(builtin_registry())
+    is reached from changes none of its answers, over a symmetric join
+    too."""
+    registry = builtin_registry()
+    registry.register(RelationSpec("shade", inherits_via="contrasts_with"))
+    store = FactStore(registry)
     load_casestudy("education", store)
     domain = parse_domain("highschool")
-    calculus = ConceptId("calculus")
+    calculus, geometry, dark = ConceptId("calculus"), ConceptId("geometry"), ConceptId("dark")
+    store.assert_fact(Fact.intra("contrasts_with", calculus, geometry, domain))
+    store.assert_fact(Fact.intra("shade", geometry, dark, domain))
     goals = [("is_a_star", calculus, None), ("is_a_star", None, calculus),
              ("all_prerequisites", calculus, None), ("requires_star", None, calculus),
-             ("has_attribute", calculus, None), ("inherited_attributes", calculus, None)]
+             ("has_attribute", calculus, None), ("inherited_attributes", calculus, None),
+             ("shade", calculus, None), ("shade", None, dark)]
 
     def snapshot():
-        answers = [solve(store, goal, x, y, domain, mode) for goal, x, y in goals for mode in (EXACT, INHERIT)]
-        kernels = [_closure(store, relations, domain, **bound).concepts
-                   for relations in (("is_a",), ("requires",), ("has_attribute",))
-                   for bound in ({"subject": calculus}, {"obj": calculus})]
-        return answers, kernels
+        return [solve(store, goal, x, y, domain, mode) for goal, x, y in goals for mode in (EXACT, INHERIT)]
 
     before = snapshot()
-    assert before[0][4]  # calculus has prerequisites in this domain
+    assert before[4]  # calculus has prerequisites in this domain
+    assert before[-2] == [(calculus, dark), (geometry, dark)]  # inherited across the symmetric carrier
     for i in range(2000):
         node, parent = ConceptId(f"island{i:04d}"), ConceptId(f"island{i // 2:04d}")
         if i:
-            store.assert_fact(Fact.intra("is_a", node, parent, domain))
-            store.assert_fact(Fact.intra("requires", node, parent, domain))
+            for relation in ("is_a", "requires", "contrasts_with"):
+                store.assert_fact(Fact.intra(relation, node, parent, domain))
         store.assert_fact(Fact.intra("has_attribute", node, ConceptId(f"trait{i % 7}"), domain))
+        store.assert_fact(Fact.intra("shade", node, ConceptId(f"tone{i % 5}"), domain))
     assert len(_closure(store, ("is_a",), domain).concepts) >= 2000
     assert snapshot() == before
 

@@ -159,6 +159,7 @@ def test_bad_domain_column_points_into_literal():
     diag = result.errors[0]
     # literal starts at column 12; the second '@' is 2 chars in, +1 for the quote
     assert diag.span.column == 12 + 1 + 2
+    assert diag.message == "bad domain: empty segment"  # the column is the only position
 
 
 def test_duplicate_warning():

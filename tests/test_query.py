@@ -73,8 +73,11 @@ def test_parse_tolerates_prolog_dress(registry):
 
 
 def test_parse_bad_domain_literal(registry):
-    with pytest.raises(QuerySyntaxError, match="bad domain"):
+    with pytest.raises(QuerySyntaxError, match="bad domain") as caught:
         parse_query('is_a(a, b, "x@@y")', registry)
+    # one offset, into the query: the second '@'
+    assert str(caught.value) == "bad domain: empty segment at offset 14"
+    assert caught.value.offset == 14
 
 
 def test_parse_query_never_crashes(registry):
