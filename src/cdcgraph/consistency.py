@@ -261,13 +261,9 @@ def _domain_lints(store: FactStore) -> list[Lint]:
     return lints
 
 
-def check(
-    store: FactStore,
-    registry: RelationRegistry | None = None,
-    extra_warnings: tuple[Lint, ...] = (),
-) -> ConsistencyReport:
+def check(store: FactStore, extra_warnings: tuple[Lint, ...] = ()) -> ConsistencyReport:
     """Validate a store.  Pure: never mutates; repeated calls agree."""
-    registry = registry or store.registry
+    registry = store.registry
     report = ConsistencyReport()
     report.errors = _acyclicity_violations(store, registry)
     report.separation_witnesses = _separation_witnesses(store, registry)

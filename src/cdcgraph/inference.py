@@ -58,6 +58,16 @@ def base_of_star(label: str) -> str | None:
     return None
 
 
+def star_relation(registry: RelationRegistry, label: str) -> RelationSpec | None:
+    """The transitive relation whose closure ``label`` names (``<rel>_star``),
+    or None.  A registered relation's own name never names a closure."""
+    base = base_of_star(label)
+    if base is None or label in registry:
+        return None
+    spec = registry.get(base)
+    return spec if spec is not None and spec.transitive else None
+
+
 @dataclass(frozen=True)
 class DerivationTrace:
     """How a fact was obtained.  Asserted facts get the leaf trace."""
@@ -333,7 +343,8 @@ class _Rows:
         return seen
 
     def reach(self, name: str, concept: ConceptId) -> set[ConceptId]:
-        """The far ends of the concept's edges and ``R_star`` facts."""
+        """The far ends of the concept's edges and, for a transitive
+        relation, its ``R_star`` facts."""
         return self.at_least_once(name, (concept,))
 
 
@@ -356,8 +367,8 @@ class _KernelRows:
     def edges(self, name: str, concept: ConceptId) -> set[ConceptId]:
         return self._row(self.closure.edges[name], concept)
 
-    def reach(self, name: str, concept: ConceptId) -> set[ConceptId]:
-        return self.edges(name, concept) | self._row(self.closure.stars[name], concept)
+    at_least_once = _Rows.at_least_once
+    reach = _Rows.reach
 
 
 def _bound_rows(store: FactStore, relation: str, domain: DomainExpr, forward: bool) -> _Rows | _KernelRows:
@@ -371,10 +382,10 @@ def _bound_rows(store: FactStore, relation: str, domain: DomainExpr, forward: bo
     return _Rows(store, specs, domain, forward)
 
 
-def materialize(store: FactStore, registry: RelationRegistry | None = None) -> ClosureSet:
+def materialize(store: FactStore) -> ClosureSet:
     """Compute the full closure.  Raises CycleError if an acyclic relation
     contains a cycle (checked up front, per relation and domain)."""
-    registry = registry or store.registry
+    registry = store.registry
     ensure_acyclic(store, registry)
 
     asserted = store.fact_set()
@@ -480,14 +491,17 @@ def inherited_attributes(
     concept: ConceptId,
     domain: DomainExpr,
 ) -> set[tuple[ConceptId, ConceptId]]:
-    """(attribute, source) pairs: the concept's own attributes plus every
-    attribute of each is_a ancestor.  No overriding - all pairs returned."""
+    """(attribute, source) pairs: the concept's own attributes plus those of
+    every owner that one or more carrier edges reach from it, asserted or
+    derived, as the ``has_attribute`` goal reads them.  No overriding - all
+    pairs returned."""
     attr_spec = store.registry.get("has_attribute")
     if attr_spec is None:
         return set()
     owners = {concept}
-    if attr_spec.inherits_via is not None:
-        owners |= reachable_star(store, attr_spec.inherits_via, concept, domain)
+    carrier = attr_spec.inherits_via
+    if carrier is not None:
+        owners |= _bound_rows(store, carrier, domain, True).reach(carrier, concept)
     attributes = store.successors("has_attribute", domain)
     return {(attribute, owner) for owner in owners for attribute in attributes.get(owner, ())}
 
@@ -539,9 +553,9 @@ def explain(fact: Fact, store: FactStore, closure: ClosureSet | None = None) -> 
     one-hop base case: a leaf if asserted, the edge's trace if derived."""
     if fact.relation in store.registry and fact in store:
         return LEAF
-    base = base_of_star(fact.relation)
-    if base is not None and base in store.registry and _intra_shaped(fact):
-        edge = Fact(base, fact.concepts, fact.domains)
+    spec = star_relation(store.registry, fact.relation)
+    if spec is not None and _intra_shaped(fact):
+        edge = Fact(spec.name, fact.concepts, fact.domains)
         if edge in store:
             return LEAF
         if closure is not None and edge in closure.traces:

@@ -29,7 +29,7 @@ from pathlib import Path
 
 from .domains import _ATOM_CHAR, _ATOM_FIRST, DomainExpr, parse_domain
 from .errors import CdcError, CycleError, DomainSyntaxError, RegistryError
-from .inference import base_of_star, star_label
+from .inference import star_label, star_relation
 from .relations import RelationShape, RelationSpec, builtin_specs, spec_with_flags
 from .store import ConceptId, Fact, FactStore
 
@@ -428,16 +428,13 @@ def parse_fact_text(text: str, registry, allow_star: bool = False) -> Fact:
     if len(items) != 1 or items[0][0] != "clause":
         raise CdcError("expected exactly one fact clause")
     _, name, terms, offset = items[0]
-    base = base_of_star(name) if allow_star and name not in registry else None
-    if base is not None:
-        base_spec = registry.get(base)
-        if base_spec is not None and base_spec.transitive:
-            if len(terms) != 3:
-                raise CdcError(f"{name} takes 3 arguments, got {len(terms)}")
-            fact = parser.assemble_fact(name, terms, (2,))
-            if fact is None:
-                raise CdcError(diagnostics[0].message)
-            return fact
+    if allow_star and star_relation(registry, name) is not None:
+        if len(terms) != 3:
+            raise CdcError(f"{name} takes 3 arguments, got {len(terms)}")
+        fact = parser.assemble_fact(name, terms, (2,))
+        if fact is None:
+            raise CdcError(diagnostics[0].message)
+        return fact
     fact = parser.terms_to_fact(name, terms, parser.span(offset), registry)
     if fact is None:
         raise CdcError(diagnostics[0].message if diagnostics else "malformed fact")
@@ -503,11 +500,11 @@ def _prolog_fact(fact: Fact) -> str:
     return f"{fact.relation}({', '.join(parts)})."
 
 
-def export_interop(store: FactStore, path: str | Path, registry=None) -> None:
+def export_interop(store: FactStore, path: str | Path) -> None:
     """Write the store as ISO-Prolog clauses: dynamic declarations, the
     asserted facts (concept symbols lowercased, domains quoted), and the
     closure rules for every transitive and inheriting relation."""
-    registry = registry or store.registry
+    registry = store.registry
     lines: list[str] = []
     for name in registry.names():
         spec = registry.lookup(name)

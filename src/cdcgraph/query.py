@@ -4,16 +4,16 @@
     analogous_to(neural_network, ?C, "ai@ml", ?D)
 
 Recognized goals are every registered relation, ``<rel>_star`` for each
-transitive relation, and the derived forms ``all_prerequisites``,
-``inherited_attributes``, and ``analogy_search``.  Solutions are
-deduplicated and sorted by their rendered form, so output order is stable
-across runs.
+transitive relation, and three aliases: ``all_prerequisites`` reads
+``requires_star``, ``inherited_attributes`` reads ``has_attribute`` and
+``analogy_search`` reads ``analogous_to``.  ``_resolve_goal`` is the one
+place a goal name is resolved, in that order.  Every goal sees derived facts
+next to asserted ones.  Solutions are deduplicated and sorted by their
+rendered form, so output order is stable across runs.
 
-Two mode axes (set on the Query, not in the text): ``include_derived``
-admits closure facts next to asserted ones, and ``domain_mode="inherit"``
+One mode, set on the Query rather than in the text: ``domain_mode="inherit"``
 lets a query scoped at ``a@b`` also see facts asserted at the more general
-``a``.  Derived goals (star forms, inherited_attributes, analogy_search)
-always consult derivations - that is what they are for.
+``a``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 from .domains import _ATOM_RE, DomainExpr, is_prefix_of, parse_domain
 from .errors import DomainSyntaxError, QuerySyntaxError, StaleClosureError
-from .inference import ClosureSet, base_of_star, derived_facts_for, star_pairs
+from .inference import ClosureSet, derived_facts_for, star_pairs, star_relation
 from .relations import RelationShape, RelationSpec
 from .store import ConceptId, Fact, FactPattern, FactStore, swap_orientation
 
@@ -52,16 +52,10 @@ Arg = Variable | ConceptConst | DomainConst
 class Query:
     goal: str
     args: tuple[Arg, ...]
-    include_derived: bool = True
     domain_mode: str = EXACT
 
-    def with_modes(self, include_derived: bool | None = None, domain_mode: str | None = None) -> "Query":
-        q = self
-        if include_derived is not None:
-            q = replace(q, include_derived=include_derived)
-        if domain_mode is not None:
-            q = replace(q, domain_mode=domain_mode)
-        return q
+    def with_modes(self, domain_mode: str | None = None) -> "Query":
+        return self if domain_mode is None else replace(self, domain_mode=domain_mode)
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -109,9 +103,6 @@ def _render_solution(variables: tuple[str, ...], values: tuple[object, ...]) -> 
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
-
-_DERIVED_GOALS = ("all_prerequisites", "inherited_attributes", "analogy_search")
-
 
 def _skip_ws(text: str, i: int) -> int:
     while i < len(text) and text[i] in " \t\r\n":
@@ -175,8 +166,10 @@ def parse_query(text: str, registry) -> Query:
     if not terms:
         raise QuerySyntaxError("query needs at least one argument", 0)
 
-    kind, spec = _resolve_goal(goal, registry)
-    arity, domain_positions = _goal_signature(kind, spec)
+    star, spec = _resolve_goal(goal, registry)
+    # a star goal is intra-shaped, whatever its relation
+    shape = RelationShape.INTRA if star else spec.shape
+    arity, domain_positions = shape.arity, shape.domain_positions
     if len(terms) != arity:
         raise QuerySyntaxError(f"{goal} takes {arity} arguments, got {len(terms)}", 0)
 
@@ -195,35 +188,31 @@ def parse_query(text: str, registry) -> Query:
     return Query(goal=goal, args=tuple(args))
 
 
-def _resolve_goal(goal: str, registry) -> tuple[str, RelationSpec]:
+# alias -> (the relation it reads, whether it reads the relation's closure)
+_ALIASES = {
+    "all_prerequisites": ("requires", True),
+    "inherited_attributes": ("has_attribute", False),
+    "analogy_search": ("analogous_to", False),
+}
+
+
+def _resolve_goal(goal: str, registry) -> tuple[bool, RelationSpec]:
+    """(star?, relation) for a goal name: a registered relation first, then
+    ``<rel>_star`` over a transitive relation, then an alias.  So a relation
+    registered as ``requires_star`` is read by that name only, and
+    ``all_prerequisites`` still reads the closure of ``requires``."""
     spec = registry.get(goal)
     if spec is not None:
-        return "relation", spec
-    base = base_of_star(goal)
-    if base is not None:
-        base_spec = registry.get(base)
-        if base_spec is not None and base_spec.transitive:
-            return "star", base_spec
-    if goal == "all_prerequisites":
-        requires = registry.get("requires")
-        if requires is not None and requires.transitive:
-            return "star", requires
-    if goal == "inherited_attributes":
-        attr = registry.get("has_attribute")
-        if attr is not None:
-            return "inherited", attr
-    if goal == "analogy_search":
-        analogy = registry.get("analogous_to")
-        if analogy is not None:
-            return "relation", analogy
+        return False, spec
+    spec = star_relation(registry, goal)
+    if spec is not None:
+        return True, spec
+    if goal in _ALIASES:
+        relation, star = _ALIASES[goal]
+        spec = registry.get(relation)
+        if spec is not None and (spec.transitive or not star):
+            return star, spec
     raise QuerySyntaxError(f"unknown goal {goal!r}", 0)
-
-
-def _goal_signature(kind: str, spec: RelationSpec) -> tuple[int, tuple[int, ...]]:
-    if kind == "relation":
-        return spec.shape.arity, spec.shape.domain_positions
-    # star and inherited goals are (concept, concept, domain)
-    return 3, (2,)
 
 
 # ---------------------------------------------------------------------------
@@ -236,17 +225,10 @@ def eval_query(
     closure: ClosureSet | None = None,
     strict: bool = False,
 ) -> BindingSet:
-    """Solutions entailed by asserted facts plus, per the query's modes,
-    derived facts.  ``strict`` refuses lazy evaluation of derived goals when
-    the closure is missing or stale."""
-    kind, spec = _resolve_goal(query.goal, store.registry)
-    if kind == "relation":
-        rows = _relation_rows(query, spec, store, closure, strict)
-    elif kind == "inherited":
-        forced = query.with_modes(include_derived=True)
-        rows = _relation_rows(forced, spec, store, closure, strict)
-    else:
-        rows = _star_rows(query, spec, store, closure, strict)
+    """Solutions entailed by asserted and derived facts.  ``strict`` refuses
+    lazy evaluation of derived goals when the closure is missing or stale."""
+    star, spec = _resolve_goal(query.goal, store.registry)
+    rows = (_star_rows if star else _relation_rows)(query, spec, store, closure, strict)
 
     variables = query.variables
     # one rendering per solution serves both the dedup and the sort
@@ -337,14 +319,9 @@ def _relation_rows(
     for pattern in patterns:
         facts.update(store.match(pattern))
         if spec.symmetric:
-            flipped_concepts = list(pattern.concepts)
-            flipped_concepts[0], flipped_concepts[1] = flipped_concepts[1], flipped_concepts[0]
-            flipped_domains = pattern.domains
-            if spec.shape is RelationShape.CROSS:
-                flipped_domains = (pattern.domains[1], pattern.domains[0])
-            facts.update(store.match(FactPattern(spec.name, tuple(flipped_concepts), flipped_domains)))
+            facts.update(store.match(swap_orientation(pattern, spec)))
 
-    if query.include_derived and spec.inherits_via is not None:
+    if spec.inherits_via is not None:
         _require_current(closure, store, strict, f"derived facts of {spec.name!r}")
         # inheriting relations are intra-domain: each pattern fixes one
         # admitted domain, or none

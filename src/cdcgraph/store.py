@@ -151,42 +151,28 @@ class StoreStats:
 
 
 def canonicalize_fact(fact: Fact, spec: RelationSpec) -> Fact:
-    """Canonical argument order for symmetric relations.
-
-    INTRA: (subject, object) sorted.  CROSS: the (concept, domain) sides
-    sorted as pairs.  FUSION: (c1, c2) sorted, fused kept in place.
-    """
+    """Canonical argument order for symmetric relations: of the fact and its
+    swapped orientation, the one whose (concept, domain) pairs sort first.
+    ``zip`` stops at the shorter tuple, so an intra or fusion fact compares
+    its first concepts and a cross fact both (concept, domain) sides."""
     if not spec.symmetric:
         return fact
-    if spec.shape is RelationShape.INTRA:
-        a, b = fact.concepts
-        if b.symbol < a.symbol:
-            return Fact(fact.relation, (b, a), fact.domains)
-        return fact
-    if spec.shape is RelationShape.CROSS:
-        left = (fact.concepts[0].symbol, fact.domains[0].text)
-        right = (fact.concepts[1].symbol, fact.domains[1].text)
-        if right < left:
-            return Fact(fact.relation, (fact.concepts[1], fact.concepts[0]), (fact.domains[1], fact.domains[0]))
-        return fact
-    # FUSION: symmetric in the two source concepts only
-    a, b, fused = fact.concepts
-    if b.symbol < a.symbol:
-        return Fact(fact.relation, (b, a, fused), fact.domains)
-    return fact
+    return min(fact, swap_orientation(fact, spec), key=_orientation_key)
 
 
-def swap_orientation(fact: Fact, spec: RelationSpec) -> Fact:
-    """The reversed orientation of a symmetric fact (identity otherwise)."""
+def _orientation_key(fact: Fact) -> list[tuple[str, str]]:
+    return [(c.symbol, d.text) for c, d in zip(fact.concepts, fact.domains)]
+
+
+def swap_orientation(fact: Fact | FactPattern, spec: RelationSpec) -> Fact | FactPattern:
+    """The reversed orientation of a symmetric fact or pattern (identity
+    otherwise): the first two concepts swap, and a cross fact's domains with
+    them; a fusion fact keeps its fused concept last."""
     if not spec.symmetric:
         return fact
-    if spec.shape is RelationShape.CROSS:
-        return Fact(fact.relation, (fact.concepts[1], fact.concepts[0]), (fact.domains[1], fact.domains[0]))
-    if spec.shape is RelationShape.FUSION:
-        a, b, fused = fact.concepts
-        return Fact(fact.relation, (b, a, fused), fact.domains)
-    a, b = fact.concepts
-    return Fact(fact.relation, (b, a), fact.domains)
+    a, b, *rest = fact.concepts
+    domains = fact.domains[::-1] if spec.shape is RelationShape.CROSS else fact.domains
+    return type(fact)(fact.relation, (b, a, *rest), domains)
 
 
 _NO_ROWS: Mapping = MappingProxyType({})

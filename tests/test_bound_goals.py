@@ -250,20 +250,23 @@ def test_bound_star_goals_match_floyd_warshall():
 
 def test_bound_inheritance_matches_enumeration():
     """Bound ``has_attribute`` rows and ``inherited_attributes`` equal
-    inheritance by enumerating Floyd-Warshall ancestors."""
+    inheritance by enumerating Floyd-Warshall ancestors, over the transitive
+    built-in carrier and over a carrier that is not transitive."""
     rng = random.Random(53)
-    for _ in range(40):
-        store, edges = random_dag_store(rng, relations=("is_a",), max_concepts=10, max_domains=2, density=0.3)
+    for carrier in ["is_a"] * 40 + ["cause_of"] * 40:
+        store, edges = random_dag_store(rng, relations=(carrier,), max_concepts=10, max_domains=2, density=0.3)
+        store.registry.register(RelationSpec("has_attribute", inherits_via=carrier), override=True)
         nodes = sorted({c for chosen in edges.values() for edge in chosen for c in edge}) + [ABSENT]
         traits = [ConceptId(f"trait{i}") for i in range(3)]
-        for (_, domain_text), isa_edges in edges.items():
+        for (_, domain_text), carrier_edges in edges.items():
             domain = parse_domain(domain_text)
             attrs = {(c, t) for c in nodes[:-1] for t in traits if rng.random() < 0.2}
             for c, t in attrs:
                 store.assert_fact(Fact.intra("has_attribute", c, t, domain))
             for c in nodes:
-                want = brute_force_inherited(c, isa_edges, attrs)
+                want = brute_force_inherited(c, carrier_edges, attrs)
                 assert inherited_attributes(store, c, domain) == want
+                assert solve(store, "has_attribute", c, None, domain, EXACT) == sorted({(c, a) for a, _ in want})
                 derived = {(f.concepts[0], f.concepts[1]) for f in
                            derived_facts_for(store, "has_attribute", domain, subject=c)}
                 assert derived == {(c, a) for a, _ in want} - attrs
@@ -271,8 +274,8 @@ def test_bound_inheritance_matches_enumeration():
                 derived = {(f.concepts[0], f.concepts[1]) for f in
                            derived_facts_for(store, "has_attribute", domain, obj=t)}
                 assert derived == {(c, t) for c in nodes
-                                   if (t, c) not in brute_force_inherited(c, isa_edges, attrs)
-                                   and any(a == t for a, _ in brute_force_inherited(c, isa_edges, attrs))}
+                                   if (t, c) not in brute_force_inherited(c, carrier_edges, attrs)
+                                   and any(a == t for a, _ in brute_force_inherited(c, carrier_edges, attrs))}
 
 
 def test_star_rows_start_from_derived_edges():

@@ -385,6 +385,17 @@ def test_explain_not_derivable(store):
         explain(intra("is_a", "a", "zzz", "d"), store, closure)
 
 
+def test_explain_star_of_non_transitive_relation_not_derivable(store):
+    """``cause_of`` is not transitive, so ``cause_of_star`` names no fact,
+    even where its pair is an asserted edge."""
+    store.assert_fact(intra("cause_of", "a", "b", "d"))
+    closure = materialize(store)
+    with pytest.raises(NotDerivableError):
+        explain(intra("cause_of_star", "a", "b", "d"), store, closure)
+    with pytest.raises(NotDerivableError):
+        explain(intra("cause_of_star", "a", "b", "d"), store)
+
+
 # ---------------------------------------------------------------------------
 # lazy vs materialized agreement
 # ---------------------------------------------------------------------------

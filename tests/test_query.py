@@ -6,17 +6,24 @@ import pytest
 from hypothesis import given, settings
 
 from cdcgraph import (
+    CdcError,
+    Fact,
     FactStore,
     Query,
     QuerySyntaxError,
+    RelationShape,
     StaleClosureError,
     builtin_registry,
     eval_query,
+    explain,
+    load_text,
     materialize,
+    parse_fact_text,
     parse_query,
 )
+from cdcgraph.inference import star_label
 from cdcgraph.query import ConceptConst, DomainConst, Variable
-from conftest import apple_store, cross, grammar_text, intra, random_dag_store
+from conftest import apple_store, cross, grammar_text, intra, random_dag_store, random_registry_store
 from oracles import reachable_from
 
 
@@ -169,17 +176,6 @@ def test_inherited_attributes_goal(store):
     assert derived.render_lines() == ["?A = edible"]
 
 
-def test_asserted_only_subset_of_derived(store):
-    store.assert_fact(intra("is_a", "apple", "fruit", "d"))
-    store.assert_fact(intra("has_attribute", "fruit", "edible", "d"))
-    store.assert_fact(intra("has_attribute", "apple", "red", "d"))
-    asserted = eval_query(q('has_attribute(apple, ?A, "d")', store, include_derived=False), store)
-    derived = eval_query(q('has_attribute(apple, ?A, "d")', store), store)
-    assert set(asserted.render_lines()) <= set(derived.render_lines())
-    assert asserted.render_lines() == ["?A = red"]
-    assert derived.render_lines() == ["?A = edible", "?A = red"]
-
-
 def test_exact_mode_hides_general_facts(store):
     store.assert_fact(intra("is_a", "electron", "particle", "Physics"))
     exact = eval_query(q('is_a(electron, ?W, "Physics@Quantum_Mechanics")', store), store)
@@ -265,3 +261,89 @@ def test_fusion_goal_query(store):
     store.assert_fact(fusion("fuses_with", "ux", "feasibility", "spec", "product+engineering"))
     bindings = eval_query(q('fuses_with(feasibility, ?Other, ?New, "engineering+product")', store), store)
     assert bindings.render_lines() == ["?Other = ux, ?New = spec"]
+
+
+# ---------------------------------------------------------------------------
+# the goal table
+# ---------------------------------------------------------------------------
+
+def test_inherited_attributes_over_cross_has_attribute():
+    """``inherited_attributes`` is a plain alias of ``has_attribute``, so it
+    takes the relation's shape when a directive changes it."""
+    store = FactStore(builtin_registry())
+    load_text('@relation has_attribute cross.\nhas_attribute(a, red, "d", "e").\n', store)
+    alias = eval_query(q('inherited_attributes(a, ?A, "d", ?E)', store), store)
+    plain = eval_query(q('has_attribute(a, ?A, "d", ?E)', store), store)
+    assert alias.render_lines() == plain.render_lines() == ["?A = red, ?E = e"]
+    with pytest.raises(QuerySyntaxError, match="4 arguments"):
+        parse_query('inherited_attributes(a, ?A, "d")', store.registry)
+
+
+def test_star_names_agree_across_readers():
+    """``parse_query``, ``parse_fact_text(allow_star=True)`` and ``explain``
+    accept the same ``<rel>_star`` names: those of transitive relations."""
+    rng = random.Random(61)
+    for _ in range(40):
+        store = random_registry_store(rng)
+        for fact in store.facts():
+            spec = store.registry.lookup(fact.relation)
+            if spec.shape is not RelationShape.INTRA:
+                continue
+            label = star_label(fact.relation)
+            x, y = (c.symbol for c in fact.concepts)
+            text = f'{label}({x}, {y}, "{fact.domain.text}")'
+            accepted = []
+            for read in (lambda: parse_query(text, store.registry),
+                         lambda: parse_fact_text(text, store.registry, allow_star=True),
+                         lambda: explain(Fact(label, fact.concepts, fact.domains), store)):
+                try:
+                    read()
+                    accepted.append(True)
+                except CdcError:
+                    accepted.append(False)
+            assert accepted == [spec.transitive] * 3, (text, accepted)
+
+
+_REQUIRES_KB = """
+@relation requires_star intra.
+requires(a, b, "d").
+requires(b, c, "d").
+requires_star(a, own, "d").
+"""
+
+_PRECEDENCE_KB = _REQUIRES_KB + """
+@relation all_prerequisites intra.
+@relation foo intra transitive.
+@relation foo_star cross.
+foo(a, b, "d").
+foo(b, c, "d").
+all_prerequisites(a, own, "d").
+foo_star(a, own, "d", "e").
+"""
+
+
+def test_registered_names_take_precedence():
+    """A goal name resolves to a registered relation first, then to
+    ``<rel>_star`` over a transitive relation, then to an alias: a custom
+    relation named ``requires_star`` does not capture ``all_prerequisites``."""
+    store = FactStore(builtin_registry())
+    assert not load_text(_PRECEDENCE_KB, store).diagnostics
+
+    def answers(text, store=store):
+        return eval_query(q(text, store), store).render_lines()
+
+    assert answers('all_prerequisites(a, ?P, "d")') == ["?P = own"]
+    assert answers('requires_star(a, ?P, "d")') == ["?P = own"]
+    assert answers('foo_star(a, ?Y, "d", ?E)') == ["?Y = own, ?E = e"]
+    with pytest.raises(QuerySyntaxError, match="4 arguments"):
+        parse_query('foo_star(a, ?Y, "d")', store.registry)
+    assert parse_fact_text('foo_star(a, c, "d", "e")', store.registry, allow_star=True).relation == "foo_star"
+    with pytest.raises(CdcError, match="4 arguments"):
+        parse_fact_text('foo_star(a, c, "d")', store.registry, allow_star=True)
+
+    # without a custom all_prerequisites, the alias reads the closure of
+    # requires, not the relation registered as requires_star
+    without = FactStore(builtin_registry())
+    assert not load_text(_REQUIRES_KB, without).diagnostics
+    assert answers('all_prerequisites(a, ?P, "d")', without) == ["?P = b", "?P = c"]
+    assert answers('requires_star(a, ?P, "d")', without) == ["?P = own"]

@@ -5,6 +5,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdcgraph import (
     ConceptId,
@@ -17,7 +19,9 @@ from cdcgraph import (
     builtin_registry,
     parse_domain,
 )
+from cdcgraph.store import canonicalize_fact, swap_orientation
 from conftest import apple_store, cross, fusion, intra
+import reference_store
 
 
 def test_concept_interning():
@@ -131,6 +135,33 @@ def test_fusion_symmetric_in_sources(store):
     b = fusion("fuses_with", "feasibility", "ux", "spec", "product+engineering")
     store.assert_fact(a)
     assert store.assert_fact(b) is False
+
+
+_SYMBOLS = st.text(alphabet="ab_", min_size=1, max_size=3)
+_DOMAINS = st.sampled_from(["a", "a@b", "b", "ab"]).map(parse_domain)
+
+
+@st.composite
+def _shaped_facts(draw):
+    """A fact of any shape over a few short symbols and domains, so equal
+    concepts, equal domains and shared prefixes come up often."""
+    relation = draw(st.sampled_from(["contrasts_with", "is_a", "analogous_to", "fuses_with"]))
+    shape = builtin_registry().lookup(relation).shape
+    concepts = tuple(ConceptId(draw(_SYMBOLS)) for _ in range(shape.concept_count))
+    domains = tuple(draw(_DOMAINS) for _ in shape.domain_positions)
+    return Fact(relation, concepts, domains)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_shaped_facts())
+def test_canonical_orientation_matches_per_shape_rule(fact):
+    """One comparison of a fact with its swapped orientation orients every
+    shape as the per-shape rule does, and both orientations agree."""
+    spec = builtin_registry().lookup(fact.relation)
+    canonical = canonicalize_fact(fact, spec)
+    assert canonical == reference_store.canonicalize_fact(fact, spec)
+    assert canonicalize_fact(swap_orientation(fact, spec), spec) == canonical
+    assert swap_orientation(swap_orientation(fact, spec), spec) == fact
 
 
 def test_cross_fact_indexed_under_both_domains(store):
