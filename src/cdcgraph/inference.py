@@ -37,32 +37,21 @@ from operator import attrgetter, or_
 from .consistency import ensure_acyclic, find_cycle
 from .domains import DomainExpr
 from .errors import CycleError, NotDerivableError, RegistryError
-from .relations import RelationRegistry, RelationShape, RelationSpec
-from .store import _NO_ROWS, ConceptId, Fact, FactStore, swap_orientation
+# star_label and base_of_star are re-exported for callers that import them from here
+from .relations import RelationRegistry, RelationShape, RelationSpec, base_of_star, star_label
+from .store import _NO_ROWS, ConceptId, Fact, FactPattern, FactStore, swap_orientation
 
 RULE_ASSERTED = "asserted"
 RULE_SYMMETRIC = "symmetric"
 RULE_TRANSITIVE = "transitive"
 RULE_INHERITANCE = "inheritance"
 
-STAR_SUFFIX = "_star"
-
-
-def star_label(relation: str) -> str:
-    return relation + STAR_SUFFIX
-
-
-def base_of_star(label: str) -> str | None:
-    if label.endswith(STAR_SUFFIX):
-        return label[: -len(STAR_SUFFIX)]
-    return None
-
 
 def star_relation(registry: RelationRegistry, label: str) -> RelationSpec | None:
     """The transitive relation whose closure ``label`` names (``<rel>_star``),
-    or None.  A registered relation's own name never names a closure."""
+    or None.  The registry refuses to register such a name as a relation."""
     base = base_of_star(label)
-    if base is None or label in registry:
+    if base is None:
         return None
     spec = registry.get(base)
     return spec if spec is not None and spec.transitive else None
@@ -536,14 +525,14 @@ def analogy_search(
     source_domain: DomainExpr | None = None,
 ) -> set[tuple[ConceptId, DomainExpr, DomainExpr]]:
     """(counterpart, own-side domain, counterpart-side domain) for every
-    cross-domain analogy touching the concept, in either orientation."""
-    results: set[tuple[ConceptId, DomainExpr, DomainExpr]] = set()
-    for fact in store.relation_facts("analogous_to"):
-        c1, c2 = fact.concepts
-        d1, d2 = fact.domains
-        for mine, other, d_mine, d_other in ((c1, c2, d1, d2), (c2, c1, d2, d1)):
-            if mine == concept and (source_domain is None or d_mine == source_domain):
-                results.add((other, d_mine, d_other))
+    cross-domain analogy touching the concept, in either orientation: the
+    concept's entries in the store's first- and second-concept indexes."""
+    as_first = store.match(FactPattern("analogous_to", (concept, None), (None, None)))
+    as_second = store.match(FactPattern("analogous_to", (None, concept), (None, None)))
+    results = {(f.concepts[1], *f.domains) for f in as_first}
+    results.update((f.concepts[0], *f.domains[::-1]) for f in as_second)
+    if source_domain is not None:
+        results = {row for row in results if row[1] == source_domain}
     return results
 
 

@@ -16,6 +16,12 @@ without diagnostics, so re-parsing an export recovers exactly the facts.
 
 Loading is resilient: every problem becomes a diagnostic with a source span
 and the loader moves on to the next clause.
+
+Most clauses are well-formed one-line facts.  The reader takes each of those
+whole, with one pattern, and builds its fact from the match.  Everything
+else (directives, comments inside a clause, clauses over several lines,
+rule clauses, and every clause with a problem) goes to the token parser, so
+the diagnostics are the same as if every clause went there.
 """
 
 from __future__ import annotations
@@ -29,8 +35,8 @@ from pathlib import Path
 
 from .domains import _ATOM_CHAR, _ATOM_FIRST, DomainExpr, parse_domain
 from .errors import CdcError, CycleError, DomainSyntaxError, RegistryError
-from .inference import star_label, star_relation
-from .relations import RelationShape, RelationSpec, builtin_specs, spec_with_flags
+from .inference import star_relation
+from .relations import RelationRegistry, RelationShape, RelationSpec, builtin_specs, spec_with_flags, star_label
 from .store import ConceptId, Fact, FactStore
 
 CASESTUDY_NAMES = ("cbt", "education", "enterprise", "techdocs")
@@ -97,11 +103,14 @@ class LoadResult:
 _ATOM_TOKEN = rf"{_ATOM_FIRST}(?:(?!\.(?!{_ATOM_CHAR})){_ATOM_CHAR})*"
 _ATOM_TOKEN_RE = re.compile(_ATOM_TOKEN)
 
+# Blanks, line breaks and comments between tokens.
+_SKIP = r"(?:[ \t\r\n]+|%[^\n]*)+"
+
 # One alternative per token kind, tried in order at each offset.  A quoted
 # term ends at a line break (file reads turn "\r" into one too); an
 # unterminated quote runs to the line break and becomes an ERROR token.
 _TOKEN_TABLE = (
-    ("SKIP", r"(?:[ \t\r\n]+|%[^\n]*)+"),
+    ("SKIP", _SKIP),
     ("NECK", ":-"),
     ("ATREL", rf"@relation(?!{_ATOM_CHAR})"),
     ("SQUOTED", r"'[^'\n\r]*'"),
@@ -118,9 +127,10 @@ _TOKEN_TABLE = (
 _TOKEN_RE = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _TOKEN_TABLE))
 
 
-def _lex(text: str) -> Iterator[tuple[str, str, int]]:
-    """Yield (kind, text, offset) tokens, ending with an EOF token."""
-    for match in _TOKEN_RE.finditer(text):
+def _lex(text: str, pos: int = 0) -> Iterator[tuple[str, str, int]]:
+    """Yield (kind, text, offset) tokens from ``pos`` on, ending with an EOF
+    token."""
+    for match in _TOKEN_RE.finditer(text, pos):
         kind = match.lastgroup
         if kind == "SKIP":
             continue
@@ -133,6 +143,17 @@ def _lex(text: str) -> Iterator[tuple[str, str, int]]:
     yield "EOF", "", len(text)
 
 
+# A whole one-line fact clause: a head atom, three or four bare or quoted
+# terms, and the closing dot, with only blanks between tokens.  Quoted terms
+# keep their quotes.  The parser takes ``_SKIP_RE`` before it.
+_SKIP_RE = re.compile(f"(?:{_SKIP})?")
+_TERM = r"""({atom}|'[^'\n\r]*'|"[^"\n\r]*")""".format(atom=_ATOM_TOKEN)
+_CLAUSE_RE = re.compile(
+    rf"({_ATOM_TOKEN})[ \t]*\([ \t]*{_TERM}[ \t]*,[ \t]*{_TERM}[ \t]*,[ \t]*{_TERM}"
+    rf"[ \t]*(?:,[ \t]*{_TERM}[ \t]*)?\)[ \t]*\."
+)
+
+
 # ---------------------------------------------------------------------------
 # Clause parser
 # ---------------------------------------------------------------------------
@@ -142,23 +163,35 @@ _NEWLINE_RE = re.compile("\n")
 
 
 class _Parser:
-    """Reads clauses from the token stream.  Items and terms carry offsets;
-    a SourceSpan is built only for a clause head or a diagnostic."""
+    """Reads clauses, lexing on demand.  At each clause start it tries
+    ``_CLAUSE_RE`` first; a clause the pattern cannot take whole, or whose
+    relation, arity, concepts or domains do not fit, is read from tokens.
+    Items and terms carry offsets; a SourceSpan is built only for a clause
+    head or a diagnostic."""
 
-    def __init__(self, text: str, file: str, diagnostics: list[Diagnostic]):
-        self.tokens = list(_lex(text))
+    def __init__(self, text: str, file: str, diagnostics: list[Diagnostic], registry: RelationRegistry):
+        self.text = text
         self.file = file
-        self.pos = 0
+        self.registry = registry
+        self.pos = 0  # where the last whole clause ended
+        self.tokens: Iterator[tuple[str, str, int]] | None = None  # lexing from pos
+        self.token: tuple[str, str, int] | None = None  # lexed, not yet taken
+        self.previous: tuple[str, str, int] | None = None  # the last token taken
         self.diagnostics = diagnostics
         self.line_starts = [0, *(match.end() for match in _NEWLINE_RE.finditer(text))]
 
     def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
+        if self.token is None:
+            if self.tokens is None:
+                self.tokens = _lex(self.text, self.pos)
+            self.token = next(self.tokens)
+        return self.token
 
     def take(self) -> tuple[str, str, int]:
-        token = self.tokens[self.pos]
+        token = self.peek()
         if token[0] != "EOF":
-            self.pos += 1
+            self.token = None
+        self.previous = token
         return token
 
     def span(self, offset: int) -> SourceSpan:
@@ -172,15 +205,23 @@ class _Parser:
         """Skip the rest of a malformed clause: through its '.', or through an
         unterminated quote, which ran to the line break and took the line's
         '.' with it, so the next clause starts on the next line."""
-        if self.tokens[self.pos - 1][0] == "ERROR":
+        if self.previous[0] == "ERROR":
             return
         while self.take()[0] not in ("DOT", "EOF", "ERROR"):
             pass
 
     def items(self):
         """Yield ("directive", name, shape, flags, offset), ("dynamic", name,
-        arity, offset), and ("clause", name, terms, offset) tuples."""
+        arity, offset), ("fact", spec, fact, offset) for a clause the
+        pattern took whole, and ("clause", name, terms, offset) tuples."""
         while True:
+            # at a clause start: where the last whole clause ended, or
+            # after the '.' the token path took last
+            if self.tokens is None or (self.token is None and self.previous[0] == "DOT"):
+                item = self.whole_clause()
+                if item is not None:
+                    yield item
+                    continue
             kind, text, offset = self.peek()
             if kind == "EOF":
                 return
@@ -203,6 +244,32 @@ class _Parser:
             self.error(text if kind == "ERROR" else f"unexpected {text!r}", offset)
             self.take()
             self.skip_to_dot()
+
+    def whole_clause(self):
+        """The next clause as a ("fact", ...) item if ``_CLAUSE_RE`` takes it
+        whole and it makes a well-formed fact; else None."""
+        pos = self.pos if self.tokens is None else self.previous[2] + 1
+        match = _CLAUSE_RE.match(self.text, _SKIP_RE.match(self.text, pos).end())
+        if match is None:
+            return None
+        name, *terms = match.groups()
+        if terms[-1] is None:  # a three-term clause
+            terms.pop()
+        spec = self.registry.get(name)
+        if spec is None or len(terms) != spec.shape.arity:
+            return None
+        texts = [term[1:-1] if term[0] in "'\"" else term for term in terms]
+        count = spec.shape.concept_count  # the domains follow the concepts
+        if not all(texts[:count]):
+            return None
+        try:
+            domains = tuple(map(parse_domain, texts[count:]))
+        except DomainSyntaxError:
+            return None
+        self.pos = match.end()
+        self.tokens = None
+        fact = Fact(name, tuple(map(ConceptId, texts[:count])), domains)
+        return ("fact", spec, fact, match.start(1))
 
     def parse_prolog_directive(self):
         neck = self.take()
@@ -343,8 +410,8 @@ def load_text(text: str, store: FactStore, file: str = "<string>") -> LoadResult
     """Parse and assert every well-formed clause, in order.  Directives
     register relations before facts use them.  Problems become diagnostics."""
     result = LoadResult()
-    parser = _Parser(text, file, result.diagnostics)
     registry = store.registry
+    parser = _Parser(text, file, result.diagnostics, registry)
     for item in parser.items():
         if item[0] == "directive":
             _, name, shape_text, flags, offset = item
@@ -374,13 +441,18 @@ def load_text(text: str, store: FactStore, file: str = "<string>") -> LoadResult
             except RegistryError as exc:
                 result.diagnostics.append(Diagnostic("warning", str(exc), parser.span(offset)))
             continue
-        _, name, terms, offset = item
-        span = parser.span(offset)
-        fact = parser.terms_to_fact(name, terms, span, registry)
-        if fact is None:
-            continue
+        span = parser.span(item[-1])
+        if item[0] == "fact":
+            _, spec, fact, _ = item
+        else:
+            _, name, terms, _ = item
+            fact = parser.terms_to_fact(name, terms, span, registry)
+            if fact is None:
+                continue
+            spec = registry.lookup(name)
         try:
-            inserted = store.assert_fact(fact)
+            # either path built the payload from the relation's shape
+            inserted = store._insert(fact, spec)
         except CycleError as exc:  # strict mode assert-time rejection
             result.diagnostics.append(Diagnostic("error", str(exc), span))
             continue
@@ -421,12 +493,14 @@ def parse_fact_text(text: str, registry, allow_star: bool = False) -> Fact:
     if not source.endswith("."):
         source += "."
     diagnostics: list[Diagnostic] = []
-    parser = _Parser(source, "<fact>", diagnostics)
+    parser = _Parser(source, "<fact>", diagnostics, registry)
     items = list(parser.items())
     if diagnostics:
         raise CdcError(diagnostics[0].message)
-    if len(items) != 1 or items[0][0] != "clause":
+    if len(items) != 1 or items[0][0] not in ("fact", "clause"):
         raise CdcError("expected exactly one fact clause")
+    if items[0][0] == "fact":
+        return items[0][2]
     _, name, terms, offset = items[0]
     if allow_star and star_relation(registry, name) is not None:
         if len(terms) != 3:

@@ -199,8 +199,9 @@ _ALIASES = {
 def _resolve_goal(goal: str, registry) -> tuple[bool, RelationSpec]:
     """(star?, relation) for a goal name: a registered relation first, then
     ``<rel>_star`` over a transitive relation, then an alias.  So a relation
-    registered as ``requires_star`` is read by that name only, and
-    ``all_prerequisites`` still reads the closure of ``requires``."""
+    registered as ``all_prerequisites`` is read by that name only.  The
+    registry refuses ``<rel>_star`` as a relation name while ``<rel>`` is
+    transitive, so the first two never compete."""
     spec = registry.get(goal)
     if spec is not None:
         return False, spec
@@ -274,9 +275,16 @@ def _domain_literals(query: Query, domain_positions: tuple[int, ...]) -> list[Do
 
 
 def _admitted_domains(store: FactStore, relation: str, literal: DomainExpr, mode: str) -> list[DomainExpr]:
+    """The literal alone in exact mode.  In inherit mode, the literal's
+    leading prefixes that hold a partition of the relation, sorted by text;
+    the literal alone when none does."""
     if mode == EXACT:
         return [literal]
-    return [d for d in store.relation_domains(relation) if is_prefix_of(d, literal)] or [literal]
+    # each prefix's text leads the next one's, so they come sorted by text;
+    # parse_domain is memoized, so a prefix seen before costs one lookup
+    parts = literal.text.split("@")
+    prefixes = [parse_domain("@".join(parts[:k])) for k in range(1, len(parts))] + [literal]
+    return [d for d in prefixes if store.partition(relation, d)] or [literal]
 
 
 def _fact_rows(fact: Fact, spec: RelationSpec) -> list[tuple[object, ...]]:

@@ -8,6 +8,9 @@ decides the fact payload:
     INTRA   rel(subject, object, domain)
     CROSS   rel(c1, c2, domain1, domain2)
     FUSION  rel(c1, c2, fused, domain)
+
+The closure of a transitive relation ``R`` is named ``R_star``, so no
+relation may be registered under that name while ``R`` is transitive.
 """
 
 from __future__ import annotations
@@ -17,6 +20,19 @@ from dataclasses import dataclass, replace
 from typing import Iterator
 
 from .errors import RegistryError
+
+
+STAR_SUFFIX = "_star"
+
+
+def star_label(relation: str) -> str:
+    return relation + STAR_SUFFIX
+
+
+def base_of_star(label: str) -> str | None:
+    if label.endswith(STAR_SUFFIX):
+        return label[: -len(STAR_SUFFIX)]
+    return None
 
 
 class RelationShape(enum.Enum):
@@ -84,6 +100,11 @@ class RelationRegistry:
                 raise RegistryError(f"{spec.name}: unknown inheritance carrier {spec.inherits_via!r}")
             if carrier.shape is not RelationShape.INTRA:
                 raise RegistryError(f"{spec.name}: inheritance carrier must be intra-domain")
+        base = self._specs.get(base_of_star(spec.name))
+        if base is not None and base.transitive:
+            raise RegistryError(f"{spec.name}: names the closure of transitive relation {base.name!r}")
+        if spec.transitive and star_label(spec.name) in self._specs:
+            raise RegistryError(f"{spec.name}: cannot be transitive while {star_label(spec.name)!r} is a relation")
         self._specs[spec.name] = spec
 
     def freeze(self) -> None:

@@ -241,7 +241,11 @@ class FactStore:
 
     def assert_fact(self, fact: Fact) -> bool:
         """Insert; False if already present.  Bumps generation when inserted."""
-        spec = self._check_shape(fact, "payload")
+        return self._insert(fact, self._check_shape(fact, "payload"))
+
+    def _insert(self, fact: Fact, spec: RelationSpec) -> bool:
+        """``assert_fact`` for a fact whose payload the caller has already
+        matched to ``spec``'s shape (the loader, by the clause's arity)."""
         fact = canonicalize_fact(fact, spec)
         if fact in self._facts:
             return False

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 
 from cdcgraph import (
+    CASESTUDY_NAMES,
     CdcError,
+    DomainExpr,
     Fact,
     FactStore,
     Query,
@@ -16,15 +19,19 @@ from cdcgraph import (
     builtin_registry,
     eval_query,
     explain,
+    load_casestudy,
     load_text,
     materialize,
+    parse_domain,
     parse_fact_text,
     parse_query,
 )
+from cdcgraph import query as query_module
 from cdcgraph.inference import star_label
-from cdcgraph.query import ConceptConst, DomainConst, Variable
+from cdcgraph.query import ConceptConst, DomainConst, Variable, _admitted_domains
 from conftest import apple_store, cross, grammar_text, intra, random_dag_store, random_registry_store
 from oracles import reachable_from
+import reference_query
 
 
 def q(text: str, store: FactStore, **modes):
@@ -200,6 +207,78 @@ def test_inherit_mode_star_goal(store):
     assert bindings.render_lines() == ["?P = airfoil", "?P = lift"]
 
 
+def _literals(store: FactStore) -> list[DomainExpr]:
+    """Each domain of the store, one level deeper, and a sibling of it."""
+    literals = []
+    for domain in {d for fact in store.facts() for d in fact.domains}:
+        literals += [domain, parse_domain(domain.text + "@deeper"), parse_domain(domain.text + "x")]
+    return literals
+
+
+def _holds_to_reference_admission(store: FactStore) -> None:
+    relations = sorted({fact.relation for fact in store.facts()})
+    for relation in relations:
+        for literal in _literals(store):
+            for mode in ("exact", "inherit"):
+                assert _admitted_domains(store, relation, literal, mode) == reference_query.admitted_domains(
+                    store, relation, literal, mode
+                )
+    with mock.patch.object(query_module, "_admitted_domains", reference_query.admitted_domains):
+        expected = _inherit_answers(store, relations)
+    assert _inherit_answers(store, relations) == expected
+
+
+def _inherit_answers(store: FactStore, relations: list[str]) -> list[list[str]]:
+    """Inherit-mode answers of each relation's goals, and of its star goal,
+    with one literal domain argument and variables elsewhere."""
+    answers = []
+    for relation in relations:
+        spec = store.registry.lookup(relation)
+        goals = [(relation, spec.shape)] + [(star_label(relation), RelationShape.INTRA)] * spec.transitive
+        for goal, shape in goals:
+            for position in shape.domain_positions:
+                for literal in _literals(store):
+                    args = [f"?V{i}" for i in range(shape.arity)]
+                    args[position] = f'"{literal.text}"'
+                    query = q(f"{goal}({', '.join(args)})", store, domain_mode="inherit")
+                    answers.append(eval_query(query, store).render_lines())
+    return answers
+
+
+def test_inherit_admission_matches_reference_on_random_registries():
+    rng = random.Random(83)
+    for _ in range(25):
+        store = random_registry_store(rng)
+        for fact in list(store.facts()):
+            if rng.random() < 0.3 and len(fact.domains) == 1:
+                deeper = parse_domain(f"{fact.domain.text}@s{rng.randint(0, 2)}")
+                store.assert_fact(Fact(fact.relation, fact.concepts, (deeper,)))
+        _holds_to_reference_admission(store)
+
+
+@pytest.mark.parametrize("name", CASESTUDY_NAMES)
+def test_inherit_admission_matches_reference_on_case_studies(name):
+    store = FactStore(builtin_registry())
+    load_casestudy(name, store)
+    _holds_to_reference_admission(store)
+
+
+def test_inherit_admission_looks_up_prefixes_among_1000_siblings():
+    """Admission builds the literal's prefixes and looks each one up, so it
+    never reads the relation's list of domains, here 1,001 of them."""
+    store = FactStore(builtin_registry())
+    store.assert_fact(intra("is_a", "x", "root_parent", "root"))
+    for i in range(1000):
+        store.assert_fact(intra("is_a", "x", f"p{i:04d}", f"root@s{i:04d}"))
+    literal = parse_domain("root@s0500@deep")
+    expected = reference_query.admitted_domains(store, "is_a", literal, "inherit")
+    assert [d.text for d in expected] == ["root", "root@s0500"]
+    with mock.patch.object(FactStore, "relation_domains", side_effect=AssertionError("scanned")):
+        assert _admitted_domains(store, "is_a", literal, "inherit") == expected
+        bindings = eval_query(q('is_a(x, ?Y, "root@s0500@deep")', store, domain_mode="inherit"), store)
+    assert bindings.render_lines() == ["?Y = p0500", "?Y = root_parent"]
+
+
 def test_domain_variable_binds_fact_domains(store):
     store.assert_fact(intra("strategy", "explain_function", "use_formal_definition", "math_background@cs"))
     store.assert_fact(intra("strategy", "explain_function", "use_workflow_metaphor", "design_background@cs"))
@@ -305,27 +384,21 @@ def test_star_names_agree_across_readers():
 
 
 _REQUIRES_KB = """
-@relation requires_star intra.
 requires(a, b, "d").
 requires(b, c, "d").
-requires_star(a, own, "d").
 """
 
 _PRECEDENCE_KB = _REQUIRES_KB + """
 @relation all_prerequisites intra.
-@relation foo intra transitive.
-@relation foo_star cross.
-foo(a, b, "d").
-foo(b, c, "d").
 all_prerequisites(a, own, "d").
-foo_star(a, own, "d", "e").
 """
 
 
 def test_registered_names_take_precedence():
     """A goal name resolves to a registered relation first, then to
     ``<rel>_star`` over a transitive relation, then to an alias: a custom
-    relation named ``requires_star`` does not capture ``all_prerequisites``."""
+    relation named ``all_prerequisites`` captures the alias.  The first two
+    never compete: the registry refuses ``requires_star`` as a relation."""
     store = FactStore(builtin_registry())
     assert not load_text(_PRECEDENCE_KB, store).diagnostics
 
@@ -333,17 +406,48 @@ def test_registered_names_take_precedence():
         return eval_query(q(text, store), store).render_lines()
 
     assert answers('all_prerequisites(a, ?P, "d")') == ["?P = own"]
-    assert answers('requires_star(a, ?P, "d")') == ["?P = own"]
-    assert answers('foo_star(a, ?Y, "d", ?E)') == ["?Y = own, ?E = e"]
-    with pytest.raises(QuerySyntaxError, match="4 arguments"):
-        parse_query('foo_star(a, ?Y, "d")', store.registry)
-    assert parse_fact_text('foo_star(a, c, "d", "e")', store.registry, allow_star=True).relation == "foo_star"
-    with pytest.raises(CdcError, match="4 arguments"):
-        parse_fact_text('foo_star(a, c, "d")', store.registry, allow_star=True)
+    assert answers('requires_star(a, ?P, "d")') == ["?P = b", "?P = c"]
+    refused = load_text('@relation requires_star intra.\nrequires_star(a, own, "d").\n', store)
+    assert [d.message for d in refused.errors] == [
+        "requires_star: names the closure of transitive relation 'requires'",
+        "unknown relation 'requires_star'",
+    ]
+    assert answers('requires_star(a, ?P, "d")') == ["?P = b", "?P = c"]
 
     # without a custom all_prerequisites, the alias reads the closure of
-    # requires, not the relation registered as requires_star
+    # requires
     without = FactStore(builtin_registry())
     assert not load_text(_REQUIRES_KB, without).diagnostics
     assert answers('all_prerequisites(a, ?P, "d")', without) == ["?P = b", "?P = c"]
-    assert answers('requires_star(a, ?P, "d")', without) == ["?P = own"]
+
+
+def answers_of(store: FactStore, text: str) -> list[str]:
+    return eval_query(q(text, store), store).render_lines()
+
+
+_STAR_PAIR_FACTS = 'foo(a, b, "d").\nfoo(b, c, "d").\nfoo_star(x, y, "d").\n'
+
+
+@pytest.mark.parametrize("directives, refused_line", [
+    ("@relation foo intra transitive.\n@relation foo_star intra.\n", 2),
+    ("@relation foo_star intra.\n@relation foo intra transitive.\n", 2),
+])
+def test_star_name_pair_refused_in_a_fact_file(directives, refused_line):
+    """A relation named ``foo_star`` next to a transitive ``foo`` is refused
+    whichever is declared first, so the goal ``foo_star`` and the closure's
+    derived ``foo_star`` facts keep one meaning."""
+    store = FactStore(builtin_registry())
+    result = load_text(directives + _STAR_PAIR_FACTS, store)
+    assert [(d.span.line, d.severity) for d in result.diagnostics][0] == (refused_line, "error")
+    assert "foo_star" in result.diagnostics[0].message
+    if "foo" in store.registry:
+        assert store.registry.lookup("foo").transitive
+        assert "foo_star" not in store.registry
+        closure = materialize(store)
+        derived = {(f.subject.symbol, f.object.symbol) for f in closure.derived["foo_star"]}
+        assert derived == {("a", "c")}
+        assert answers_of(store, 'foo_star(?X, ?Y, "d")') == ["?X = a, ?Y = b", "?X = a, ?Y = c", "?X = b, ?Y = c"]
+    else:
+        # foo_star came first: foo is refused, and foo_star stays a plain relation
+        assert store.registry.lookup("foo_star").transitive is False
+        assert answers_of(store, 'foo_star(?X, ?Y, "d")') == ["?X = x, ?Y = y"]

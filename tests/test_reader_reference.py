@@ -50,7 +50,7 @@ class _ReferenceReader(kbfile._Parser):
     their line/column spans are turned into offsets, and offsets back into
     spans, by counting newlines rather than through the new reader."""
 
-    def __init__(self, text: str, file: str, diagnostics: list):
+    def __init__(self, text: str, file: str, diagnostics: list, registry=None):
         self.text = text
         self.file = file
         self.diagnostics = diagnostics
@@ -78,9 +78,9 @@ def reference_tokens(text: str) -> list[tuple[str, str, int, int]]:
 
 
 def reader_tokens(text: str) -> list[tuple[str, str, int, int]]:
-    parser = kbfile._Parser(text, "f.cdc", [])
+    parser = kbfile._Parser(text, "f.cdc", [], builtin_registry())
     tokens = []
-    for kind, value, offset in parser.tokens:
+    for kind, value, offset in kbfile._lex(text):
         span = parser.span(offset)
         tokens.append((kind, value, span.line, span.column))
     return tokens

@@ -98,3 +98,23 @@ def test_frozen_registry_rejects_registration():
     registry.freeze()
     with pytest.raises(RegistryError, match="frozen"):
         registry.register(RelationSpec("late"))
+
+
+def test_star_name_refused_next_to_a_transitive_relation():
+    """``<rel>_star`` names the closure of a transitive ``<rel>``, so the
+    registry refuses the pair in either order of registration."""
+    registry = builtin_registry()
+    with pytest.raises(RegistryError, match="names the closure of transitive relation 'is_a'"):
+        registry.register(RelationSpec("is_a_star"))
+    registry.register(RelationSpec("foo"))
+    registry.register(RelationSpec("foo_star", shape=RelationShape.CROSS))
+    with pytest.raises(RegistryError, match="foo: cannot be transitive while 'foo_star' is a relation"):
+        registry.register(RelationSpec("foo", transitive=True), override=True)
+    assert not registry.lookup("foo").transitive
+
+    # a relation that is not transitive names no closure
+    registry.register(RelationSpec("cause_of_star"))
+    registry.register(RelationSpec("bar", transitive=True))
+    with pytest.raises(RegistryError, match="bar_star"):
+        registry.register(RelationSpec("bar_star", symmetric=True))
+    assert "bar_star" not in registry
