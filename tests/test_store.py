@@ -260,3 +260,43 @@ def test_strict_cycle_check_stays_in_relation_and_domain():
         store.assert_fact(intra("is_a", "c", "a", "d"))
     assert str(err.value) == "cycle in acyclic relation 'is_a' within domain 'd': c -> a -> b -> c"
     assert len(store) == 5
+
+
+def _cross_and_fusion_store() -> FactStore:
+    store = FactStore(builtin_registry())
+    for fact in (cross("analogous_to", "a", "b", "p", "q"), cross("analogous_to", "c", "a", "r", "p"),
+                 cross("analogous_to", "b", "c", "q", "q"), cross("analogous_to", "d", "a", "p", "p"),
+                 cross("analogous_to", "a", "e", "p", "r"),
+                 fusion("fuses_with", "a", "b", "ab", "x"), fusion("fuses_with", "c", "a", "ac", "x"),
+                 fusion("fuses_with", "b", "c", "bc", "y"), fusion("fuses_with", "c", "d", "cd", "x@y")):
+        store.assert_fact(fact)
+    return store
+
+
+@pytest.mark.parametrize("relation, concepts, domains, scanned, hits", [
+    # domain-fixed: the domain's partition, whichever side holds the domain,
+    # a fact with both sides in it counted once; the domain wins over a concept
+    ("analogous_to", (None, None), ("p", None), 4, 4),
+    ("analogous_to", (None, None), ("q", None), 2, 1),
+    ("analogous_to", (None, None), (None, "q"), 2, 2),
+    ("analogous_to", ("a", None), ("p", None), 4, 4),
+    ("analogous_to", (None, "c"), (None, "q"), 2, 1),
+    ("fuses_with", (None, None, None), ("x",), 2, 2),
+    ("fuses_with", ("a", None, None), ("x",), 2, 2),
+    # bound first, else bound second: that concept's entry
+    ("analogous_to", ("a", None), (None, None), 4, 4),
+    ("analogous_to", ("a", "e"), (None, None), 4, 1),
+    ("analogous_to", (None, "a"), (None, None), 0, 0),
+    ("fuses_with", ("c", None, None), (None,), 1, 1),
+    ("fuses_with", (None, "c", None), (None,), 2, 2),
+    # unbound, or only the fused concept bound: the whole relation
+    ("fuses_with", (None, None, "ab"), (None,), 4, 1),
+    ("analogous_to", (None, None), (None, None), 5, 5),
+    ("fuses_with", (None, None, None), (None,), 4, 4),
+])
+def test_cross_and_fusion_scan_counts(relation, concepts, domains, scanned, hits):
+    store = _cross_and_fusion_store()
+    pattern = FactPattern(relation, tuple(c and ConceptId(c) for c in concepts),
+                          tuple(d and parse_domain(d) for d in domains))
+    assert len(list(store.match(pattern))) == hits
+    assert store.stats().last_query_scanned == scanned
