@@ -10,6 +10,7 @@ domain proliferation: case-only variants and near-duplicate spellings.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from .domains import DomainExpr
@@ -143,23 +144,16 @@ def _separation_witnesses(store: FactStore, registry: RelationRegistry) -> list[
     for spec in registry:
         if spec.shape is not RelationShape.INTRA:
             continue
-        by_subject: dict[ConceptId, list[Fact]] = {}
-        for fact in store.relation_facts(spec.name):
-            by_subject.setdefault(fact.concepts[0], []).append(fact)
-        for subject, group in by_subject.items():
-            if len(group) < 2:
-                continue
-            group.sort(key=lambda f: (f.domains[0].text, f.concepts[1].symbol))
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    a, b = group[i], group[j]
-                    if a.domains[0].text != b.domains[0].text and a.concepts[1] != b.concepts[1]:
-                        witnesses.append(SeparationWitness(
-                            concept=subject,
-                            relation=spec.name,
-                            first=(a.concepts[1], a.domains[0]),
-                            second=(b.concepts[1], b.domains[0]),
-                        ))
+        # each subject's rows of objects, one per domain, in domain text order
+        rows: dict[ConceptId, list[tuple[DomainExpr, Collection[ConceptId]]]] = {}
+        for domain in store.relation_domains(spec.name):
+            for subject, row in store.successors(spec.name, domain).items():
+                rows.setdefault(subject, []).append((domain, row))
+        for subject, held in rows.items():
+            for i, (first, objects) in enumerate(held):
+                for second, others in held[i + 1:]:
+                    witnesses.extend(SeparationWitness(subject, spec.name, (a, first), (b, second))
+                                     for a in objects for b in others if a is not b)
     witnesses.sort(key=lambda w: (w.relation, w.concept.symbol, w.first[1].text,
                                   w.first[0].symbol, w.second[1].text, w.second[0].symbol))
     return witnesses
@@ -220,7 +214,7 @@ def _two_deletion_variants(text: str) -> set[str]:
 
 
 def _domain_lints(store: FactStore) -> list[Lint]:
-    texts = sorted(store.stats().facts_per_domain)
+    texts = sorted({d.text for spec in store.registry for d in store.relation_domains(spec.name)})
     lints: list[Lint] = []
     by_folded: dict[str, list[str]] = {}
     for text in texts:

@@ -29,7 +29,7 @@ kernel.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterator, Sequence
+from collections.abc import Collection, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from operator import attrgetter, or_
@@ -97,10 +97,6 @@ class ClosureSet:
         return self.generation == store.generation
 
 
-def _intra_shaped(fact: Fact) -> bool:
-    return len(fact.concepts) == 2 and len(fact.domains) == 1
-
-
 def _ids(bits: int) -> list[int]:
     """Positions of the set bits, lowest first."""
     out = []
@@ -114,8 +110,9 @@ def _ids(bits: int) -> list[int]:
 class _DomainClosure:
     """The closure of some intra-domain relations within one domain.
 
-    The relations asked for are joined by their inheritance carriers.  The
-    tables hold one bitset of ids per id:
+    The relations asked for are joined by their inheritance carriers, each
+    read from its successor adjacency in the domain.  The tables hold one
+    bitset of ids per id:
 
     - ``concepts[i]`` is the concept with id ``i``; ids follow symbol order;
     - ``asserted[r][x]`` / ``edges[r][x]``: the ids y with r(x, y) asserted /
@@ -133,18 +130,17 @@ class _DomainClosure:
     """
 
     def __init__(self, specs: dict[str, RelationSpec], domain: DomainExpr, relations: Sequence[str],
-                 facts: dict[str, Collection[Fact]]) -> None:
-        self.domain, self.specs, self.facts = domain, specs, facts
-        self.concepts = sorted(
-            {c for group in facts.values() for f in group for c in f.concepts}, key=attrgetter("symbol"))
+                 successors: dict[str, Mapping[ConceptId, Mapping[ConceptId, Fact]]]) -> None:
+        self.domain, self.specs, self.successors = domain, specs, successors
+        self.concepts = sorted({c for rows in successors.values() for x, row in rows.items() for c in (x, *row)},
+                               key=attrgetter("symbol"))
         ids = self.ids = {c: i for i, c in enumerate(self.concepts)}
         n = len(self.concepts)
         self.asserted: dict[str, list[int]] = {}
-        for name, group in facts.items():
-            row = self.asserted[name] = [0] * n
-            for fact in group:
-                x, y = fact.concepts
-                row[ids[x]] |= 1 << ids[y]
+        for name, rows in successors.items():
+            table = self.asserted[name] = [0] * n
+            for x, row in rows.items():
+                table[ids[x]] = sum([1 << ids[y] for y in row])
         # layers replace rows rather than change them, so ``asserted`` stays as loaded
         edges = self.edges = dict(self.asserted)
         stars = self.stars = {name: [0] * n for name in relations if specs[name].transitive}
@@ -213,8 +209,8 @@ class _DomainClosure:
         the closed facts and the ones built here."""
         concepts, ids, domain = self.concepts, self.ids, self.domain
         n = len(concepts)
-        facts = {name: {ids[f.concepts[0]] * n + ids[f.concepts[1]]: f for f in group}
-                 for name, group in self.facts.items()}
+        facts = {name: {ids[x] * n + ids[y]: f for x, row in rows.items() for y, f in row.items()}
+                 for name, rows in self.successors.items()}
         stars: dict[str, dict[int, Fact]] = {name: {} for name in self.stars}
         for layer in self.layers:
             made = []
@@ -262,7 +258,7 @@ def _joined_specs(registry: RelationRegistry, relations: Sequence[str]) -> dict[
 def _closure(store: FactStore, relations: Sequence[str], domain: DomainExpr) -> _DomainClosure:
     """The kernel for ``relations`` over the whole of ``domain``."""
     specs = _joined_specs(store.registry, relations)
-    return _DomainClosure(specs, domain, relations, {name: store.partition(name, domain) for name in specs})
+    return _DomainClosure(specs, domain, relations, {name: store.successors(name, domain) for name in specs})
 
 
 class _Rows:
@@ -377,7 +373,6 @@ def materialize(store: FactStore) -> ClosureSet:
     registry = store.registry
     ensure_acyclic(store, registry)
 
-    asserted = store.fact_set()
     derived: dict[str, set[Fact]] = {}
     traces: dict[Fact, DerivationTrace] = {}
     by_domain: dict[DomainExpr, list[str]] = {}
@@ -385,17 +380,17 @@ def materialize(store: FactStore) -> ClosureSet:
         if spec.shape is not RelationShape.INTRA:
             if spec.symmetric:
                 for fact in store.relation_facts(spec.name):
+                    # stored facts are canonical, so the other orientation is
+                    # held only when it is the fact itself
                     flipped = swap_orientation(fact, spec)
-                    if flipped not in asserted:
+                    if flipped != fact:
                         derived.setdefault(spec.name, set()).add(flipped)
                         traces[flipped] = DerivationTrace(RULE_SYMMETRIC, (fact,))
         elif spec.symmetric or spec.transitive or spec.inherits_via is not None:
             for domain in store.relation_domains(spec.name):
                 by_domain.setdefault(domain, []).append(spec.name)
     for domain, names in by_domain.items():
-        specs = _joined_specs(registry, names)
-        facts = {name: store.partition(name, domain) for name in specs}
-        _DomainClosure(specs, domain, names, facts).record(derived, traces)
+        _closure(store, names, domain).record(derived, traces)
     return ClosureSet(
         generation=store.generation,
         derived={label: frozenset(facts) for label, facts in sorted(derived.items())},
@@ -543,7 +538,7 @@ def explain(fact: Fact, store: FactStore, closure: ClosureSet | None = None) -> 
     if fact.relation in store.registry and fact in store:
         return LEAF
     spec = star_relation(store.registry, fact.relation)
-    if spec is not None and _intra_shaped(fact):
+    if spec is not None and len(fact.concepts) == 2 and len(fact.domains) == 1:
         edge = Fact(spec.name, fact.concepts, fact.domains)
         if edge in store:
             return LEAF

@@ -8,7 +8,8 @@
 Terms are bare atoms or quoted strings (single or double quotes); which
 argument positions are domains follows from the relation's registered shape.
 ``@relation`` directives must precede facts that use them and may override a
-built-in declaration.
+built-in declaration; one that would change the declaration of a relation
+the store already holds facts of is an error, and the old one stays.
 
 The reader also accepts the ISO-Prolog interop export this module writes:
 ``:- ...`` directives and rule clauses (``head :- body.``) are skipped
@@ -417,6 +418,8 @@ def load_text(text: str, store: FactStore, file: str = "<string>") -> LoadResult
             _, name, shape_text, flags, offset = item
             try:
                 spec = spec_with_flags(name, RelationShape(shape_text), flags)
+                if registry.get(name) not in (None, spec) and store.relation_domains(name):
+                    raise RegistryError(f"{name}: cannot change the declaration of a relation that holds facts")
                 registry.register(spec, override=name in registry)
             except RegistryError as exc:
                 result.diagnostics.append(Diagnostic("error", str(exc), parser.span(offset)))

@@ -284,7 +284,7 @@ def _admitted_domains(store: FactStore, relation: str, literal: DomainExpr, mode
     # parse_domain is memoized, so a prefix seen before costs one lookup
     parts = literal.text.split("@")
     prefixes = [parse_domain("@".join(parts[:k])) for k in range(1, len(parts))] + [literal]
-    return [d for d in prefixes if store.partition(relation, d)] or [literal]
+    return [d for d in prefixes if store.has_partition(relation, d)] or [literal]
 
 
 def _fact_rows(fact: Fact, spec: RelationSpec) -> list[tuple[object, ...]]:

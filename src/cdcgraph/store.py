@@ -1,13 +1,16 @@
-"""In-memory quad store with domain-partitioned indexes.
+"""In-memory quad store: each relation shape's indexes are the whole store.
 
-Facts are kept as a set (no multiplicity).  The primary index is keyed by
-(relation, exact canonical domain), so a domain-fixed lookup scans only that
-partition.  Inside each partition of an intra-domain relation, a successor
-index maps a subject to its facts by object and a predecessor index an
-object to its facts by subject: they serve bound-concept lookups, the walks
+Facts are kept with set semantics (no multiplicity) and nowhere else than
+in their shape's indexes.  An intra-domain fact lives in its (relation,
+domain) partition's successor index, which maps a subject to its facts by
+object, and its predecessor index, which maps an object to its facts by
+subject.  Those serve bound-concept lookups, domain-fixed scans, the walks
 of bound closure reads, the acyclicity check and the strict-mode cycle
-check, none of which leaves its (relation, domain) partition.  Cross-domain
-and fusion facts are indexed by relation and first or second concept.
+check, none of which leaves its partition.  A cross-domain or fusion fact
+lives in its relation's entries for its first and second concept and in
+the relation's partition of each of its domains.  Every other view (the
+fact set, a partition, a relation's facts or domains, the stats) is read
+off these indexes; ``partition`` and ``relation_facts`` return copies.
 Every match records how many index entries it touched, which is what the
 scan-reduction benchmark measures.
 
@@ -18,11 +21,11 @@ staleness.  Reads never mutate, apart from the scan counter.
 
 from __future__ import annotations
 
-from bisect import insort
 from collections.abc import Collection, Iterator, Mapping
 from dataclasses import dataclass
 from operator import attrgetter
 from types import MappingProxyType
+from weakref import WeakValueDictionary
 
 from .domains import DomainExpr
 from .errors import CycleError, ShapeMismatchError, UnknownRelationError
@@ -32,14 +35,15 @@ from .relations import RelationRegistry, RelationShape, RelationSpec
 class ConceptId:
     """Interned concept symbol: equal strings yield the identical object, so
     equality and hashing are by identity.  Copying or unpickling re-interns
-    the symbol, so it returns that same object.
+    the symbol, so it returns that same object.  The intern table holds its
+    symbols weakly: one nothing refers to any more is dropped.
 
     A symbol is non-empty, holds no line break and not both quote kinds, so
     that a saved fact file can always quote it and read it back.
     """
 
-    __slots__ = ("symbol",)
-    _interned: dict[str, "ConceptId"] = {}
+    __slots__ = ("symbol", "__weakref__")
+    _interned: WeakValueDictionary[str, "ConceptId"] = WeakValueDictionary()
 
     def __new__(cls, symbol: str) -> "ConceptId":
         existing = cls._interned.get(symbol)
@@ -183,12 +187,18 @@ _text = attrgetter("text")
 _Adjacency = dict[ConceptId, dict[ConceptId, Fact]]
 
 
-def _discard(index: dict, key, fact: Fact) -> None:
-    """Take ``fact`` out of the set at ``key``; drop the key once empty."""
-    bucket = index[key]
-    bucket.discard(fact)
-    if not bucket:
-        del index[key]
+def _prune(index: dict, keys: tuple, item) -> None:
+    """Take ``item`` out of the dict or set that ``keys`` lead to through
+    nested dicts, then drop every container the removal left empty."""
+    if keys:
+        inner = index[keys[0]]
+        _prune(inner, keys[1:], item)
+        if not inner:
+            del index[keys[0]]
+    elif isinstance(index, set):
+        index.remove(item)
+    else:
+        del index[item]
 
 
 class FactStore:
@@ -202,42 +212,44 @@ class FactStore:
         self.registry = registry
         self.strict = strict
         self.generation = 0
-        self._facts: set[Fact] = set()
-        self._by_partition: dict[tuple[str, DomainExpr], set[Fact]] = {}
-        self._by_relation: dict[str, set[Fact]] = {}
-        # intra-domain partitions: relation -> domain -> subject -> object ->
-        # fact, and relation -> domain -> object -> subject -> fact
+        self._count = 0
+        # intra-domain facts: relation -> domain -> subject -> object -> fact,
+        # and relation -> domain -> object -> subject -> fact
         self._successors: dict[str, dict[DomainExpr, _Adjacency]] = {}
         self._predecessors: dict[str, dict[DomainExpr, _Adjacency]] = {}
-        # cross-domain and fusion facts by (relation, first concept) and
-        # (relation, second concept)
-        self._by_first: dict[tuple[str, ConceptId], set[Fact]] = {}
-        self._by_second: dict[tuple[str, ConceptId], set[Fact]] = {}
-        # each relation's domains with a non-empty partition, sorted by text
-        self._domains: dict[str, list[DomainExpr]] = {}
+        # cross-domain and fusion facts: relation -> first concept, second
+        # concept or domain -> facts
+        self._by_first: dict[str, dict[ConceptId, set[Fact]]] = {}
+        self._by_second: dict[str, dict[ConceptId, set[Fact]]] = {}
+        self._by_partition: dict[str, dict[DomainExpr, set[Fact]]] = {}
         self._last_scanned = 0
 
     def __len__(self) -> int:
-        return len(self._facts)
+        return self._count
+
+    def __iter__(self) -> Iterator[Fact]:
+        """Every fact, in no particular order."""
+        return (fact for relation in [*self._successors, *self._by_partition] for fact in self._facts_of(relation))
 
     def __contains__(self, fact: Fact) -> bool:
-        return self._canonical(fact) in self._facts
-
-    def _spec_for(self, relation: str) -> RelationSpec:
-        spec = self.registry.get(relation)
-        if spec is None:
-            raise UnknownRelationError(f"unknown relation {relation!r}")
-        return spec
+        spec = self._check_shape(fact, "payload")
+        return self._holds(canonicalize_fact(fact, spec), spec)
 
     def _check_shape(self, item: Fact | FactPattern, what: str) -> RelationSpec:
-        spec = self._spec_for(item.relation)
+        spec = self.registry.get(item.relation)
+        if spec is None:
+            raise UnknownRelationError(f"unknown relation {item.relation!r}")
         shape = spec.shape
         if len(item.concepts) != shape.concept_count or len(item.domains) != len(shape.domain_positions):
             raise ShapeMismatchError(f"{item.relation}: {what} does not match {shape.value} shape")
         return spec
 
-    def _canonical(self, fact: Fact) -> Fact:
-        return canonicalize_fact(fact, self._check_shape(fact, "payload"))
+    def _holds(self, fact: Fact, spec: RelationSpec) -> bool:
+        """Whether the store holds the canonical ``fact``."""
+        relation, first, second = fact.relation, fact.concepts[0], fact.concepts[1]
+        if spec.shape is RelationShape.INTRA:
+            return second in self._successors.get(relation, _NO_ROWS).get(fact.domains[0], _NO_ROWS).get(first, ())
+        return fact in self._by_first.get(relation, _NO_ROWS).get(first, ())
 
     def assert_fact(self, fact: Fact) -> bool:
         """Insert; False if already present.  Bumps generation when inserted."""
@@ -247,63 +259,41 @@ class FactStore:
         """``assert_fact`` for a fact whose payload the caller has already
         matched to ``spec``'s shape (the loader, by the clause's arity)."""
         fact = canonicalize_fact(fact, spec)
-        if fact in self._facts:
+        if self._holds(fact, spec):
             return False
-        if self.strict and spec.acyclic:
-            self._reject_if_creates_cycle(fact)
-        self._facts.add(fact)
-        relation = fact.relation
-        for dom in set(fact.domains):
-            bucket = self._by_partition.get((relation, dom))
-            if bucket is None:
-                bucket = self._by_partition[(relation, dom)] = set()
-                insort(self._domains.setdefault(relation, []), dom, key=_text)
-            bucket.add(fact)
-        self._by_relation.setdefault(relation, set()).add(fact)
-        first, second = fact.concepts[0], fact.concepts[1]
+        relation, first, second = fact.relation, fact.concepts[0], fact.concepts[1]
         if spec.shape is RelationShape.INTRA:
+            if self.strict and spec.acyclic:
+                self._reject_if_creates_cycle(fact)
             domain = fact.domains[0]
             self._successors.setdefault(relation, {}).setdefault(domain, {}).setdefault(first, {})[second] = fact
             self._predecessors.setdefault(relation, {}).setdefault(domain, {}).setdefault(second, {})[first] = fact
         else:
-            self._by_first.setdefault((relation, first), set()).add(fact)
-            self._by_second.setdefault((relation, second), set()).add(fact)
+            self._by_first.setdefault(relation, {}).setdefault(first, set()).add(fact)
+            self._by_second.setdefault(relation, {}).setdefault(second, set()).add(fact)
+            partitions = self._by_partition.setdefault(relation, {})
+            for domain in fact.domains:
+                partitions.setdefault(domain, set()).add(fact)
+        self._count += 1
         self.generation += 1
         return True
 
     def retract_fact(self, fact: Fact) -> bool:
-        """Remove; False if absent.  Purges all indexes."""
+        """Remove; False if absent.  Prunes every index entry it empties."""
         spec = self._check_shape(fact, "payload")
         fact = canonicalize_fact(fact, spec)
-        if fact not in self._facts:
+        if not self._holds(fact, spec):
             return False
-        self._facts.discard(fact)
-        relation = fact.relation
-        for dom in set(fact.domains):
-            bucket = self._by_partition[(relation, dom)]
-            bucket.discard(fact)
-            if not bucket:
-                del self._by_partition[(relation, dom)]
-                domains = self._domains[relation]
-                domains.remove(dom)
-                if not domains:
-                    del self._domains[relation]
-        _discard(self._by_relation, relation, fact)
-        first, second = fact.concepts[0], fact.concepts[1]
+        relation, first, second = fact.relation, fact.concepts[0], fact.concepts[1]
         if spec.shape is RelationShape.INTRA:
-            for index, near, far in ((self._successors, first, second), (self._predecessors, second, first)):
-                partitions = index[relation]
-                adjacency = partitions[fact.domains[0]]
-                del adjacency[near][far]
-                if not adjacency[near]:
-                    del adjacency[near]
-                if not adjacency:
-                    del partitions[fact.domains[0]]
-                    if not partitions:
-                        del index[relation]
+            _prune(self._successors, (relation, fact.domains[0], first), second)
+            _prune(self._predecessors, (relation, fact.domains[0], second), first)
         else:
-            _discard(self._by_first, (relation, first), fact)
-            _discard(self._by_second, (relation, second), fact)
+            _prune(self._by_first, (relation, first), fact)
+            _prune(self._by_second, (relation, second), fact)
+            for domain in set(fact.domains):
+                _prune(self._by_partition, (relation, domain), fact)
+        self._count -= 1
         self.generation += 1
         return True
 
@@ -327,34 +317,53 @@ class FactStore:
             partitions = (self._successors if first is not None else self._predecessors).get(relation, _NO_ROWS)
             adjacencies = [partitions.get(bound_domains[0], _NO_ROWS)] if bound_domains else partitions.values()
             candidates = [fact for adjacency in adjacencies for fact in adjacency.get(concept, _NO_ROWS).values()]
-        elif bound_domains:
-            candidates = self._by_partition.get((relation, bound_domains[0]), set())
-        elif concept is not None:
-            candidates = (self._by_first if first is not None else self._by_second).get((relation, concept), set())
+        elif concept is not None and not bound_domains:
+            by_concept = self._by_first if first is not None else self._by_second
+            candidates = by_concept.get(relation, _NO_ROWS).get(concept, ())
         else:
-            candidates = self._by_relation.get(relation, set())
+            candidates = self._facts_of(relation, *bound_domains[:1])
 
         self._last_scanned = len(candidates)
         hits = [f for f in candidates if pattern.matches(f)]
         hits.sort(key=Fact.sort_key)
         return iter(hits)
 
+    def _partitions(self, relation: str) -> Mapping[DomainExpr, Collection]:
+        """The relation's partitions by domain: a successor adjacency for an
+        intra-domain relation, a set of facts otherwise."""
+        return self._successors.get(relation) or self._by_partition.get(relation, _NO_ROWS)
+
+    def _facts_of(self, relation: str, domain: DomainExpr | None = None) -> list[Fact]:
+        """The relation's facts, or its facts in ``domain``, as a new list."""
+        partitions = self._partitions(relation)
+        held = partitions.values() if domain is None else [partitions.get(domain, _NO_ROWS)]
+        if relation in self._successors:
+            return [fact for adjacency in held for row in adjacency.values() for fact in row.values()]
+        # a cross fact with two domains sits in two partitions
+        return list({fact for facts in held for fact in facts})
+
     def facts(self) -> list[Fact]:
         """All facts in deterministic (sorted) order."""
-        return sorted(self._facts, key=Fact.sort_key)
+        return sorted(self, key=Fact.sort_key)
 
     def fact_set(self) -> frozenset[Fact]:
-        return frozenset(self._facts)
+        return frozenset(self)
 
     def relation_domains(self, relation: str) -> list[DomainExpr]:
         """Domains that hold at least one fact of the relation, sorted."""
-        return list(self._domains.get(relation, ()))
+        return sorted(self._partitions(relation), key=_text)
+
+    def has_partition(self, relation: str, domain: DomainExpr) -> bool:
+        """Whether the domain holds a fact of the relation."""
+        return domain in self._partitions(relation)
 
     def partition(self, relation: str, domain: DomainExpr) -> set[Fact]:
-        return self._by_partition.get((relation, domain), set())
+        """The relation's facts in the domain, as a new set."""
+        return set(self._facts_of(relation, domain))
 
     def relation_facts(self, relation: str) -> set[Fact]:
-        return self._by_relation.get(relation, set())
+        """The relation's facts, as a new set."""
+        return set(self._facts_of(relation))
 
     def successors(self, relation: str, domain: DomainExpr) -> Mapping[ConceptId, Mapping[ConceptId, Fact]]:
         """An intra-domain relation's facts in the domain, by subject, then by
@@ -368,14 +377,12 @@ class FactStore:
 
     def stats(self) -> StoreStats:
         per_domain: dict[str, int] = {}
-        for (rel, dom), bucket in self._by_partition.items():
-            if bucket:
-                per_domain[dom.text] = per_domain.get(dom.text, 0) + len(bucket)
-        return StoreStats(
-            total_facts=len(self._facts),
-            facts_per_domain=dict(sorted(per_domain.items())),
-            last_query_scanned=self._last_scanned,
-        )
+        for relation in [*self._successors, *self._by_partition]:
+            for domain, held in self._partitions(relation).items():
+                size = sum(map(len, held.values())) if relation in self._successors else len(held)
+                per_domain[domain.text] = per_domain.get(domain.text, 0) + size
+        return StoreStats(total_facts=self._count, facts_per_domain=dict(sorted(per_domain.items())),
+                          last_query_scanned=self._last_scanned)
 
     def _reject_if_creates_cycle(self, fact: Fact) -> None:
         """Strict mode: would inserting this edge close a cycle?  Walks the

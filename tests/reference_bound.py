@@ -90,7 +90,13 @@ def closure(store: FactStore, relation: str, domain: DomainExpr, subject: Concep
         facts = _bound_facts(GlobalIndexes(store), specs, domain, obj, False)
     else:
         facts = {name: store.partition(name, domain) for name in specs}
-    return _DomainClosure(specs, domain, (relation,), facts)
+    # the kernel reads each relation's facts as subject -> object -> fact
+    successors: dict[str, dict] = {}
+    for name, group in facts.items():
+        rows = successors[name] = {}
+        for fact in group:
+            rows.setdefault(fact.concepts[0], {})[fact.concepts[1]] = fact
+    return _DomainClosure(specs, domain, (relation,), successors)
 
 
 def pairs(kernel: _DomainClosure, table: list[int], subject: ConceptId | None,

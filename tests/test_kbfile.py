@@ -7,6 +7,7 @@ from cdcgraph import (
     CdcError,
     ConceptId,
     FactStore,
+    RelationSpec,
     builtin_registry,
     export_interop,
     load_casestudy,
@@ -201,6 +202,38 @@ def test_relation_directive_bad_shape():
     store = fresh_store()
     result = load_text("@relation oops sideways.", store)
     assert not result.ok
+
+
+@pytest.mark.parametrize("text, held", [
+    # a shape change would leave an intra fact under a cross relation
+    ('@relation bar intra.\nbar(a, b, "d").\n@relation bar cross.\n', 1),
+    # a flag change would leave both orientations of a symmetric fact
+    ('@relation foo intra.\nfoo(b, a, "d").\n@relation foo intra symmetric.\nfoo(a, b, "d").\n', 2),
+], ids=["shape", "flags"])
+def test_relation_redefinition_after_its_facts_is_refused(text, held, tmp_path):
+    store = fresh_store()
+    name = text.split()[1]
+    result = load_text(text, store)
+    assert [(d.severity, d.span.line, d.message) for d in result.diagnostics] == [
+        ("error", 3, f"{name}: cannot change the declaration of a relation that holds facts")]
+    # the first declaration stays in force
+    assert store.registry.lookup(name) == RelationSpec(name)
+    assert len(store) == held
+    path = tmp_path / "kb.cdc"
+    save_file(store, path)
+    reloaded = fresh_store()
+    assert load_file(path, reloaded).ok
+    assert reloaded.fact_set() == store.fact_set()
+    assert reloaded.registry.lookup(name) == store.registry.lookup(name)
+
+
+def test_relation_redeclared_unchanged_after_its_facts():
+    store = fresh_store()
+    result = load_text('@relation foo intra symmetric.\nfoo(b, a, "d").\n@relation foo intra symmetric.\n'
+                       '@relation baz cross.\nfoo(a, b, "d").\n@relation baz intra.\n', store)
+    assert [str(d) for d in result.diagnostics] == ['<string>:5:1: warning: duplicate fact foo(a, b, "d")']
+    # a relation without facts may still change
+    assert store.registry.lookup("baz").shape.value == "intra"
 
 
 def test_save_sorted_and_deterministic(tmp_path):

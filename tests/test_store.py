@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import gc
 import pickle
 import random
 
@@ -37,6 +38,20 @@ def test_concept_interning():
     assert {apple: 1}[ConceptId("apple")] == 1
     for duplicate in (copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))):
         assert duplicate(apple) is apple
+
+
+def test_concept_intern_table_drops_unreferenced_symbols():
+    symbol = "only_here_" + str(random.random())
+    concept = ConceptId(symbol)
+    assert ConceptId._interned[symbol] is concept
+    assert pickle.loads(pickle.dumps(concept)) is concept is copy.deepcopy(concept)
+    del concept
+    gc.collect()
+    assert symbol not in ConceptId._interned
+    # a held symbol stays interned across collections
+    held = ConceptId(symbol)
+    gc.collect()
+    assert ConceptId(symbol) is held
 
 
 @pytest.mark.parametrize(

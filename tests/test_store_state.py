@@ -5,8 +5,14 @@ all three shapes and with symmetric relations written in either order, on a
 strict or a non-strict store.  A plain set of tuples models the store; it
 shares no code with the package.  After every step:
 
-- every index the store keeps equals one rebuilt from ``fact_set()`` (a
-  white-box check: it reads the store's private index attributes);
+- every index the store keeps equals one rebuilt from ``fact_set()``, holds
+  no empty entry, and is the only container the store keeps (a white-box
+  check: it reads the store's private index attributes);
+- ``in``, ``len``, ``facts``, ``partition``, ``relation_facts``,
+  ``relation_domains``, ``has_partition`` and the per-domain counts of
+  ``stats`` equal what the model gives, and the sets readers return are
+  copies;
+- a strict store that refuses a cycle leaves every index as it was;
 - bound ``is_a_star`` and ``has_attribute`` goals, subject or object bound,
   equal the answers reachability over the model's tuples gives.
 """
@@ -47,29 +53,38 @@ def model_key(fact: Fact) -> tuple:
 
 
 def rebuilt_indexes(store: FactStore) -> dict:
-    """Every index of the store, rebuilt from its facts alone."""
-    partitions: dict = {}
-    relations: dict = {}
+    """Every index of the store, rebuilt from its facts alone: an intra fact
+    in its successor and predecessor entries, a cross or fusion fact in its
+    first- and second-concept entries and its domains' partitions."""
     successors: dict = {}
     predecessors: dict = {}
     by_first: dict = {}
     by_second: dict = {}
+    by_partition: dict = {}
     for fact in store.fact_set():
-        relations.setdefault(fact.relation, set()).add(fact)
-        for domain in fact.domains:
-            partitions.setdefault((fact.relation, domain), set()).add(fact)
-        first, second = fact.concepts[0], fact.concepts[1]
-        if store.registry.lookup(fact.relation).shape is RelationShape.INTRA:
+        relation, (first, second, *_) = fact.relation, fact.concepts
+        if store.registry.lookup(relation).shape is RelationShape.INTRA:
             domain = fact.domains[0]
-            successors.setdefault(fact.relation, {}).setdefault(domain, {}).setdefault(first, {})[second] = fact
-            predecessors.setdefault(fact.relation, {}).setdefault(domain, {}).setdefault(second, {})[first] = fact
+            successors.setdefault(relation, {}).setdefault(domain, {}).setdefault(first, {})[second] = fact
+            predecessors.setdefault(relation, {}).setdefault(domain, {}).setdefault(second, {})[first] = fact
         else:
-            by_first.setdefault((fact.relation, first), set()).add(fact)
-            by_second.setdefault((fact.relation, second), set()).add(fact)
-    domains = {relation: sorted({d for r, d in partitions if r == relation}, key=lambda d: d.text)
-               for relation in relations}
-    return {"_by_partition": partitions, "_by_relation": relations, "_successors": successors,
-            "_predecessors": predecessors, "_by_first": by_first, "_by_second": by_second, "_domains": domains}
+            by_first.setdefault(relation, {}).setdefault(first, set()).add(fact)
+            by_second.setdefault(relation, {}).setdefault(second, set()).add(fact)
+            for domain in fact.domains:
+                by_partition.setdefault(relation, {}).setdefault(domain, set()).add(fact)
+    return {"_successors": successors, "_predecessors": predecessors, "_by_first": by_first,
+            "_by_second": by_second, "_by_partition": by_partition}
+
+
+def empty_entries(index, path: tuple = ()) -> list[tuple]:
+    """The key paths of the empty dicts and sets nested in ``index``."""
+    if not isinstance(index, (dict, set)):
+        return []
+    if not index:
+        return [path] if path else []
+    if isinstance(index, set):
+        return []
+    return [empty for key, inner in index.items() for empty in empty_entries(inner, path + (key,))]
 
 
 def solve(store: FactStore, goal: str, x: ConceptId | None, y: ConceptId | None, domain) -> set:
@@ -142,14 +157,60 @@ class StoreMachine(RuleBasedStateMachine):
         relation, text, start, end = data.draw(st.sampled_from(self.paths()))
         self.assert_fact(Fact.intra(relation, ConceptId(end), ConceptId(start), parse_domain(text)))
 
+    @precondition(lambda self: self.store.strict and self.paths())
+    @rule(data=st.data())
+    def reject_a_cycle(self, data) -> None:
+        """A strict store refuses the edge that closes a path and leaves no
+        index entry behind, not even an empty row."""
+        relation, text, start, end = data.draw(st.sampled_from(self.paths()))
+        before = rebuilt_indexes(self.store)
+        try:
+            self.store.assert_fact(Fact.intra(relation, ConceptId(end), ConceptId(start), parse_domain(text)))
+        except CycleError:
+            pass
+        else:
+            raise AssertionError("a strict store took an edge that closes a cycle")
+        assert empty_entries(self.store._successors) == empty_entries(self.store._predecessors) == []
+        assert {name: getattr(self.store, name) for name in before} == before
+
     @invariant()
     def indexes_equal_rebuilt_ones(self) -> None:
         assert {model_key(f) for f in self.store.fact_set()} == self.model
-        for name, index in rebuilt_indexes(self.store).items():
+        rebuilt = rebuilt_indexes(self.store)
+        # the indexes are the store's only containers of facts
+        assert {name for name, value in vars(self.store).items() if isinstance(value, dict)} == set(rebuilt)
+        for name, index in rebuilt.items():
             assert getattr(self.store, name) == index, name
-        for spec in self.store.registry:
-            assert [d.text for d in self.store.relation_domains(spec.name)] == sorted(
-                {t for rel, _, texts in self.model if rel == spec.name for t in texts})
+            assert empty_entries(getattr(self.store, name)) == [], name
+
+    @invariant()
+    def readers_equal_the_model(self) -> None:
+        store, model = self.store, self.model
+        assert len(store) == len(model)
+        assert all(Fact(rel, tuple(map(ConceptId, symbols)), tuple(map(parse_domain, texts))) in store
+                   for rel, symbols, texts in model)
+        assert [model_key(f) for f in store.facts()] == sorted(
+            model, key=lambda key: (key[0], key[2], key[1]))
+        per_domain: dict[str, int] = {}
+        for rel, _, texts in model:
+            for text in set(texts):
+                per_domain[text] = per_domain.get(text, 0) + 1
+        assert store.stats().facts_per_domain == dict(sorted(per_domain.items()))
+        for spec in store.registry:
+            held = {key for key in model if key[0] == spec.name}
+            assert {model_key(f) for f in store.relation_facts(spec.name)} == held
+            texts = sorted({t for _, _, key_texts in held for t in key_texts})
+            assert [d.text for d in store.relation_domains(spec.name)] == texts
+            for domain in DOMAINS:
+                assert {model_key(f) for f in store.partition(spec.name, domain)} == {
+                    key for key in held if domain.text in key[2]}
+                assert store.has_partition(spec.name, domain) == (domain.text in texts)
+        # copies: changing what a reader returned leaves the store as it was
+        for spec in store.registry:
+            store.relation_facts(spec.name).clear()
+            for domain in DOMAINS:
+                store.partition(spec.name, domain).clear()
+        assert len(store.fact_set()) == len(model)
 
     @invariant()
     def bound_goals_equal_the_model(self) -> None:
