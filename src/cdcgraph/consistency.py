@@ -6,11 +6,16 @@ concept under one relation are *not* errors - same-domain divergence is
 multiple inheritance, and cross-domain divergence is the whole point of
 domain scoping; the latter is recorded as a separation witness.  Lints flag
 domain proliferation: case-only variants and near-duplicate spellings.
+
+The cycle search runs twice only where a cycle exists: a depth-first pass in
+whatever order the store's adjacency holds answers whether a partition is
+acyclic, and only a cyclic one is searched again in sorted order, which picks
+the cycle that the violation and ``CycleError`` report.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass, field
 
 from .domains import DomainExpr
@@ -93,16 +98,44 @@ def find_cycle(adjacency: dict[ConceptId, list[ConceptId]]) -> list[ConceptId] |
     return None
 
 
+def _has_cycle(successors: Mapping[ConceptId, Collection[ConceptId]]) -> bool:
+    """Whether the adjacency holds a cycle through two or more nodes
+    (self-loops are skipped).  Visits nodes in the adjacency's own order."""
+    done: set[ConceptId] = set()
+    for root in successors:
+        if root in done:
+            continue
+        path = {root}
+        stack = [(root, iter(successors[root]))]
+        while stack:
+            node, rest = stack[-1]
+            for succ in rest:
+                if succ in path:
+                    if succ != node:
+                        return True
+                elif succ not in done:
+                    if succ in successors:
+                        path.add(succ)
+                        stack.append((succ, iter(successors[succ])))
+                        break
+                    done.add(succ)
+            else:
+                stack.pop()
+                path.remove(node)
+                done.add(node)
+    return False
+
+
 def _acyclicity_violations(store: FactStore, registry: RelationRegistry) -> list[Violation]:
     violations: list[Violation] = []
     for spec in registry:
         if not spec.acyclic:
             continue
         for domain in store.relation_domains(spec.name):
+            successors = store.successors(spec.name, domain)
             # self-loops violate asymmetry; report them separately and keep
             # them out of the cycle search
-            clean: dict[ConceptId, list[ConceptId]] = {}
-            for node, objects in store.successors(spec.name, domain).items():
+            for node, objects in successors.items():
                 if node in objects:
                     violations.append(Violation(
                         kind="irreflexive",
@@ -111,21 +144,20 @@ def _acyclicity_violations(store: FactStore, registry: RelationRegistry) -> list
                         description=f"{spec.name}({node}, {node}, \"{domain.text}\") relates a concept to itself",
                         facts=(objects[node],),
                     ))
-                clean[node] = [succ for succ in objects if succ != node]
-            cycle = find_cycle(clean)
-            if cycle is not None:
-                edges = []
-                for i, v in enumerate(cycle):
-                    w = cycle[(i + 1) % len(cycle)]
-                    edges.append(Fact.intra(spec.name, v, w, domain))
-                walk = " -> ".join(v.symbol for v in cycle) + f" -> {cycle[0].symbol}"
-                violations.append(Violation(
-                    kind="cycle",
-                    relation=spec.name,
-                    domain=domain.text,
-                    description=f"cycle {walk}",
-                    facts=tuple(edges),
-                ))
+            if not _has_cycle(successors):
+                continue
+            # the sorted search picks the cycle to report
+            cycle = find_cycle({node: [succ for succ in objects if succ != node]
+                                for node, objects in successors.items()})
+            edges = [Fact.intra(spec.name, v, cycle[(i + 1) % len(cycle)], domain) for i, v in enumerate(cycle)]
+            walk = " -> ".join(v.symbol for v in cycle) + f" -> {cycle[0].symbol}"
+            violations.append(Violation(
+                kind="cycle",
+                relation=spec.name,
+                domain=domain.text,
+                description=f"cycle {walk}",
+                facts=tuple(edges),
+            ))
     violations.sort(key=lambda v: (v.relation, v.domain, v.kind, v.description))
     return violations
 

@@ -9,13 +9,17 @@ produce conclusions in another):
 
 One kernel, ``_DomainClosure``, computes a domain's closure over bitsets of
 dense concept ids, applying the three rules together in semi-naive layers;
-a fact's layer is the length of its shortest derivation.  Multi-hop closure
-facts carry the relation name ``<rel>_star``; the one-hop base case of
-R_star is the edge itself, asserted or derived, so every derivation bottoms
-out in asserted leaves.  ``materialize`` turns every domain's layers into
-facts whose traces record the smallest ``(rule, premise sort keys)`` among
-their layer's rule instances, which keeps traces minimal-depth and
-deterministic.
+a fact's layer is the length of its shortest derivation.  A layer visits
+only the rows it can change, those with a carrier edge the last layer added
+or one into a row that grew, and merges only the tables that grew; in a deep
+domain most rows are idle in most layers.  Multi-hop closure facts carry the
+relation name ``<rel>_star``; the one-hop base case of R_star is the edge
+itself, asserted or derived, so every derivation bottoms out in asserted
+leaves.  ``materialize`` turns every domain's layers into facts whose traces
+record the smallest ``(rule, premise sort keys)`` among their layer's rule
+instances, which keeps traces minimal-depth and deterministic.  It builds
+each fact and its trace once, in one pass over the claims, and makes each
+label's frozenset at the end.
 
 The lazy reads give the closure's answers without traces, in the one domain
 asked for.  A read with a bound concept computes only that concept's row:
@@ -127,6 +131,11 @@ class _DomainClosure:
       y is the lowest id of an instance whose premises are all present by
       layer k, and inheritance claims a fact before symmetry does: the
       smallest ``(rule, premise sort keys)`` of the fact's instances.
+
+    A layer skips the idle rows: a join visits row x only when x has a
+    carrier edge the last layer added or one into a row that grew, the flip
+    reads only the rows that grew, and a table that gained nothing is not
+    rebuilt.  ``record`` builds each claimed fact and its trace once.
     """
 
     def __init__(self, specs: dict[str, RelationSpec], domain: DomainExpr, relations: Sequence[str],
@@ -160,16 +169,22 @@ class _DomainClosure:
                     self._flip(name, new_edges[name], grown[name], layer)
             starred = {}
             for name, star in stars.items():
-                fresh = list(map(or_, new_edges[name], new_stars[name]))
-                paths = list(map(or_, edges[name], star))
+                if any(new_edges[name]):
+                    fresh = list(map(or_, new_edges[name], new_stars[name]))
+                    paths = list(map(or_, edges[name], star))
+                else:
+                    # no new edge, so the join reads no path and only the new stars
+                    fresh = paths = new_stars[name]
                 starred[name] = self._join(RULE_TRANSITIVE, name, name, new_edges, paths, fresh, star, layer)
             if not layer:
                 return
             self.layers.append(layer)
             for name, added in grown.items():
-                edges[name] = list(map(or_, edges[name], added))
+                if any(added):
+                    edges[name] = list(map(or_, edges[name], added))
             for name, added in starred.items():
-                stars[name] = list(map(or_, stars[name], added))
+                if any(added):
+                    stars[name] = list(map(or_, stars[name], added))
             new_edges, new_stars = grown, starred
 
     def _join(self, rule: str, name: str, carrier: str, new_edges: dict[str, list[int]], full: list[int],
@@ -177,61 +192,79 @@ class _DomainClosure:
         """One layer of ``name(x, z) <- carrier(x, y), full(y, z)``, semi-naive:
         a carrier edge the last layer added meets all of ``full[y]``, an older
         one only the bits ``fresh[y]`` the last layer added.  Returns the new
-        bits per node, leaving out what ``present`` already holds."""
-        changed = sum(1 << y for y, bits in enumerate(fresh) if bits)
-        out = []
+        bits per node, leaving out what ``present`` already holds; a row with
+        neither kind of edge is skipped."""
+        changed = sum([1 << y for y, bits in enumerate(fresh) if bits])
+        out = [0] * len(present)
         for x, (row, via) in enumerate(zip(self.edges[carrier], new_edges[carrier])):
+            active = via | (row & changed)
+            if not active:
+                continue
             before = seen = present[x]
-            for y in _ids(via | (row & changed)):
-                hit = (full[y] if via >> y & 1 else fresh[y]) & ~seen
+            while active:
+                # the lowest id first
+                low = active & -active
+                active ^= low
+                y = low.bit_length() - 1
+                hit = (full[y] if via & low else fresh[y]) & ~seen
                 if hit:
                     layer.append((rule, name, x, y, hit))
                     seen |= hit
-            out.append(seen & ~before)
+            out[x] = seen & ~before
         return out
 
     def _flip(self, name: str, new: list[int], grown: list[int], layer: list[tuple]) -> None:
         """One layer of the symmetric rule: r(y, x) for each r(x, y) the last
-        layer added, unless present or inherited in this layer."""
+        layer added, unless present or inherited in this layer.  Reads only
+        the rows that grew."""
         present = self.edges[name]
         flipped = [0] * len(new)
         for x, bits in enumerate(new):
-            for y in _ids(bits):
-                flipped[y] |= 1 << x
+            if bits:
+                for y in _ids(bits):
+                    flipped[y] |= 1 << x
         for y, bits in enumerate(flipped):
-            hit = bits & ~(present[y] | grown[y])
+            hit = bits and bits & ~(present[y] | grown[y])
             if hit:
                 layer.append((RULE_SYMMETRIC, name, y, None, hit))
                 grown[y] |= hit
 
-    def record(self, derived: dict[str, set[Fact]], traces: dict[Fact, DerivationTrace]) -> None:
-        """Turn the claims into facts and traces, layer by layer; premises are
-        the closed facts and the ones built here."""
-        concepts, ids, domain = self.concepts, self.ids, self.domain
+    def record(self, derived: dict[str, list[Fact]], traces: dict[Fact, DerivationTrace]) -> None:
+        """Turn the claims into facts and traces, layer by layer, building
+        each once: it goes into ``traces`` and onto its label's list.
+        Premises are the closed facts and the ones built here."""
+        concepts, ids, domains = self.concepts, self.ids, (self.domain,)
         n = len(concepts)
         facts = {name: {ids[x] * n + ids[y]: f for x, row in rows.items() for y, f in row.items()}
                  for name, rows in self.successors.items()}
         stars: dict[str, dict[int, Fact]] = {name: {} for name in self.stars}
         for layer in self.layers:
+            # an edge built here is a premise only from the next layer on, so
+            # a star premise reads the edges as the last layer left them
             made = []
             for rule, name, x, y, bits in layer:
+                subject, edges, base = concepts[x], facts[name], x * n
+                if rule == RULE_TRANSITIVE:
+                    label, star, rest = star_label(name), stars[name], y * n
+                    # the edge premise sorts before the star premise
+                    edge, out = edges[base + y], derived.setdefault(label, [])
+                    for z in _ids(bits):
+                        fact = Fact(label, (subject, concepts[z]), domains)
+                        traces[fact] = DerivationTrace(rule, (edge, edges.get(rest + z) or star[rest + z]))
+                        out.append(fact)
+                        star[base + z] = fact
+                    continue
+                out = derived.setdefault(name, [])
+                if rule == RULE_INHERITANCE:
+                    carried, rest = facts[self.specs[name].inherits_via][base + y], y * n
                 for z in _ids(bits):
-                    if rule == RULE_TRANSITIVE:
-                        # the edge premise sorts before the star premise
-                        rest = facts[name].get(y * n + z) or stars[name][y * n + z]
-                        premises = (facts[name][x * n + y], rest)
-                        fact, table = Fact(star_label(name), (concepts[x], concepts[z]), (domain,)), stars[name]
-                    else:
-                        if rule == RULE_INHERITANCE:
-                            premises = (facts[self.specs[name].inherits_via][x * n + y], facts[name][y * n + z])
-                        else:
-                            premises = (facts[name][z * n + x],)
-                        fact, table = Fact(name, (concepts[x], concepts[z]), (domain,)), facts[name]
+                    fact = Fact(name, (subject, concepts[z]), domains)
+                    premises = (carried, edges[rest + z]) if rule == RULE_INHERITANCE else (edges[z * n + x],)
                     traces[fact] = DerivationTrace(rule, premises)
-                    derived.setdefault(fact.relation, set()).add(fact)
-                    made.append((table, x * n + z, fact))
-            for table, key, fact in made:
-                table[key] = fact
+                    out.append(fact)
+                    made.append((edges, base + z, fact))
+            for edges, key, fact in made:
+                edges[key] = fact
 
     def pairs(self, table: list[int]) -> Iterator[tuple[ConceptId, ConceptId]]:
         """(x, y) for each id y in ``table[x]``."""
@@ -373,7 +406,7 @@ def materialize(store: FactStore) -> ClosureSet:
     registry = store.registry
     ensure_acyclic(store, registry)
 
-    derived: dict[str, set[Fact]] = {}
+    derived: dict[str, list[Fact]] = {}
     traces: dict[Fact, DerivationTrace] = {}
     by_domain: dict[DomainExpr, list[str]] = {}
     for spec in registry:
@@ -384,7 +417,7 @@ def materialize(store: FactStore) -> ClosureSet:
                     # held only when it is the fact itself
                     flipped = swap_orientation(fact, spec)
                     if flipped != fact:
-                        derived.setdefault(spec.name, set()).add(flipped)
+                        derived.setdefault(spec.name, []).append(flipped)
                         traces[flipped] = DerivationTrace(RULE_SYMMETRIC, (fact,))
         elif spec.symmetric or spec.transitive or spec.inherits_via is not None:
             for domain in store.relation_domains(spec.name):

@@ -417,10 +417,7 @@ def load_text(text: str, store: FactStore, file: str = "<string>") -> LoadResult
         if item[0] == "directive":
             _, name, shape_text, flags, offset = item
             try:
-                spec = spec_with_flags(name, RelationShape(shape_text), flags)
-                if registry.get(name) not in (None, spec) and store.relation_domains(name):
-                    raise RegistryError(f"{name}: cannot change the declaration of a relation that holds facts")
-                registry.register(spec, override=name in registry)
+                registry.register(spec_with_flags(name, RelationShape(shape_text), flags), override=name in registry)
             except RegistryError as exc:
                 result.diagnostics.append(Diagnostic("error", str(exc), parser.span(offset)))
             continue

@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from typing import Iterator
+from weakref import WeakSet
 
 from .errors import RegistryError
 
@@ -80,19 +81,41 @@ class RelationSpec:
 
 
 class RelationRegistry:
-    """Mutable until frozen; read-only afterwards (KB load freezes it)."""
+    """Mutable until frozen; read-only afterwards (KB load freezes it).
+
+    Every ``FactStore`` built on a registry binds itself to it, so that no
+    override changes the declaration of a relation a store holds facts of:
+    those facts sit in the indexes of the old shape.
+    """
 
     def __init__(self):
         self._specs: dict[str, RelationSpec] = {}
         self._frozen = False
+        self._stores = WeakSet()
+
+    def bind(self, store) -> None:
+        """Refuse, from now on, to redeclare a relation ``store`` holds facts of."""
+        self._stores.add(store)
+
+    def __getstate__(self) -> dict:
+        # weak references do not pickle; a store binds itself again when restored
+        return {**self.__dict__, "_stores": None}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _stores=WeakSet())
 
     def register(self, spec: RelationSpec, override: bool = False) -> None:
         """Add a relation. ``override`` replaces an existing declaration
-        (used by KB-file directives to reconfigure built-ins at load time)."""
+        (used by KB-file directives to reconfigure built-ins at load time),
+        unless a bound store holds facts of the relation and the declaration
+        differs."""
         if self._frozen:
             raise RegistryError("registry is frozen")
+        held = self._specs.get(spec.name)
+        if override and held not in (None, spec) and any(store.relation_domains(spec.name) for store in self._stores):
+            raise RegistryError(f"{spec.name}: cannot change the declaration of a relation that holds facts")
         spec.validate()
-        if spec.name in self._specs and not override:
+        if held is not None and not override:
             raise RegistryError(f"relation {spec.name!r} is already registered")
         if spec.inherits_via is not None:
             carrier = self._specs.get(spec.inherits_via)

@@ -223,6 +223,11 @@ class FactStore:
         self._by_second: dict[str, dict[ConceptId, set[Fact]]] = {}
         self._by_partition: dict[str, dict[DomainExpr, set[Fact]]] = {}
         self._last_scanned = 0
+        registry.bind(self)
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.registry.bind(self)
 
     def __len__(self) -> int:
         return self._count

@@ -1,15 +1,18 @@
-"""The all-pairs near-duplicate lint and the full-row edit distance that
-``cdcgraph.consistency`` replaced, kept unchanged as the reference for
-``tests/test_consistency.py``.
+"""The all-pairs near-duplicate lint, the full-row edit distance and the
+always-sorted cycle search that ``cdcgraph.consistency`` replaced, kept
+unchanged as the reference for ``tests/test_consistency.py``.
 
 ``_domain_lints`` compares every pair of domain texts with
 ``edit_distance_at_most``, which fills whole rows of the Levenshtein table.
+``_acyclicity_violations`` runs the sorted ``find_cycle`` on every partition
+of an acyclic relation, cyclic or not.
 """
 
 from __future__ import annotations
 
-from cdcgraph.consistency import Lint
-from cdcgraph.store import FactStore
+from cdcgraph.consistency import Lint, Violation, find_cycle
+from cdcgraph.relations import RelationRegistry
+from cdcgraph.store import ConceptId, Fact, FactStore
 
 
 def edit_distance_at_most(a: str, b: str, bound: int) -> bool:
@@ -60,3 +63,40 @@ def _domain_lints(store: FactStore) -> list[Lint]:
                     description=f"domains are near-duplicates (edit distance <= 2): {a}, {b}",
                 ))
     return lints
+
+
+def _acyclicity_violations(store: FactStore, registry: RelationRegistry) -> list[Violation]:
+    violations: list[Violation] = []
+    for spec in registry:
+        if not spec.acyclic:
+            continue
+        for domain in store.relation_domains(spec.name):
+            # self-loops violate asymmetry; report them separately and keep
+            # them out of the cycle search
+            clean: dict[ConceptId, list[ConceptId]] = {}
+            for node, objects in store.successors(spec.name, domain).items():
+                if node in objects:
+                    violations.append(Violation(
+                        kind="irreflexive",
+                        relation=spec.name,
+                        domain=domain.text,
+                        description=f"{spec.name}({node}, {node}, \"{domain.text}\") relates a concept to itself",
+                        facts=(objects[node],),
+                    ))
+                clean[node] = [succ for succ in objects if succ != node]
+            cycle = find_cycle(clean)
+            if cycle is not None:
+                edges = []
+                for i, v in enumerate(cycle):
+                    w = cycle[(i + 1) % len(cycle)]
+                    edges.append(Fact.intra(spec.name, v, w, domain))
+                walk = " -> ".join(v.symbol for v in cycle) + f" -> {cycle[0].symbol}"
+                violations.append(Violation(
+                    kind="cycle",
+                    relation=spec.name,
+                    domain=domain.text,
+                    description=f"cycle {walk}",
+                    facts=tuple(edges),
+                ))
+    violations.sort(key=lambda v: (v.relation, v.domain, v.kind, v.description))
+    return violations

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cdcgraph import CASESTUDY_NAMES, FactStore, builtin_registry, check, load_casestudy, load_text
+from cdcgraph import CASESTUDY_NAMES, FactStore, builtin_registry, check, load_casestudy, load_text, materialize
 from cdcgraph.consistency import edit_distance_at_most
+from cdcgraph.errors import CycleError
 from cdcgraph.synthetic import generate_synthetic_store
 from conftest import apple_store, intra
 import reference_consistency
@@ -233,3 +234,51 @@ def test_lints_match_reference_on_drawn_domains(texts):
     for text in texts:
         store.assert_fact(intra("is_a", "x", "y", text))
     assert_lints_like_reference(store)
+
+
+# --- the order-free cycle pre-test against the always-sorted reference ------
+
+# Random edges over few nodes, in a few partitions of two acyclic relations,
+# plus planted cycles: one node is a self-loop, two a 2-cycle.  Insertion
+# order is the drawn order, which is the order the pre-test walks in.  With
+# ``upward`` every drawn edge runs from a lower to a higher node, so the
+# drawn part is a DAG (self-loops aside) whose diamonds the walk must not
+# take for cycles.
+drawn_edges = st.lists(
+    st.tuples(st.sampled_from(("is_a", "requires")), st.sampled_from(("d0", "d1", "d1@x")),
+              st.integers(0, 7), st.integers(0, 7)),
+    max_size=30,
+)
+planted_cycles = st.lists(
+    st.tuples(st.sampled_from(("is_a", "requires")), st.sampled_from(("d0", "d1")),
+              st.lists(st.integers(0, 11), min_size=1, max_size=9, unique=True)),
+    max_size=3,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn_edges, planted_cycles, st.booleans())
+@example([], [("is_a", "d0", [3])], False)
+@example([("is_a", "d0", 0, 1), ("is_a", "d0", 1, 2), ("is_a", "d0", 0, 3), ("is_a", "d0", 3, 1)], [], False)
+@example([("is_a", "d0", 0, 1), ("is_a", "d0", 1, 2), ("is_a", "d0", 0, 2)], [("requires", "d1", [4, 2])], False)
+@example([("requires", "d0", 5, 5), ("requires", "d0", 6, 5)], [("requires", "d0", [9, 8, 7, 6, 1, 0, 2, 3])], False)
+def test_cycle_pretest_matches_reference(edges, cycles, upward):
+    store = FactStore(builtin_registry())
+    for relation, domain, u, v in edges:
+        if upward:
+            u, v = sorted((u, v))
+        store.assert_fact(intra(relation, f"n{u}", f"n{v}", domain))
+    for relation, domain, nodes in cycles:
+        for u, v in zip(nodes, nodes[1:] + nodes[:1]):
+            store.assert_fact(intra(relation, f"n{u}", f"n{v}", domain))
+    expected = reference_consistency._acyclicity_violations(store, store.registry)
+    assert check(store).errors == expected
+    if not expected:
+        materialize(store)
+        return
+    first = expected[0]
+    with pytest.raises(CycleError) as caught:
+        materialize(store)
+    # the message is made from these three
+    assert (caught.value.relation, caught.value.domain, caught.value.vertices) == (
+        first.relation, first.domain, tuple(f.concepts[0].symbol for f in first.facts))

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from cdcgraph import (
@@ -7,6 +10,8 @@ from cdcgraph import (
     CdcError,
     ConceptId,
     FactStore,
+    RegistryError,
+    RelationShape,
     RelationSpec,
     builtin_registry,
     export_interop,
@@ -234,6 +239,43 @@ def test_relation_redeclared_unchanged_after_its_facts():
     assert [str(d) for d in result.diagnostics] == ['<string>:5:1: warning: duplicate fact foo(a, b, "d")']
     # a relation without facts may still change
     assert store.registry.lookup("baz").shape.value == "intra"
+
+
+def test_api_override_after_its_facts_is_refused(tmp_path):
+    """The registry refuses the redeclaration ``load_text`` refuses, for
+    every store bound to it, whoever asks."""
+    store = fresh_store()
+    store.registry.register(RelationSpec("bar"))
+    store.assert_fact(intra("bar", "a", "b", "d"))
+    with pytest.raises(RegistryError, match="^bar: cannot change the declaration of a relation that holds facts$"):
+        store.registry.register(RelationSpec("bar", RelationShape.CROSS), override=True)
+    # the same declaration again is allowed, and the first one stays
+    store.registry.register(RelationSpec("bar"), override=True)
+    assert store.registry.lookup("bar") == RelationSpec("bar")
+    assert store.facts()[0] in store
+    path = tmp_path / "kb.cdc"
+    save_file(store, path)
+    reloaded = fresh_store()
+    assert load_file(path, reloaded).ok
+    assert reloaded.fact_set() == store.fact_set()
+    # a second store on the registry holds the relation just the same
+    other = FactStore(store.registry)
+    with pytest.raises(RegistryError):
+        other.registry.register(RelationSpec("bar", symmetric=True), override=True)
+    # once no store holds a fact of it, the relation may change
+    store.retract_fact(store.facts()[0])
+    store.registry.register(RelationSpec("bar", RelationShape.CROSS), override=True)
+    assert store.registry.lookup("bar").shape is RelationShape.CROSS
+
+
+@pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))], ids=["deepcopy", "pickle"])
+def test_copied_store_binds_its_registry(duplicate):
+    store = fresh_store()
+    store.assert_fact(intra("cause_of", "a", "b", "d"))
+    twin = duplicate(store)
+    assert twin.fact_set() == store.fact_set() and twin.registry is not store.registry
+    with pytest.raises(RegistryError, match="holds facts"):
+        twin.registry.register(RelationSpec("cause_of", symmetric=True), override=True)
 
 
 def test_save_sorted_and_deterministic(tmp_path):
