@@ -114,10 +114,9 @@ def _plain(value: object) -> str:
 
 
 def cmd_check(args: argparse.Namespace, store: FactStore, result: LoadResult) -> int:
-    extra = tuple(
-        Lint(kind="duplicate-fact", description=str(d)) for d in result.warnings
-    )
-    report = check(store, extra_warnings=extra)
+    report = check(store)
+    # the loader's duplicate-fact warnings come first
+    warnings = [Lint(kind="duplicate-fact", description=str(d)) for d in result.warnings] + report.warnings
     for violation in report.errors:
         _emit(
             args,
@@ -130,7 +129,7 @@ def cmd_check(args: argparse.Namespace, store: FactStore, result: LoadResult) ->
             },
             f"error [{violation.relation} @ {violation.domain}]: {violation.description}",
         )
-    for lint in report.warnings:
+    for lint in warnings:
         _emit(
             args,
             {"type": "warning", "kind": lint.kind, "description": lint.description},
@@ -155,10 +154,10 @@ def cmd_check(args: argparse.Namespace, store: FactStore, result: LoadResult) ->
         {
             "type": "summary",
             "errors": len(report.errors),
-            "warnings": len(report.warnings),
+            "warnings": len(warnings),
             "witnesses": len(report.separation_witnesses),
         },
-        f"{len(report.errors)} errors, {len(report.warnings)} warnings, "
+        f"{len(report.errors)} errors, {len(warnings)} warnings, "
         f"{len(report.separation_witnesses)} separation witnesses",
     )
     return 0 if report.ok else 1
@@ -185,14 +184,14 @@ def cmd_explain(args: argparse.Namespace, store: FactStore, result: LoadResult) 
     fact = parse_fact_text(args.fact, store.registry, allow_star=True)
     closure = materialize(store)
     try:
-        explain(fact, store, closure)
+        record = _trace_record(fact, store, closure)
     except NotDerivableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.format == "json-lines":
-        print(json.dumps(_trace_record(fact, store, closure), sort_keys=True))
+        print(json.dumps(record, sort_keys=True))
     else:
-        for line in _render_trace_lines(fact, store, closure, 0):
+        for line in _render_trace_lines(record, 0):
             print(line)
     return 0
 
@@ -207,11 +206,10 @@ def _trace_record(fact: Fact, store: FactStore, closure: ClosureSet) -> dict:
     }
 
 
-def _render_trace_lines(fact: Fact, store: FactStore, closure: ClosureSet, depth: int) -> list[str]:
-    trace = explain(fact, store, closure)
-    lines = [f"{'  ' * depth}{render_clause(fact).rstrip('.')}   [{trace.rule}]"]
-    for premise in trace.premises:
-        lines.extend(_render_trace_lines(premise, store, closure, depth + 1))
+def _render_trace_lines(record: dict, depth: int) -> list[str]:
+    lines = [f"{'  ' * depth}{record['fact']}   [{record['rule']}]"]
+    for premise in record["premises"]:
+        lines.extend(_render_trace_lines(premise, depth + 1))
     return lines
 
 

@@ -287,11 +287,11 @@ def _domain_lints(store: FactStore) -> list[Lint]:
     return lints
 
 
-def check(store: FactStore, extra_warnings: tuple[Lint, ...] = ()) -> ConsistencyReport:
+def check(store: FactStore) -> ConsistencyReport:
     """Validate a store.  Pure: never mutates; repeated calls agree."""
     registry = store.registry
     report = ConsistencyReport()
     report.errors = _acyclicity_violations(store, registry)
     report.separation_witnesses = _separation_witnesses(store, registry)
-    report.warnings = list(extra_warnings) + _domain_lints(store)
+    report.warnings = _domain_lints(store)
     return report

@@ -42,23 +42,13 @@ from .consistency import ensure_acyclic, find_cycle
 from .domains import DomainExpr
 from .errors import CycleError, NotDerivableError, RegistryError
 # star_label and base_of_star are re-exported for callers that import them from here
-from .relations import RelationRegistry, RelationShape, RelationSpec, base_of_star, star_label
+from .relations import RelationRegistry, RelationShape, RelationSpec, base_of_star, star_label, star_relation
 from .store import _NO_ROWS, ConceptId, Fact, FactPattern, FactStore, swap_orientation
 
 RULE_ASSERTED = "asserted"
 RULE_SYMMETRIC = "symmetric"
 RULE_TRANSITIVE = "transitive"
 RULE_INHERITANCE = "inheritance"
-
-
-def star_relation(registry: RelationRegistry, label: str) -> RelationSpec | None:
-    """The transitive relation whose closure ``label`` names (``<rel>_star``),
-    or None.  The registry refuses to register such a name as a relation."""
-    base = base_of_star(label)
-    if base is None:
-        return None
-    spec = registry.get(base)
-    return spec if spec is not None and spec.transitive else None
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,12 @@ without diagnostics, so re-parsing an export recovers exactly the facts.
 Loading is resilient: every problem becomes a diagnostic with a source span
 and the loader moves on to the next clause.
 
-Most clauses are well-formed one-line facts.  The reader takes each of those
-whole, with one pattern, and builds its fact from the match.  Everything
-else (directives, comments inside a clause, clauses over several lines,
-rule clauses, and every clause with a problem) goes to the token parser, so
-the diagnostics are the same as if every clause went there.
+Most clauses are one-line facts.  The reader tokenizes each of those whole,
+with one pattern; everything else (directives, comments inside a clause,
+clauses over several lines, rule clauses and malformed ones) goes to the
+token parser.  Both give the same clause terms, and one builder checks the
+relation, arity, concepts and domains and makes the fact, so a clause reads
+the same, diagnostics included, whichever way it was tokenized.
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .domains import _ATOM_CHAR, _ATOM_FIRST, DomainExpr, parse_domain
+from .domains import _ATOM_CHAR, _ATOM_FIRST, parse_domain
 from .errors import CdcError, CycleError, DomainSyntaxError, RegistryError
-from .inference import star_relation
-from .relations import RelationRegistry, RelationShape, RelationSpec, builtin_specs, spec_with_flags, star_label
+from .relations import RelationRegistry, RelationShape, RelationSpec, builtin_specs, spec_with_flags
+from .relations import star_label, star_relation
 from .store import ConceptId, Fact, FactStore
 
 CASESTUDY_NAMES = ("cbt", "education", "enterprise", "techdocs")
@@ -144,9 +145,11 @@ def _lex(text: str, pos: int = 0) -> Iterator[tuple[str, str, int]]:
     yield "EOF", "", len(text)
 
 
-# A whole one-line fact clause: a head atom, three or four bare or quoted
-# terms, and the closing dot, with only blanks between tokens.  Quoted terms
-# keep their quotes.  The parser takes ``_SKIP_RE`` before it.
+# A whole one-line clause: a head atom, three or four bare or quoted terms,
+# and the closing dot, with only blanks between tokens.  Group 1 is the head
+# and groups 2 to 5 the terms; nothing else captures.  Quoted terms keep
+# their quotes.  It only tokenizes: the fact builder judges the clause.  The
+# parser takes ``_SKIP_RE`` before it.
 _SKIP_RE = re.compile(f"(?:{_SKIP})?")
 _TERM = r"""({atom}|'[^'\n\r]*'|"[^"\n\r]*")""".format(atom=_ATOM_TOKEN)
 _CLAUSE_RE = re.compile(
@@ -160,15 +163,16 @@ _CLAUSE_RE = re.compile(
 # ---------------------------------------------------------------------------
 
 _TERM_KINDS = ("ATOM", "SQUOTED", "DQUOTED")
+_QUOTE_KINDS = {"'": "SQUOTED", '"': "DQUOTED"}
 _NEWLINE_RE = re.compile("\n")
 
 
 class _Parser:
     """Reads clauses, lexing on demand.  At each clause start it tries
-    ``_CLAUSE_RE`` first; a clause the pattern cannot take whole, or whose
-    relation, arity, concepts or domains do not fit, is read from tokens.
-    Items and terms carry offsets; a SourceSpan is built only for a clause
-    head or a diagnostic."""
+    ``_CLAUSE_RE`` first and reads a clause the pattern cannot take whole
+    from tokens; both ways give the same ("clause", ...) item, and
+    ``build_fact`` makes every fact from one.  Items and terms carry
+    offsets; a SourceSpan is built only for a clause head or a diagnostic."""
 
     def __init__(self, text: str, file: str, diagnostics: list[Diagnostic], registry: RelationRegistry):
         self.text = text
@@ -213,8 +217,8 @@ class _Parser:
 
     def items(self):
         """Yield ("directive", name, shape, flags, offset), ("dynamic", name,
-        arity, offset), ("fact", spec, fact, offset) for a clause the
-        pattern took whole, and ("clause", name, terms, offset) tuples."""
+        arity, offset) and ("clause", name, terms, offset) tuples; a term is
+        (kind, text, offset) as the lexer gives it."""
         while True:
             # at a clause start: where the last whole clause ended, or
             # after the '.' the token path took last
@@ -247,30 +251,20 @@ class _Parser:
             self.skip_to_dot()
 
     def whole_clause(self):
-        """The next clause as a ("fact", ...) item if ``_CLAUSE_RE`` takes it
-        whole and it makes a well-formed fact; else None."""
+        """The next clause as a ("clause", ...) item, the one ``parse_clause``
+        would make, if ``_CLAUSE_RE`` takes it whole; else None."""
         pos = self.pos if self.tokens is None else self.previous[2] + 1
         match = _CLAUSE_RE.match(self.text, _SKIP_RE.match(self.text, pos).end())
         if match is None:
             return None
-        name, *terms = match.groups()
-        if terms[-1] is None:  # a three-term clause
-            terms.pop()
-        spec = self.registry.get(name)
-        if spec is None or len(terms) != spec.shape.arity:
-            return None
-        texts = [term[1:-1] if term[0] in "'\"" else term for term in terms]
-        count = spec.shape.concept_count  # the domains follow the concepts
-        if not all(texts[:count]):
-            return None
-        try:
-            domains = tuple(map(parse_domain, texts[count:]))
-        except DomainSyntaxError:
-            return None
         self.pos = match.end()
         self.tokens = None
-        fact = Fact(name, tuple(map(ConceptId, texts[:count])), domains)
-        return ("fact", spec, fact, match.start(1))
+        terms = []
+        for group in range(2, match.lastindex + 1):  # group 1 is the head
+            term = match.group(group)
+            kind = _QUOTE_KINDS.get(term[0], "ATOM")
+            terms.append((kind, term if kind == "ATOM" else term[1:-1], match.start(group)))
+        return ("clause", match.group(1), terms, match.start(1))
 
     def parse_prolog_directive(self):
         neck = self.take()
@@ -367,40 +361,39 @@ class _Parser:
             return None
         return ("clause", head, terms, head_offset)
 
-    def assemble_fact(
-        self, name: str, terms: list[tuple[str, str, int]], domain_positions: tuple[int, ...]
+    def build_fact(
+        self, name: str, terms: list[tuple[str, str, int]], offset: int, shape: RelationShape | None = None
     ) -> Fact | None:
-        concepts: list[ConceptId] = []
-        domains: list[DomainExpr] = []
-        for index, (kind, text, offset) in enumerate(terms):
-            if index in domain_positions:
-                try:
-                    domains.append(parse_domain(text))
-                except DomainSyntaxError as exc:
-                    quote = 1 if kind in ("SQUOTED", "DQUOTED") else 0
-                    self.error(f"bad domain: {exc.message}", offset + quote + exc.offset)
-                    return None
-            else:
-                if not text:
-                    self.error("empty concept symbol", offset)
-                    return None
-                concepts.append(ConceptId(text))
+        """The fact a ("clause", name, terms, offset) item states, or None once
+        a diagnostic says why not.  ``shape`` reads a head the registry does
+        not name, a ``<rel>_star``, as that shape."""
+        star = shape is not None
+        if not star:
+            spec = self.registry.get(name)
+            if spec is None:
+                self.error(f"unknown relation {name!r}", offset)
+                return None
+            shape = spec.shape
+        if len(terms) != shape.arity:
+            what = "" if star else f" is a {shape.value} relation and"
+            self.error(f"{name}{what} takes {shape.arity} arguments, got {len(terms)}", offset)
+            return None
+        count = shape.concept_count  # the domains follow the concepts
+        concepts = []
+        for _, text, term_offset in terms[:count]:
+            if not text:
+                self.error("empty concept symbol", term_offset)
+                return None
+            concepts.append(ConceptId(text))
+        domains = []
+        for kind, text, term_offset in terms[count:]:
+            try:
+                domains.append(parse_domain(text))
+            except DomainSyntaxError as exc:
+                quote = 0 if kind == "ATOM" else 1
+                self.error(f"bad domain: {exc.message}", term_offset + quote + exc.offset)
+                return None
         return Fact(name, tuple(concepts), tuple(domains))
-
-    def terms_to_fact(self, name: str, terms: list[tuple[str, str, int]], span: SourceSpan, registry) -> Fact | None:
-        spec = registry.get(name)
-        if spec is None:
-            self.diagnostics.append(Diagnostic("error", f"unknown relation {name!r}", span))
-            return None
-        arity = spec.shape.arity
-        if len(terms) != arity:
-            self.diagnostics.append(Diagnostic(
-                "error",
-                f"{name} is a {spec.shape.value} relation and takes {arity} arguments, got {len(terms)}",
-                span,
-            ))
-            return None
-        return self.assemble_fact(name, terms, spec.shape.domain_positions)
 
 
 # ---------------------------------------------------------------------------
@@ -441,18 +434,14 @@ def load_text(text: str, store: FactStore, file: str = "<string>") -> LoadResult
             except RegistryError as exc:
                 result.diagnostics.append(Diagnostic("warning", str(exc), parser.span(offset)))
             continue
-        span = parser.span(item[-1])
-        if item[0] == "fact":
-            _, spec, fact, _ = item
-        else:
-            _, name, terms, _ = item
-            fact = parser.terms_to_fact(name, terms, span, registry)
-            if fact is None:
-                continue
-            spec = registry.lookup(name)
+        _, name, terms, offset = item
+        fact = parser.build_fact(name, terms, offset)
+        if fact is None:
+            continue
+        span = parser.span(offset)
         try:
-            # either path built the payload from the relation's shape
-            inserted = store._insert(fact, spec)
+            # the builder made the payload from the relation's shape
+            inserted = store._insert(fact, registry.lookup(name))
         except CycleError as exc:  # strict mode assert-time rejection
             result.diagnostics.append(Diagnostic("error", str(exc), span))
             continue
@@ -495,24 +484,15 @@ def parse_fact_text(text: str, registry, allow_star: bool = False) -> Fact:
     diagnostics: list[Diagnostic] = []
     parser = _Parser(source, "<fact>", diagnostics, registry)
     items = list(parser.items())
-    if diagnostics:
-        raise CdcError(diagnostics[0].message)
-    if len(items) != 1 or items[0][0] not in ("fact", "clause"):
-        raise CdcError("expected exactly one fact clause")
-    if items[0][0] == "fact":
-        return items[0][2]
-    _, name, terms, offset = items[0]
-    if allow_star and star_relation(registry, name) is not None:
-        if len(terms) != 3:
-            raise CdcError(f"{name} takes 3 arguments, got {len(terms)}")
-        fact = parser.assemble_fact(name, terms, (2,))
-        if fact is None:
-            raise CdcError(diagnostics[0].message)
-        return fact
-    fact = parser.terms_to_fact(name, terms, parser.span(offset), registry)
-    if fact is None:
-        raise CdcError(diagnostics[0].message if diagnostics else "malformed fact")
-    return fact
+    if not diagnostics:
+        if len(items) != 1 or items[0][0] != "clause":
+            raise CdcError("expected exactly one fact clause")
+        _, name, terms, offset = items[0]
+        star = allow_star and star_relation(registry, name) is not None
+        fact = parser.build_fact(name, terms, offset, RelationShape.INTRA if star else None)
+        if fact is not None:
+            return fact
+    raise CdcError(diagnostics[0].message)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 
 from .domains import _ATOM_RE, DomainExpr, is_prefix_of, parse_domain
 from .errors import DomainSyntaxError, QuerySyntaxError, StaleClosureError
-from .inference import ClosureSet, derived_facts_for, star_pairs, star_relation
-from .relations import RelationShape, RelationSpec
+from .inference import ClosureSet, derived_facts_for, star_pairs
+from .relations import RelationShape, RelationSpec, star_relation
 from .store import ConceptId, Fact, FactPattern, FactStore, swap_orientation
 
 EXACT = "exact"
@@ -163,8 +163,6 @@ def parse_query(text: str, registry) -> Query:
         i = _skip_ws(raw, i + 1)
     if i < len(raw):
         raise QuerySyntaxError(f"trailing input {raw[i]!r}", i)
-    if not terms:
-        raise QuerySyntaxError("query needs at least one argument", 0)
 
     star, spec = _resolve_goal(goal, registry)
     # a star goal is intra-shaped, whatever its relation
@@ -183,8 +181,14 @@ def parse_query(text: str, registry) -> Query:
             except DomainSyntaxError as exc:
                 # the literal's text starts after its opening quote
                 raise QuerySyntaxError(f"bad domain: {exc.message}", offset + 1 + exc.offset) from None
+        elif not term_text:
+            raise QuerySyntaxError("empty concept symbol", offset)
         else:
-            args.append(ConceptConst(ConceptId(term_text)))
+            try:
+                concept = ConceptId(term_text)
+            except ValueError as exc:  # a quoted concept holding a line break
+                raise QuerySyntaxError(str(exc), offset) from None
+            args.append(ConceptConst(concept))
     return Query(goal=goal, args=tuple(args))
 
 

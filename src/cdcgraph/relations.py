@@ -36,6 +36,17 @@ def base_of_star(label: str) -> str | None:
     return None
 
 
+def star_relation(registry: RelationRegistry, label: str) -> RelationSpec | None:
+    """The transitive relation whose closure ``label`` names (``<rel>_star``),
+    or None.  ``RelationRegistry.register`` refuses to register such a name
+    as a relation."""
+    base = base_of_star(label)
+    if base is None:
+        return None
+    spec = registry.get(base)
+    return spec if spec is not None and spec.transitive else None
+
+
 class RelationShape(enum.Enum):
     INTRA = "intra"
     CROSS = "cross"

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from cdcgraph import ConceptId, Fact, FactStore, RelationSpec, builtin_registry, parse_domain
 
 
-# Text biased toward what the readers treat specially: quotes, punctuation,
-# comment, directive and variable starts, line breaks, atom characters, a
-# relation name and one non-ASCII character.
-GRAMMAR_PIECES = (*"'\"().,=%:-@/?+", "@relation", " ", "\n", "\r", "\t", *"aZ9_", "is_a", "\u00e9")
+# Text biased toward what the readers treat specially: quotes, empty quotes,
+# punctuation, comment, directive and variable starts, line breaks, atom
+# characters, a relation name and one non-ASCII character.
+GRAMMAR_PIECES = (*"'\"().,=%:-@/?+", '""', "@relation", " ", "\n", "\r", "\t", *"aZ9_", "is_a", "\u00e9")
 
 
 def grammar_text(max_size: int = 40):

@@ -48,6 +48,15 @@ def test_query_malformed_exit_2_with_caret(capsys):
     assert "^" in err
 
 
+def test_query_bad_quoted_concept_exit_2_with_caret(capsys):
+    status = main(["query", "--case", "education", 'is_a("", ?Y, "d")'])
+    assert status == 2
+    assert capsys.readouterr().err == 'error: empty concept symbol at offset 5\n  is_a("", ?Y, "d")\n       ^\n'
+    status = main(["query", "--case", "education", 'is_a(a, "x\ny", ?D)'])
+    assert status == 2
+    assert capsys.readouterr().err.startswith("error: concept symbol 'x\\ny' holds a line break at offset 8\n")
+
+
 def test_query_requires_kb(capsys, monkeypatch):
     monkeypatch.delenv("CDC_KB_PATH", raising=False)
     status = main(["query", 'is_a(?X, ?Y, "d")'])
@@ -93,6 +102,25 @@ def test_check_json_lines(apple_path, capsys):
     assert "witness" in kinds and "summary" in kinds
     summary = records[-1]
     assert summary == {"type": "summary", "errors": 0, "warnings": 0, "witnesses": 1}
+
+
+def test_check_lists_duplicate_facts_first(tmp_path, capsys):
+    """The loader's duplicate-fact warnings come ahead of check's own lints,
+    and the summary counts both."""
+    path = tmp_path / "dup.cdc"
+    path.write_text('is_a(a, b, "d").\nis_a(a, b, "d").\nis_a(a, b, "D").\n')
+    duplicate = f'{path}:2:1: warning: duplicate fact is_a(a, b, "d")'
+    assert main(["check", "--kb", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"warning [duplicate-fact]: {duplicate}",
+        "warning [case-variant-domains]: domains differ only by case: D, d",
+        "0 errors, 2 warnings, 0 separation witnesses",
+    ]
+    assert main(["check", "--kb", str(path), "--format", "json-lines"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r.get("kind") for r in records] == ["duplicate-fact", "case-variant-domains", None]
+    assert records[0]["description"] == duplicate
+    assert records[-1] == {"type": "summary", "errors": 0, "warnings": 2, "witnesses": 0}
 
 
 def test_load_reports_counts(apple_path, capsys):
@@ -264,6 +292,19 @@ def test_repl_recovers_from_bad_input(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "error" in out
     assert "asserted 1 fact(s)" in out
+
+
+def test_repl_survives_a_bad_quoted_concept(monkeypatch, capsys):
+    lines = io.StringIO(
+        '?- is_a("", ?Y, "d")\n'
+        'is_a(a, b, "d").\n'
+        '?- is_a(a, ?Y, "d")\n'
+        "quit\n"
+    )
+    monkeypatch.setattr("sys.stdin", lines)
+    assert main(["repl"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["error: empty concept symbol at offset 8", "asserted 1 fact(s)", "?Y = b"]
 
 
 def test_case_and_kb_sources_merge(tmp_path, capsys):

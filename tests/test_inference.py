@@ -57,6 +57,25 @@ def test_domains_never_mix(store):
     assert closure.size() == 0  # the chain spans two domains: no closure fact
 
 
+def test_facts_for_sorts_one_label(store):
+    """A label's derived facts, sorted by ``Fact.sort_key`` (relation, domain
+    texts, concept symbols), optionally in one domain; none for a label or
+    domain the closure does not hold."""
+    for subject, obj, domain in (("z", "y", "d"), ("y", "x", "d"), ("q", "r", "e"), ("p", "q", "e"),
+                                 ("a", "b", "d"), ("b", "c", "d")):
+        store.assert_fact(intra("is_a", subject, obj, domain))
+    store.assert_fact(intra("has_attribute", "b", "red", "d"))
+    closure = materialize(store)
+    d_facts = [intra("is_a_star", "a", "c", "d"), intra("is_a_star", "z", "x", "d")]
+    assert closure.facts_for("is_a_star") == [*d_facts, intra("is_a_star", "p", "r", "e")]
+    assert closure.facts_for("is_a_star", parse_domain("d")) == d_facts
+    assert closure.facts_for("is_a_star", parse_domain("e")) == [intra("is_a_star", "p", "r", "e")]
+    assert closure.facts_for("is_a_star", parse_domain("f")) == []
+    assert closure.facts_for("has_attribute") == [intra("has_attribute", "a", "red", "d")]
+    assert closure.facts_for("requires_star") == []
+    assert closure.facts_for("no_such_label", parse_domain("d")) == []
+
+
 def test_closure_domain_confinement_random():
     rng = random.Random(5)
     for _ in range(20):

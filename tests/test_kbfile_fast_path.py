@@ -1,7 +1,8 @@
 """The loader's whole-clause fast path against the token parser it falls
 back to.  Forcing the fallback (a ``_CLAUSE_RE`` that never matches) reads
-every clause from tokens; both ways must give equal ``LoadResult``s (facts,
-spans, diagnostics), equal stores and the same ``generation``, on strict and
+every clause from tokens; both ways must give the same parser items (terms
+with their kinds and offsets), equal ``LoadResult``s (facts, spans,
+diagnostics), equal stores and the same ``generation``, on strict and
 non-strict stores, and ``parse_fact_text`` must agree line by line."""
 
 from __future__ import annotations
@@ -36,9 +37,15 @@ def _parse(line: str, allow_star: bool):
         return ("error", str(exc))
 
 
+def _items(text: str):
+    diagnostics = []
+    return list(kbfile._Parser(text, "f.cdc", diagnostics, builtin_registry()).items()), diagnostics
+
+
 def _outcomes(text: str):
     lines = text.splitlines()[:50]
     return (
+        _items(text),
         [_load(text, strict) for strict in (False, True)],
         [_parse(line, allow_star) for line in lines for allow_star in (False, True)],
     )

@@ -81,6 +81,23 @@ def test_parse_syntax_error_offsets(registry):
     assert err.value.offset == 11
 
 
+def test_parse_trailing_input(registry):
+    with pytest.raises(QuerySyntaxError, match="trailing input 'x'") as err:
+        parse_query('is_a(a, ?Y, "d"). x', registry)
+    assert err.value.offset == 18
+
+
+def test_parse_bad_quoted_concept(registry):
+    """A quoted concept that cannot be a concept symbol is a syntax error at
+    the term, not a ValueError from ConceptId."""
+    with pytest.raises(QuerySyntaxError) as err:
+        parse_query('is_a("", ?Y, "d")', registry)
+    assert str(err.value) == "empty concept symbol at offset 5"
+    with pytest.raises(QuerySyntaxError, match="holds a line break") as err:
+        parse_query('is_a(a, "x\ny", "d")', registry)
+    assert err.value.offset == 8
+
+
 def test_parse_tolerates_prolog_dress(registry):
     query = parse_query('?- is_a_star(quadratic_function, ?S, "math@algebra").', registry)
     assert query.goal == "is_a_star"

@@ -53,6 +53,7 @@ class _ReferenceReader(kbfile._Parser):
     def __init__(self, text: str, file: str, diagnostics: list, registry=None):
         self.text = text
         self.file = file
+        self.registry = registry
         self.diagnostics = diagnostics
         self.line_starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
         self.reference = reference_lexer._Parser(reference_lexer._lex(text, file), file, diagnostics)
