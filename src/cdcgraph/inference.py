@@ -556,17 +556,36 @@ def analogy_search(
 
 def explain(fact: Fact, store: FactStore, closure: ClosureSet | None = None) -> DerivationTrace:
     """Leaf trace for asserted facts; recorded minimal-depth derivation for
-    derived ones.  A star-named fact whose pair is an edge is that edge, the
-    one-hop base case: a leaf if asserted, the edge's trace if derived."""
-    if fact.relation in store.registry and fact in store:
-        return LEAF
-    spec = star_relation(store.registry, fact.relation)
-    if spec is not None and len(fact.concepts) == 2 and len(fact.domains) == 1:
-        edge = Fact(spec.name, fact.concepts, fact.domains)
-        if edge in store:
+    derived ones.  The tests, in order:
+
+    1. a fact of a registered relation that the store holds, in either
+       orientation if the relation is symmetric, is a leaf;
+    2. a ``<rel>_star`` fact over a transitive ``rel`` whose pair is an
+       edge is that edge, the one-hop base case: a leaf if asserted, the
+       edge's trace if derived;
+    3. any other fact has the closure's trace for it, if there is one.
+
+    ``materialize`` derives a relation's own facts only by symmetry or
+    inheritance, so the edge of step 2 is read straight off the successor
+    index unless ``rel`` is symmetric, whose edge must be canonicalized, or
+    inheriting, whose edge may be derived.
+    """
+    registry = store.registry
+    if fact.relation in registry:
+        if fact in store:
             return LEAF
-        if closure is not None and edge in closure.traces:
-            return closure.traces[edge]
+    else:
+        spec = star_relation(registry, fact.relation)
+        if spec is not None and len(fact.concepts) == 2 and len(fact.domains) == 1:
+            if not spec.symmetric and spec.inherits_via is None:
+                if fact.concepts[1] in store.successors(spec.name, fact.domains[0]).get(fact.concepts[0], _NO_ROWS):
+                    return LEAF
+            else:
+                edge = Fact(spec.name, fact.concepts, fact.domains)
+                if edge in store:
+                    return LEAF
+                if closure is not None and edge in closure.traces:
+                    return closure.traces[edge]
     if closure is not None:
         trace = closure.traces.get(fact)
         if trace is not None:

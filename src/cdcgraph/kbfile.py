@@ -479,6 +479,8 @@ def parse_fact_text(text: str, registry, allow_star: bool = False) -> Fact:
     accepted as an intra-shaped derived fact, for explain-style lookups.
     """
     source = text.strip()
+    if not source:
+        raise CdcError("expected exactly one fact clause")
     if not source.endswith("."):
         source += "."
     diagnostics: list[Diagnostic] = []

@@ -1,0 +1,39 @@
+"""``cdcgraph.inference.explain`` as it was before it read a plain
+transitive relation's edge straight from the successor index, kept unchanged
+as the differential reference for it (``test_inference.py``).
+
+Its membership test is the store's old ``__contains__``, spelled out here:
+the shape check, ``canonicalize_fact`` on every fact, then the index read.
+"""
+
+from __future__ import annotations
+
+from cdcgraph.errors import NotDerivableError
+from cdcgraph.inference import LEAF, ClosureSet, DerivationTrace
+from cdcgraph.relations import star_relation
+from cdcgraph.store import Fact, FactStore, canonicalize_fact
+
+
+def _contains(store: FactStore, fact: Fact) -> bool:
+    spec = store._check_shape(fact, "payload")
+    return store._holds(canonicalize_fact(fact, spec), spec)
+
+
+def explain(fact: Fact, store: FactStore, closure: ClosureSet | None = None) -> DerivationTrace:
+    """Leaf trace for asserted facts; recorded minimal-depth derivation for
+    derived ones.  A star-named fact whose pair is an edge is that edge, the
+    one-hop base case: a leaf if asserted, the edge's trace if derived."""
+    if fact.relation in store.registry and _contains(store, fact):
+        return LEAF
+    spec = star_relation(store.registry, fact.relation)
+    if spec is not None and len(fact.concepts) == 2 and len(fact.domains) == 1:
+        edge = Fact(spec.name, fact.concepts, fact.domains)
+        if _contains(store, edge):
+            return LEAF
+        if closure is not None and edge in closure.traces:
+            return closure.traces[edge]
+    if closure is not None:
+        trace = closure.traces.get(fact)
+        if trace is not None:
+            return trace
+    raise NotDerivableError(f"{fact!r} is neither asserted nor derivable")

@@ -33,6 +33,7 @@ INPUTS = {
 
 EDU = ["--case", "education"]
 CBT = ["--case", "cbt"]
+ENT = ["--case", "enterprise"]
 CUSTOM = ["--kb", "{tmp}/custom.cdc"]
 CYCLE = ["--kb", "{tmp}/cycle.cdc"]
 BAD = ["--kb", "{tmp}/bad.cdc"]
@@ -71,6 +72,13 @@ FORMATTED = {
     "explain-cycle": ["explain", *CYCLE, 'requires(a, b, "d")'],
     "explain-not-derivable": ["explain", *EDU, 'is_a(pig, bird, "math@algebra")'],
     "explain-malformed": ["explain", *EDU, "is_a(a b"],
+    "explain-empty": ["explain", *EDU, ""],
+    "explain-star-asserted-edge": ["explain", *EDU,
+                                   'is_a_star(quadratic_function, polynomial_function, "math@algebra")'],
+    "explain-symmetric-stored": [
+        "explain", *ENT, 'conflicts_with(battery_efficiency, real_time_sync, "product+engineering@mobile")'],
+    "explain-symmetric-as-written": [
+        "explain", *ENT, 'conflicts_with(real_time_sync, battery_efficiency, "product+engineering@mobile")'],
     "prereqs-education": ["prereqs", *EDU, "calculus", "highschool"],
     "prereqs-none": ["prereqs", *EDU, "arithmetic", "highschool"],
     "prereqs-cycle": ["prereqs", *CYCLE, "a", "d"],

@@ -15,13 +15,14 @@ from cdcgraph import (
     builtin_registry,
     explain,
     inherited_attributes,
+    load_text,
     materialize,
     parse_domain,
     reachable_star,
     star_pairs,
     trace_depth,
 )
-from cdcgraph.inference import RULE_INHERITANCE, RULE_SYMMETRIC, RULE_TRANSITIVE, star_label
+from cdcgraph.inference import LEAF, RULE_INHERITANCE, RULE_SYMMETRIC, RULE_TRANSITIVE, star_label
 from conftest import cross, intra, random_dag_store
 from oracles import all_topological_orders, brute_force_inherited, floyd_warshall_pairs, reachable_from
 
@@ -413,6 +414,112 @@ def test_explain_star_of_non_transitive_relation_not_derivable(store):
         explain(intra("cause_of_star", "a", "b", "d"), store, closure)
     with pytest.raises(NotDerivableError):
         explain(intra("cause_of_star", "a", "b", "d"), store)
+
+
+def test_explain_star_over_symmetric_edge_reads_the_stored_orientation():
+    """``sim_star(b, a)``'s edge ``sim(b, a)`` is held as ``sim(a, b)``, so
+    reading the successor index without canonicalizing would miss it and
+    return the symmetric trace instead of a leaf."""
+    store = FactStore(builtin_registry())
+    assert load_text('@relation sim intra transitive symmetric.\nsim(a, b, "d").\n', store).ok
+    closure = materialize(store)
+    assert explain(intra("sim_star", "b", "a", "d"), store, closure) == LEAF
+    assert explain(intra("sim_star", "a", "b", "d"), store, closure) == LEAF
+    loop = explain(intra("sim_star", "a", "a", "d"), store, closure)
+    assert loop.rule == RULE_TRANSITIVE
+    assert loop.premises == (intra("sim", "a", "b", "d"), intra("sim", "b", "a", "d"))
+
+
+_EXPLAIN_CONCEPTS = ("a", "b", "c", "e")
+_EXPLAIN_DOMAINS = ("d", "d@x")
+# custom relations a drawn registry may add to the built-ins
+_EXPLAIN_CUSTOM = {
+    "tsym": "@relation tsym intra transitive symmetric.",
+    "tinh": "@relation tinh intra transitive inherits_via=is_a.",
+    "sinh": "@relation sinh intra symmetric inherits_via=is_a.",
+}
+
+
+def _outcome(explain_fn, fact, store, closure):
+    try:
+        return explain_fn(fact, store, closure)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+def _explain_probes(store: FactStore, closure) -> list[Fact]:
+    """Every stored fact in both orientations, every derived fact, every
+    ``<rel>_star`` pair over the concepts, non-facts and wrong shapes."""
+    concepts = [cid(c) for c in _EXPLAIN_CONCEPTS]
+    domains = [parse_domain(d) for d in _EXPLAIN_DOMAINS]
+    probes = []
+    for fact in store:
+        a, b, *rest = fact.concepts
+        probes += [fact, Fact(fact.relation, (b, a, *rest), fact.domains[::-1])]
+    for current in (closure, materialize(store)):
+        if current is not None:
+            probes += [fact for facts in current.derived.values() for fact in facts]
+    transitive = [name for name in ("is_a", "requires", "tsym", "tinh") if name in store.registry]
+    probes += [Fact.intra(star_label(name), x, y, d)
+               for name in transitive for x in concepts for y in concepts for d in domains]
+    a, b, d = concepts[0], concepts[1], domains[0]
+    probes += [
+        Fact.intra("cause_of_star", a, b, d),
+        Fact.intra("conflicts_with_star", a, b, d),
+        Fact.intra("sinh_star", a, b, d),
+        Fact.intra("no_such_relation", a, b, d),
+        Fact("is_a", (a, b, a), (d,)),
+        Fact("is_a", (a, b), (d, d)),
+        Fact("is_a_star", (a, b, a), (d,)),
+        Fact("is_a_star", (a,), (d, d)),
+        Fact("tsym_star", (a, b), (d, d)),
+        Fact("analogous_to", (a, b), (d,)),
+        Fact("fuses_with", (a, b), (d,)),
+    ]
+    return probes
+
+
+def test_explain_matches_reference():
+    """``explain`` against the version before it read plain transitive edges
+    off the successor index (``reference_explain``), on drawn registries
+    with symmetric and inheriting transitive relations, over a closure
+    that is current, stale after an assert or a retract, or absent."""
+    from hypothesis import assume, given, settings
+    from hypothesis import strategies as st
+
+    import reference_explain
+
+    intra_names = ["is_a", "has_attribute", "conflicts_with", "cause_of", "requires"]
+    index = st.integers(0, len(_EXPLAIN_CONCEPTS) - 1)
+    edge = st.tuples(st.sampled_from(intra_names + sorted(_EXPLAIN_CUSTOM)), index, index,
+                     st.sampled_from(_EXPLAIN_DOMAINS))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sets(st.sampled_from(sorted(_EXPLAIN_CUSTOM))), st.lists(edge, min_size=4, max_size=30), edge,
+           st.sampled_from(["current", "assert", "retract", None]), st.randoms(use_true_random=False))
+    def check(custom, edges, extra, closure_state, rng):
+        def clause(name, i, j, domain):
+            if name in ("is_a", "requires"):
+                i, j = sorted((i, j))  # upward only: acyclic relations stay acyclic
+            if (name in ("is_a", "requires") and i == j) or (name in _EXPLAIN_CUSTOM and name not in custom):
+                return ""
+            return f'{name}({_EXPLAIN_CONCEPTS[i]}, {_EXPLAIN_CONCEPTS[j]}, "{domain}").'
+
+        text = [_EXPLAIN_CUSTOM[name] for name in sorted(custom)] + [clause(*e) for e in edges]
+        text += ['analogous_to(a, b, "d", "d@x").', 'fuses_with(b, a, e, "d").']
+        store = FactStore(builtin_registry())
+        assert load_text("\n".join(text), store).ok
+        closure = materialize(store) if closure_state is not None else None
+        if closure_state == "assert":
+            assert load_text(clause(*extra), store).ok
+        elif closure_state == "retract":
+            store.retract_fact(rng.choice(sorted(store, key=Fact.sort_key)))
+        assume(closure_state in (None, "current") or not closure.is_current(store))
+        for fact in _explain_probes(store, closure):
+            want = _outcome(reference_explain.explain, fact, store, closure)
+            assert _outcome(explain, fact, store, closure) == want, fact
+
+    check()
 
 
 # ---------------------------------------------------------------------------

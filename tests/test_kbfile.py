@@ -448,6 +448,14 @@ def test_parse_fact_text_errors():
         parse_fact_text('unknown_rel(a, b, "d")', registry)
 
 
+@pytest.mark.parametrize("text", ["", "   ", " \n\t ", "% only a comment", "% only a comment\n"])
+def test_parse_fact_text_without_a_clause(text):
+    # the '.' parse_fact_text appends must not be what the error is about
+    for allow_star in (False, True):
+        with pytest.raises(CdcError, match="^expected exactly one fact clause$"):
+            parse_fact_text(text, builtin_registry(), allow_star=allow_star)
+
+
 def test_parse_fact_text_never_crashes():
     from hypothesis import given, settings
 
