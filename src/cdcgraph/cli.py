@@ -189,28 +189,67 @@ def cmd_explain(args: argparse.Namespace, store: FactStore, result: LoadResult) 
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.format == "json-lines":
-        print(json.dumps(record, sort_keys=True))
+        print(_json_line(record))
     else:
-        for line in _render_trace_lines(record, 0):
+        for line in _render_trace_lines(record):
             print(line)
     return 0
 
 
+# A derivation is as deep as its longest chain of rule applications, so the
+# trace helpers below keep explicit stacks rather than recurse per level.
+
 def _trace_record(fact: Fact, store: FactStore, closure: ClosureSet) -> dict:
-    trace = explain(fact, store, closure)
-    return {
-        "type": "trace",
-        "fact": render_clause(fact).rstrip("."),
-        "rule": trace.rule,
-        "premises": [_trace_record(p, store, closure) for p in trace.premises],
-    }
+    root: dict = {}
+    stack = [(fact, root)]
+    while stack:
+        fact, record = stack.pop()
+        trace = explain(fact, store, closure)
+        premises = [{} for _ in trace.premises]
+        record.update(type="trace", fact=render_clause(fact).rstrip("."), rule=trace.rule, premises=premises)
+        stack.extend(zip(trace.premises, premises))
+    return root
 
 
-def _render_trace_lines(record: dict, depth: int) -> list[str]:
-    lines = [f"{'  ' * depth}{record['fact']}   [{record['rule']}]"]
-    for premise in record["premises"]:
-        lines.extend(_render_trace_lines(premise, depth + 1))
+def _render_trace_lines(record: dict) -> list[str]:
+    lines = []
+    stack = [(record, 0)]
+    while stack:
+        record, depth = stack.pop()
+        lines.append(f"{'  ' * depth}{record['fact']}   [{record['rule']}]")
+        stack.extend((premise, depth + 1) for premise in reversed(record["premises"]))
     return lines
+
+
+class _Text(str):
+    """Encoded JSON text, as opposed to a string value still to encode."""
+
+
+def _json_line(value: object) -> str:
+    """``json.dumps(value, sort_keys=True)`` with an explicit stack for the
+    dicts and lists: the encoder recurses per nesting level and fails on a
+    deep trace."""
+    parts = []
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, _Text):
+            parts.append(item)
+        elif isinstance(item, (dict, list)):
+            if isinstance(item, dict):
+                opening, closing = "{", "}"
+                members = [(f"{json.dumps(key)}: ", item[key]) for key in sorted(item)]
+            else:
+                opening, closing = "[", "]"
+                members = [("", element) for element in item]
+            parts.append(opening)
+            stack.append(_Text(closing))
+            for i in reversed(range(len(members))):
+                prefix, member = members[i]
+                stack += [member, _Text(", " + prefix if i else prefix)]
+        else:
+            parts.append(json.dumps(item))
+    return "".join(parts)
 
 
 def cmd_prereqs(args: argparse.Namespace, store: FactStore, result: LoadResult) -> int:

@@ -26,9 +26,9 @@ asked for.  A read with a bound concept computes only that concept's row:
 ``_Rows`` evaluates the rules left-linearly from the bound concept
 (``R_star(x, z) <- R_star(x, y), R(y, z)``), as frontiers over the store's
 per-partition successor index, or its predecessor index for a bound object;
-a symmetric relation's rows read both.  Only a carrier cycle, which an
-``inherits_via=`` override can make, reads its rows off the whole domain's
-kernel.
+a symmetric relation's rows read both.  The registry refuses a carrier
+cycle, so every join's carrier chain ends and these walks answer every
+bound goal.
 """
 
 from __future__ import annotations
@@ -285,10 +285,10 @@ def _closure(store: FactStore, relations: Sequence[str], domain: DomainExpr) -> 
 
 
 class _Rows:
-    """Single rows of one domain's closure of a relation whose carrier chain
-    ends: the far ends of one concept's facts, out of it (``forward``) or
-    into it.  Reads only the joined relations' partitions in the domain: the
-    successor (predecessor) index, and both for a symmetric relation.
+    """Single rows of one domain's closure of a relation: the far ends of one
+    concept's facts, out of it (``forward``) or into it.  Reads only the
+    joined relations' partitions in the domain: the successor (predecessor)
+    index, and both for a symmetric relation.
 
     With carrier c, write x c* y when zero or more c edges lead from x to
     y.  r(x, w) holds when x c* an owner with an asserted r(owner, w).  A
@@ -356,38 +356,10 @@ class _Rows:
         return self.at_least_once(name, (concept,))
 
 
-class _KernelRows:
-    """The same rows read off the whole domain's kernel, for a carrier cycle."""
-
-    def __init__(self, closure: _DomainClosure, forward: bool) -> None:
-        self.closure, self.forward = closure, forward
-
-    def _row(self, table: list[int], concept: ConceptId) -> set[ConceptId]:
-        x = self.closure.ids.get(concept)
-        if x is None:
-            return set()
-        bits = table[x] if self.forward else sum(1 << w for w, row in enumerate(table) if row >> x & 1)
-        return {self.closure.concepts[y] for y in _ids(bits)}
-
-    def asserted(self, name: str, concept: ConceptId) -> set[ConceptId]:
-        return self._row(self.closure.asserted[name], concept)
-
-    def edges(self, name: str, concept: ConceptId) -> set[ConceptId]:
-        return self._row(self.closure.edges[name], concept)
-
-    at_least_once = _Rows.at_least_once
-    reach = _Rows.reach
-
-
-def _bound_rows(store: FactStore, relation: str, domain: DomainExpr, forward: bool) -> _Rows | _KernelRows:
+def _bound_rows(store: FactStore, relation: str, domain: DomainExpr, forward: bool) -> _Rows:
     """Rows for a goal about ``relation`` with a bound subject (``forward``)
-    or object.  A join's carriers form a chain, which has a cycle exactly
-    when every relation in it has a carrier; only an ``inherits_via=``
-    override can close one."""
-    specs = _joined_specs(store.registry, (relation,))
-    if all(spec.inherits_via is not None for spec in specs.values()):
-        return _KernelRows(_closure(store, (relation,), domain), forward)
-    return _Rows(store, specs, domain, forward)
+    or object."""
+    return _Rows(store, _joined_specs(store.registry, (relation,)), domain, forward)
 
 
 def materialize(store: FactStore) -> ClosureSet:
@@ -594,8 +566,20 @@ def explain(fact: Fact, store: FactStore, closure: ClosureSet | None = None) -> 
 
 
 def trace_depth(fact: Fact, store: FactStore, closure: ClosureSet | None = None) -> int:
-    """Number of rule applications along the deepest branch of the derivation."""
-    trace = explain(fact, store, closure)
-    if trace.is_leaf:
-        return 0
-    return 1 + max(trace_depth(p, store, closure) for p in trace.premises)
+    """Number of rule applications along the deepest branch of the derivation.
+
+    Walks the derivation with an explicit stack, explaining each fact once,
+    so a long chain cannot exhaust the interpreter's recursion limit."""
+    traces: dict[Fact, DerivationTrace] = {}
+    depths: dict[Fact, int] = {}
+    stack = [fact]
+    while stack:
+        top = stack.pop()
+        if top not in traces:
+            # back on the stack under its premises, to be counted after them
+            traces[top] = explain(top, store, closure)
+            stack += [top, *traces[top].premises]
+        elif top not in depths:
+            premises = traces[top].premises
+            depths[top] = 1 + max(depths[p] for p in premises) if premises else 0
+    return depths[fact]

@@ -44,7 +44,8 @@ from .store import ConceptId, Fact, FactStore
 CASESTUDY_NAMES = ("cbt", "education", "enterprise", "techdocs")
 
 _PROLOG_BARE_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
-_PROLOG_NUMBER_RE = re.compile(r"\d+(\.\d+)?")
+# a canonical integer; any other numeral is quoted, so no two symbols read back as one number
+_PROLOG_INTEGER_RE = re.compile(r"0|[1-9][0-9]*")
 
 
 @dataclass(frozen=True)
@@ -545,21 +546,23 @@ def save_file(store: FactStore, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 def _prolog_atom(text: str) -> str:
-    if _PROLOG_BARE_RE.fullmatch(text) or _PROLOG_NUMBER_RE.fullmatch(text):
+    if _PROLOG_BARE_RE.fullmatch(text) or _PROLOG_INTEGER_RE.fullmatch(text):
         return text
     return "'" + text.replace("'", "\\'") + "'"
 
 
 def _prolog_fact(fact: Fact) -> str:
-    parts = [_prolog_atom(c.symbol.lower()) for c in fact.concepts]
+    parts = [_prolog_atom(c.symbol) for c in fact.concepts]
     parts += [_prolog_atom(d.text) for d in fact.domains]
     return f"{fact.relation}({', '.join(parts)})."
 
 
 def export_interop(store: FactStore, path: str | Path) -> None:
     """Write the store as ISO-Prolog clauses: dynamic declarations, the
-    asserted facts (concept symbols lowercased, domains quoted), and the
-    closure rules for every transitive and inheriting relation."""
+    asserted facts, and the closure rules for every transitive and
+    inheriting relation.  A concept symbol or domain is written bare when
+    it is a Prolog atom or a canonical integer and quoted otherwise, so
+    distinct symbols stay distinct terms."""
     registry = store.registry
     lines: list[str] = []
     for name in registry.names():

@@ -66,6 +66,8 @@ class RelationSpec:
 
     ``inherits_via`` names a carrier relation: facts of this relation
     propagate downward along the carrier's edges (attribute inheritance).
+    ``RelationRegistry.register`` refuses a carrier cycle, so every chain of
+    carriers ends.
     """
 
     name: str
@@ -134,6 +136,11 @@ class RelationRegistry:
                 raise RegistryError(f"{spec.name}: unknown inheritance carrier {spec.inherits_via!r}")
             if carrier.shape is not RelationShape.INTRA:
                 raise RegistryError(f"{spec.name}: inheritance carrier must be intra-domain")
+            # every carrier chain ends; the registry holds no cycle yet, so the walk does
+            while carrier is not None:
+                if carrier.name == spec.name:
+                    raise RegistryError(f"{spec.name}: inheritance carriers would form a cycle")
+                carrier = self._specs.get(carrier.inherits_via)
         base = self._specs.get(base_of_star(spec.name))
         if base is not None and base.transitive:
             raise RegistryError(f"{spec.name}: names the closure of transitive relation {base.name!r}")

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from cdcgraph import ConceptId, Fact, FactStore, RelationSpec, builtin_registry, parse_domain
+from cdcgraph import ConceptId, Fact, FactStore, RegistryError, RelationSpec, builtin_registry, parse_domain
 
 
 # Text biased toward what the readers treat specially: quotes, empty quotes,
@@ -49,6 +49,17 @@ def apple_store() -> FactStore:
     return s
 
 
+def carrier_chain_text(n: int) -> str:
+    """A KB of ``n`` ``under`` edges c0000 -> c0001 -> ... and one ``trait``
+    on the last concept, which every concept inherits along ``under``: the
+    derivation of ``trait(c0000, red, "d")`` nests ``n`` levels deep.
+    ``under`` is not transitive, so the closure holds only ``n`` facts."""
+    lines = ["@relation under intra.", "@relation trait intra inherits_via=under."]
+    lines += [f'under(c{i:04d}, c{i + 1:04d}, "d").' for i in range(n)]
+    lines.append(f'trait(c{n:04d}, red, "d").')
+    return "\n".join(lines) + "\n"
+
+
 def random_dag_store(
     rng: random.Random,
     relations: tuple[str, ...] = ("is_a", "part_of", "requires"),
@@ -82,9 +93,9 @@ def random_dag_store(
 
 def random_registry_store(rng: random.Random) -> FactStore:
     """Built-ins plus two to four custom relations with random flags: carriers
-    that are themselves symmetric, transitive or inheriting, a relation that
-    inherits along itself, and cycles (self-loops included) in every
-    relation that is not acyclic."""
+    that are themselves symmetric, transitive or inheriting, chains of
+    carriers, and cycles (self-loops included) in every relation that is not
+    acyclic."""
     registry = builtin_registry()
     names = [f"r{i}" for i in range(rng.randint(2, 4))]
     for k, name in enumerate(names):
@@ -98,7 +109,11 @@ def random_registry_store(rng: random.Random) -> FactStore:
             inherits_via=rng.choice(carriers),
         ))
     if rng.random() < 0.2:
-        registry.register(RelationSpec(names[0], transitive=rng.random() < 0.5, inherits_via=names[0]), override=True)
+        # a self-carrier is a carrier cycle, which the registry refuses; the
+        # draw stays so the rest of the random stream is unchanged
+        self_carrier = RelationSpec(names[0], transitive=rng.random() < 0.5, inherits_via=names[0])
+        with pytest.raises(RegistryError, match="cycle"):
+            registry.register(self_carrier, override=True)
     store = FactStore(registry)
     concepts = [ConceptId(f"k{i}") for i in range(rng.randint(3, 7))]
     domains = [parse_domain(f"dom{d}") for d in range(rng.randint(1, 2))]

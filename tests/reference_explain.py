@@ -4,10 +4,16 @@ as the differential reference for it (``test_inference.py``).
 
 Its membership test is the store's old ``__contains__``, spelled out here:
 the shape check, ``canonicalize_fact`` on every fact, then the index read.
+
+``trace_depth`` is the recursive definition of the derivation depth, the
+reference for the engine's stack-based walk.  It recurses once per level,
+so it is held to the engine only on derivations shallower than the
+recursion limit.
 """
 
 from __future__ import annotations
 
+from cdcgraph import inference
 from cdcgraph.errors import NotDerivableError
 from cdcgraph.inference import LEAF, ClosureSet, DerivationTrace
 from cdcgraph.relations import star_relation
@@ -37,3 +43,11 @@ def explain(fact: Fact, store: FactStore, closure: ClosureSet | None = None) -> 
         if trace is not None:
             return trace
     raise NotDerivableError(f"{fact!r} is neither asserted nor derivable")
+
+
+def trace_depth(fact: Fact, store: FactStore, closure: ClosureSet | None = None) -> int:
+    """Number of rule applications along the deepest branch of the derivation."""
+    trace = inference.explain(fact, store, closure)
+    if trace.is_leaf:
+        return 0
+    return 1 + max(trace_depth(p, store, closure) for p in trace.premises)

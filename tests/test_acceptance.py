@@ -217,12 +217,7 @@ def test_criterion_7_round_trip_and_interop(tmp_path):
         recovered = FactStore(builtin_registry())
         result = load_file(exported, recovered)
         assert result.ok, name
-        expected = {
-            (f.relation, tuple(c.symbol.lower() for c in f.concepts), f.domains)
-            for f in store.facts()
-        }
-        got = {(f.relation, tuple(c.symbol for c in f.concepts), f.domains) for f in recovered.facts()}
-        assert got == expected, name
+        assert recovered.fact_set() == store.fact_set(), name
     _report(7, "4/4 KBs round-trip; interop export re-parses with full recovery")
 
 

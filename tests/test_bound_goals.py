@@ -1,11 +1,9 @@
 """Differential tests for bound goals.  A goal with a bound subject or object
-computes only the bound concept's row: one row of frontiers over the
-per-partition indexes when the carrier chain of the relations it joins ends,
-else a row of the whole domain's kernel.  Every such goal
-must give what the whole-domain path gives, filtered to the bound value, what
-the old whole-index walk and kernel in ``reference_bound.py`` give, and, for
-plain transitive relations and inheritance, what Floyd-Warshall and
-enumeration give.
+computes only the bound concept's row, as frontiers over the per-partition
+indexes.  Every such goal must give what the whole-domain path gives,
+filtered to the bound value, what the old whole-index walk and kernel in
+``reference_bound.py`` give, and, for plain transitive relations and
+inheritance, what Floyd-Warshall and enumeration give.
 """
 
 from __future__ import annotations
@@ -36,9 +34,7 @@ from cdcgraph import (
     reachable_star,
     star_pairs,
 )
-from cdcgraph.inference import (
-    RULE_INHERITANCE, _bound_rows, _closure, _joined_specs, _Rows, derived_facts_for, star_label,
-)
+from cdcgraph.inference import RULE_INHERITANCE, _closure, derived_facts_for, star_label
 from cdcgraph.query import EXACT, INHERIT, ConceptConst, DomainConst, Query, Variable
 from cdcgraph.relations import RelationShape
 from cdcgraph.synthetic import generate_synthetic_store
@@ -108,12 +104,6 @@ def assert_bound_queries_agree(store: FactStore, rng: random.Random, modes=(EXAC
                     assert solve(store, goal, c, d, domain, mode) == [p for p in whole if p == (c, d)]
 
 
-def single_row(store: FactStore, relation: str) -> bool:
-    """Whether a bound goal about the relation is read as one row: its
-    join's carrier chain ends."""
-    return any(spec.inherits_via is None for spec in _joined_specs(store.registry, (relation,)).values())
-
-
 def prerequisites_or_cycle(read, *args):
     try:
         return read(*args)
@@ -123,22 +113,19 @@ def prerequisites_or_cycle(read, *args):
 
 def assert_bound_reads_agree(store: FactStore, rng: random.Random) -> set:
     """The inference reads with a bound concept equal the whole-domain reads
-    filtered to it and the reference reads; returns the kinds of join read
-    as one row: ``(relation is transitive, relation is symmetric, carrier or
-    None, carrier is transitive, carrier is symmetric)``."""
+    filtered to it and the reference reads; returns the kinds of join read:
+    ``(relation is transitive, relation is symmetric, carrier or None,
+    carrier is transitive, carrier is symmetric)``."""
     registry = store.registry
-    single_rows = set()
+    joins = set()
     for domain, concepts in intra_domains(store).items():
         for spec in registry:
             if spec.shape is not RelationShape.INTRA:
                 continue
-            one_row = single_row(store, spec.name)
-            for forward in (True, False):
-                assert isinstance(_bound_rows(store, spec.name, domain, forward), _Rows) == one_row
-            if one_row and (spec.transitive or spec.symmetric or spec.inherits_via is not None):
+            if spec.transitive or spec.symmetric or spec.inherits_via is not None:
                 carrier = registry.get(spec.inherits_via)  # None without a carrier
-                single_rows.add((spec.transitive, spec.symmetric, spec.inherits_via,
-                                 carrier is not None and carrier.transitive, carrier is not None and carrier.symmetric))
+                joins.add((spec.transitive, spec.symmetric, spec.inherits_via,
+                           carrier is not None and carrier.transitive, carrier is not None and carrier.symmetric))
             if spec.transitive:
                 whole = star_pairs(store, spec.name, domain)
                 for c in concepts:
@@ -175,7 +162,7 @@ def assert_bound_reads_agree(store: FactStore, rng: random.Random) -> set:
                         if f.concepts[0] in owners}
                 assert inherited_attributes(store, c, domain) == want
                 assert reference.inherited_attributes(store, c, domain) == want
-    return single_rows
+    return joins
 
 
 def nested(store: FactStore) -> FactStore:
@@ -199,22 +186,22 @@ def test_bound_goals_agree_on_random_dags():
 
 
 def test_bound_goals_agree_on_random_registries():
-    """Flag mixes: symmetric, self and symmetric carriers, cycles, self-loops."""
+    """Flag mixes: symmetric carriers, chains of carriers, cycles, self-loops."""
     rng = random.Random(43)
-    single_rows = set()
+    joins = set()
     for _ in range(60):
         store = random_registry_store(rng)
-        single_rows |= assert_bound_reads_agree(store, rng)
+        joins |= assert_bound_reads_agree(store, rng)
         assert_bound_queries_agree(nested(store), rng, modes=(EXACT, INHERIT))
-    # one-row reads of inheritance over transitive and non-transitive
-    # carriers, of a transitive relation that inherits, of symmetric
-    # relations with and without a carrier, over a symmetric carrier, and of
-    # plain transitive relations were all held to the references
+    # reads of inheritance over transitive and non-transitive carriers, of a
+    # transitive relation that inherits, of symmetric relations with and
+    # without a carrier, over a symmetric carrier, and of plain transitive
+    # relations were all held to the references
     assert {(False, True), (False, False), (True, True)} <= {
-        (transitive, carrier_transitive) for transitive, _, carrier, carrier_transitive, _ in single_rows if carrier}
-    assert {True, False} <= {carrier is not None for _, symmetric, carrier, _, _ in single_rows if symmetric}
-    assert any(carrier_symmetric for *_, carrier_symmetric in single_rows)
-    assert any(transitive and not symmetric and carrier is None for transitive, symmetric, carrier, _, _ in single_rows)
+        (transitive, carrier_transitive) for transitive, _, carrier, carrier_transitive, _ in joins if carrier}
+    assert {True, False} <= {carrier is not None for _, symmetric, carrier, _, _ in joins if symmetric}
+    assert any(carrier_symmetric for *_, carrier_symmetric in joins)
+    assert any(transitive and not symmetric and carrier is None for transitive, symmetric, carrier, _, _ in joins)
 
 
 @pytest.mark.parametrize("name", CASESTUDY_NAMES)

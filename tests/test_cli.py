@@ -6,8 +6,9 @@ import json
 
 import pytest
 
-from cdcgraph.cli import build_parser, main
+from cdcgraph.cli import _json_line, build_parser, main
 from cdcgraph.synthetic import run_bench
+from conftest import carrier_chain_text
 
 APPLE_KB = """\
 is_a(apple, fruit, "Biology@Plant_Taxonomy").
@@ -160,6 +161,46 @@ def test_explain_trace(capsys):
 def test_explain_not_derivable_exit_1(capsys):
     status = main(["explain", "--case", "education", 'is_a(pig, bird, "math@algebra")'])
     assert status == 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "json-lines"])
+def test_explain_deep_chain(fmt, tmp_path, capsys):
+    """A trace 1,200 levels deep prints in full: past the recursion limit,
+    and past the depth at which ``json.dumps`` gives up."""
+    n = 1200
+    path = tmp_path / "chain.cdc"
+    path.write_text(carrier_chain_text(n))
+    assert main(["explain", "--kb", str(path), "--format", fmt, 'trait(c0000, red, "d")']) == 0
+    out = capsys.readouterr().out
+
+    def trait(i):
+        return f'trait(c{i:04d}, red, "d")'
+
+    def under(i):
+        return f'under(c{i:04d}, c{i + 1:04d}, "d")'
+
+    if fmt == "text":
+        want = []
+        for i in range(n):
+            want += [f"{'  ' * i}{trait(i)}   [inheritance]", f"{'  ' * (i + 1)}{under(i)}   [asserted]"]
+        want.append(f"{'  ' * n}{trait(n)}   [asserted]")
+    else:
+        def head(clause):
+            return f'{{"fact": {json.dumps(clause)}, "premises": ['
+
+        asserted = '], "rule": "asserted", "type": "trace"}'
+        opened = "".join(f"{head(trait(i))}{head(under(i))}{asserted}, " for i in range(n))
+        want = [opened + head(trait(n)) + asserted + '], "rule": "inheritance", "type": "trace"}' * n]
+    assert out.splitlines() == want
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], "", None, True, 1.5, -7, "caf\u00e9 \"quoted\"\n",
+    {"b": [1, {"z": [], "a": {}}, [[]]], "a": None, "\u00e9": "x"},
+    [{"premises": [{"premises": []}], "fact": "f"}, "s", [1, [2, [3]]]],
+])
+def test_json_line_matches_json_dumps(value):
+    assert _json_line(value) == json.dumps(value, sort_keys=True)
 
 
 def test_prereqs_topological_order(capsys):

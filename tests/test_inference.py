@@ -5,6 +5,7 @@ import random
 import pytest
 
 from cdcgraph import (
+    CASESTUDY_NAMES,
     ConceptId,
     CycleError,
     Fact,
@@ -15,6 +16,7 @@ from cdcgraph import (
     builtin_registry,
     explain,
     inherited_attributes,
+    load_casestudy,
     load_text,
     materialize,
     parse_domain,
@@ -23,7 +25,7 @@ from cdcgraph import (
     trace_depth,
 )
 from cdcgraph.inference import LEAF, RULE_INHERITANCE, RULE_SYMMETRIC, RULE_TRANSITIVE, star_label
-from conftest import cross, intra, random_dag_store
+from conftest import carrier_chain_text, cross, intra, random_dag_store, random_registry_store
 from oracles import all_topological_orders, brute_force_inherited, floyd_warshall_pairs, reachable_from
 
 
@@ -396,6 +398,41 @@ def test_explain_depth_on_chains(store):
     closure = materialize(store)
     fact = Fact.intra("is_a_star", cid("x0"), cid(f"x{n}"), domain)
     assert trace_depth(fact, store, closure) == n - 1
+
+
+def _assert_trace_depths_match_reference(store: FactStore) -> None:
+    import reference_explain
+
+    closure = materialize(store)
+    facts = list(store) + [fact for facts in closure.derived.values() for fact in facts]
+    assert facts
+    for fact in facts:
+        assert trace_depth(fact, store, closure) == reference_explain.trace_depth(fact, store, closure), fact
+
+
+@pytest.mark.parametrize("name", CASESTUDY_NAMES)
+def test_trace_depth_matches_reference_on_case_studies(name):
+    store = FactStore(builtin_registry())
+    load_casestudy(name, store)
+    _assert_trace_depths_match_reference(store)
+
+
+def test_trace_depth_matches_reference_on_random_registries():
+    rng = random.Random(59)
+    for _ in range(40):
+        _assert_trace_depths_match_reference(random_registry_store(rng))
+
+
+def test_trace_depth_on_a_long_chain():
+    """A derivation 1,200 levels deep, past the interpreter's recursion
+    limit, which the recursive definition cannot walk."""
+    store = FactStore(builtin_registry())
+    assert load_text(carrier_chain_text(1200), store).ok
+    closure = materialize(store)
+    domain = parse_domain("d")
+    for i in (0, 600, 1199):
+        fact = Fact.intra("trait", cid(f"c{i:04d}"), cid("red"), domain)
+        assert trace_depth(fact, store, closure) == 1200 - i
 
 
 def test_explain_not_derivable(store):

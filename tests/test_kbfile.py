@@ -9,6 +9,7 @@ from cdcgraph import (
     CASESTUDY_NAMES,
     CdcError,
     ConceptId,
+    Fact,
     FactStore,
     RegistryError,
     RelationShape,
@@ -203,6 +204,23 @@ def test_relation_directive_inherits_via():
     assert store.registry.lookup("labeled_with").inherits_via == "is_a"
 
 
+@pytest.mark.parametrize("text, name, line", [
+    ('@relation r intra.\n@relation r intra transitive inherits_via=r.\nr(a, b, "d").\n', "r", 2),
+    ('@relation is_a intra transitive acyclic inherits_via=has_attribute.\nis_a(a, b, "d").\n', "is_a", 1),
+    ('@relation r1 intra.\n@relation r2 intra inherits_via=r1.\n@relation r3 intra inherits_via=r2.\n'
+     '@relation r1 intra inherits_via=r3.\nr1(a, b, "d").\n', "r1", 4),
+], ids=["self", "builtin-override", "three"])
+def test_relation_directive_closing_a_carrier_cycle_is_refused(text, name, line):
+    store = fresh_store()
+    held = builtin_registry().get(name) or RelationSpec(name)
+    result = load_text(text, store, file="kb.cdc")
+    assert [(d.severity, str(d.span), d.message) for d in result.diagnostics] == [
+        ("error", f"kb.cdc:{line}:1", f"{name}: inheritance carriers would form a cycle")]
+    # the old declaration stays, and the facts after the directive load
+    assert store.registry.lookup(name) == held
+    assert intra(name, "a", "b", "d") in store
+
+
 def test_relation_directive_bad_shape():
     store = fresh_store()
     result = load_text("@relation oops sideways.", store)
@@ -386,7 +404,7 @@ def test_export_has_two_clause_requires_star(tmp_path):
 def test_export_reparses_with_full_recovery(name, tmp_path):
     """The export is readable by our own clause reader in a *fresh* session:
     rule clauses are skipped, ':- dynamic' declarations re-register unknown
-    ternary relations, and every fact comes back (lowercased)."""
+    ternary relations, and every fact comes back as it was."""
     store = fresh_store()
     load_casestudy(name, store)
     out = tmp_path / f"{name}.pl"
@@ -394,12 +412,7 @@ def test_export_reparses_with_full_recovery(name, tmp_path):
     recovered = fresh_store()
     result = load_file(out, recovered)
     assert result.ok
-    expected = set()
-    for fact in store.facts():
-        lowered = tuple(ConceptId(c.symbol.lower()) for c in fact.concepts)
-        expected.add((fact.relation, lowered, fact.domains))
-    got = {(f.relation, f.concepts, f.domains) for f in recovered.facts()}
-    assert got == expected
+    assert recovered.fact_set() == store.fact_set()
 
 
 def test_dynamic_declaration_registers_ternary_relation():
@@ -417,13 +430,51 @@ def test_dynamic_declaration_registers_ternary_relation():
 
 
 def test_export_reparse_uppercase_concepts(tmp_path):
+    """An uppercase symbol is quoted, not lowercased: ``Apple`` the fruit
+    and ``apple`` the company stay two concepts."""
     store = fresh_store()
-    load_text('is_a(Apple, Fruit, "Biology@Plant_Taxonomy").', store)
+    load_text('is_a(Apple, Fruit, "Biology@Plant_Taxonomy").\nis_a(apple, company, "Biology@Plant_Taxonomy").', store)
     out = tmp_path / "apple.pl"
     export_interop(store, out)
+    assert "is_a('Apple', 'Fruit', 'Biology@Plant_Taxonomy')." in out.read_text()
     recovered = fresh_store()
     assert load_file(out, recovered).ok
-    assert intra("is_a", "apple", "fruit", "Biology@Plant_Taxonomy") in recovered
+    assert recovered.fact_set() == store.fact_set()
+
+
+def _prolog_term(text: str) -> tuple:
+    """What an ISO-Prolog reader makes of an exported argument: a quoted
+    atom, a number, or a bare atom."""
+    if text.startswith("'"):
+        return "atom", text[1:-1].replace("\\'", "'")
+    if text[0].isdigit():
+        return "number", float(text)
+    return "atom", text
+
+
+def test_export_keeps_distinct_symbols_distinct(tmp_path):
+    """Symbols that a Prolog reader would fold together (numerals with a
+    leading or trailing zero, case variants) export as distinct terms, as
+    concepts and as domains; only a canonical integer is written bare."""
+    numerals = ["7", "007", "0", "00", "1.5", "1.50", "0.85"]
+    concepts = numerals + ["Apple", "apple", "APPLE", "it's", "x y", "-1"]
+    store = fresh_store()
+    for symbol in concepts:
+        store.assert_fact(Fact.intra("is_a", ConceptId(symbol), ConceptId("thing"), parse_domain("d")))
+    for text in numerals:
+        store.assert_fact(Fact.intra("part_of", ConceptId("a"), ConceptId("b"), parse_domain(text)))
+    out = tmp_path / "kb.pl"
+    export_interop(store, out)
+    written = {"is_a": set(), "part_of": set()}
+    for line in out.read_text().splitlines():
+        relation, _, arguments = line.partition("(")
+        if relation in written and arguments.endswith(")."):
+            first, second, domain = arguments[:-2].split(", ")
+            written[relation].add(first if relation == "is_a" else domain)
+    for relation, symbols in (("is_a", concepts), ("part_of", numerals)):
+        terms = {_prolog_term(text) for text in written[relation]}
+        assert len(terms) == len(written[relation]) == len(symbols), relation
+        assert {text for text in written[relation] if _prolog_term(text)[0] == "number"} == {"7", "0"}
 
 
 def test_parse_fact_text_roundtrip():

@@ -93,6 +93,26 @@ def test_unknown_inherits_via_rejected():
         builtin_registry().register(RelationSpec("prop", inherits_via="no_such"))
 
 
+def test_carrier_cycles_rejected():
+    """Every carrier chain ends: a self-carrier, an override of a built-in
+    that closes a cycle, and a three-relation cycle are refused, and the
+    held declaration stays."""
+    registry = builtin_registry()
+    registry.register(RelationSpec("r1"))
+    registry.register(RelationSpec("r2", inherits_via="r1"))
+    registry.register(RelationSpec("r3", inherits_via="r2"))
+    for spec in (RelationSpec("r1", transitive=True, inherits_via="r1"),
+                 RelationSpec("is_a", transitive=True, acyclic=True, inherits_via="has_attribute"),
+                 RelationSpec("r1", inherits_via="r3")):
+        held = registry.lookup(spec.name)
+        with pytest.raises(RegistryError, match=f"^{spec.name}: inheritance carriers would form a cycle$"):
+            registry.register(spec, override=True)
+        assert registry.lookup(spec.name) is held
+    # a chain that ends is accepted, however long
+    registry.register(RelationSpec("r1", inherits_via="has_attribute"), override=True)
+    assert registry.lookup("r1").inherits_via == "has_attribute"
+
+
 def test_frozen_registry_rejects_registration():
     registry = builtin_registry()
     registry.freeze()
