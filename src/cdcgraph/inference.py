@@ -18,8 +18,11 @@ itself, asserted or derived, so every derivation bottoms out in asserted
 leaves.  ``materialize`` turns every domain's layers into facts whose traces
 record the smallest ``(rule, premise sort keys)`` among their layer's rule
 instances, which keeps traces minimal-depth and deterministic.  It builds
-each fact and its trace once, in one pass over the claims, and makes each
-label's frozenset at the end.
+each fact and its trace once, in one pass over the claims, and hashes each
+fact once, into its label's ``{fact: trace}`` dict: ``traces`` and each
+label's frozenset are made from those dicts at the end and reuse the hashes
+they store.  Facts and traces are NamedTuples, so hashing and comparing
+them runs in C, and ``record`` builds them in C too.
 
 The lazy reads give the closure's answers without traces, in the one domain
 asked for.  A read with a bound concept computes only that concept's row:
@@ -37,10 +40,11 @@ from collections.abc import Collection, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from operator import attrgetter, or_
+from typing import NamedTuple
 
 from .consistency import ensure_acyclic, find_cycle
 from .domains import DomainExpr
-from .errors import CycleError, NotDerivableError, RegistryError
+from .errors import CycleError, NotDerivableError, RegistryError, StaleClosureError
 # star_label and base_of_star are re-exported for callers that import them from here
 from .relations import RelationRegistry, RelationShape, RelationSpec, base_of_star, star_label, star_relation
 from .store import _NO_ROWS, ConceptId, Fact, FactPattern, FactStore, swap_orientation
@@ -51,9 +55,11 @@ RULE_TRANSITIVE = "transitive"
 RULE_INHERITANCE = "inheritance"
 
 
-@dataclass(frozen=True)
-class DerivationTrace:
-    """How a fact was obtained.  Asserted facts get the leaf trace."""
+class DerivationTrace(NamedTuple):
+    """How a fact was obtained.  Asserted facts get the leaf trace.
+
+    A tuple of its two fields, like ``Fact``: it equals a plain
+    ``(rule, premises)`` tuple."""
 
     rule: str
     premises: tuple[Fact, ...] = ()
@@ -219,11 +225,15 @@ class _DomainClosure:
                 layer.append((RULE_SYMMETRIC, name, y, None, hit))
                 grown[y] |= hit
 
-    def record(self, derived: dict[str, list[Fact]], traces: dict[Fact, DerivationTrace]) -> None:
+    def record(self, derived: dict[str, dict[Fact, DerivationTrace]]) -> None:
         """Turn the claims into facts and traces, layer by layer, building
-        each once: it goes into ``traces`` and onto its label's list.
-        Premises are the closed facts and the ones built here."""
-        concepts, ids, domains = self.concepts, self.ids, (self.domain,)
+        and hashing each once: it goes into its label's ``{fact: trace}``
+        dict, whose stored hashes ``materialize`` reuses.  Premises are the
+        closed facts and the ones built here.
+
+        ``new`` is what ``Fact._make`` calls: it builds a NamedTuple in C,
+        where the class's own constructor is a Python function."""
+        concepts, ids, domains, new = self.concepts, self.ids, (self.domain,), tuple.__new__
         n = len(concepts)
         facts = {name: {ids[x] * n + ids[y]: f for x, row in rows.items() for y, f in row.items()}
                  for name, rows in self.successors.items()}
@@ -237,21 +247,19 @@ class _DomainClosure:
                 if rule == RULE_TRANSITIVE:
                     label, star, rest = star_label(name), stars[name], y * n
                     # the edge premise sorts before the star premise
-                    edge, out = edges[base + y], derived.setdefault(label, [])
+                    edge, out = edges[base + y], derived.setdefault(label, {})
                     for z in _ids(bits):
-                        fact = Fact(label, (subject, concepts[z]), domains)
-                        traces[fact] = DerivationTrace(rule, (edge, edges.get(rest + z) or star[rest + z]))
-                        out.append(fact)
+                        fact = new(Fact, (label, (subject, concepts[z]), domains))
+                        out[fact] = new(DerivationTrace, (rule, (edge, edges.get(rest + z) or star[rest + z])))
                         star[base + z] = fact
                     continue
-                out = derived.setdefault(name, [])
+                out = derived.setdefault(name, {})
                 if rule == RULE_INHERITANCE:
                     carried, rest = facts[self.specs[name].inherits_via][base + y], y * n
                 for z in _ids(bits):
-                    fact = Fact(name, (subject, concepts[z]), domains)
+                    fact = new(Fact, (name, (subject, concepts[z]), domains))
                     premises = (carried, edges[rest + z]) if rule == RULE_INHERITANCE else (edges[z * n + x],)
-                    traces[fact] = DerivationTrace(rule, premises)
-                    out.append(fact)
+                    out[fact] = new(DerivationTrace, (rule, premises))
                     made.append((edges, base + z, fact))
             for edges, key, fact in made:
                 edges[key] = fact
@@ -364,12 +372,15 @@ def _bound_rows(store: FactStore, relation: str, domain: DomainExpr, forward: bo
 
 def materialize(store: FactStore) -> ClosureSet:
     """Compute the full closure.  Raises CycleError if an acyclic relation
-    contains a cycle (checked up front, per relation and domain)."""
+    contains a cycle (checked up front, per relation and domain).
+
+    Each derived fact is hashed once, into its label's ``{fact: trace}``
+    dict; ``traces`` (by ``dict.update``) and each label's frozenset are
+    built from those dicts and reuse the hashes they store."""
     registry = store.registry
     ensure_acyclic(store, registry)
 
-    derived: dict[str, list[Fact]] = {}
-    traces: dict[Fact, DerivationTrace] = {}
+    derived: dict[str, dict[Fact, DerivationTrace]] = {}
     by_domain: dict[DomainExpr, list[str]] = {}
     for spec in registry:
         if spec.shape is not RelationShape.INTRA:
@@ -379,13 +390,15 @@ def materialize(store: FactStore) -> ClosureSet:
                     # held only when it is the fact itself
                     flipped = swap_orientation(fact, spec)
                     if flipped != fact:
-                        derived.setdefault(spec.name, []).append(flipped)
-                        traces[flipped] = DerivationTrace(RULE_SYMMETRIC, (fact,))
+                        derived.setdefault(spec.name, {})[flipped] = DerivationTrace(RULE_SYMMETRIC, (fact,))
         elif spec.symmetric or spec.transitive or spec.inherits_via is not None:
             for domain in store.relation_domains(spec.name):
                 by_domain.setdefault(domain, []).append(spec.name)
     for domain, names in by_domain.items():
-        _closure(store, names, domain).record(derived, traces)
+        _closure(store, names, domain).record(derived)
+    traces: dict[Fact, DerivationTrace] = {}
+    for facts in derived.values():
+        traces.update(facts)
     return ClosureSet(
         generation=store.generation,
         derived={label: frozenset(facts) for label, facts in sorted(derived.items())},
@@ -537,6 +550,10 @@ def explain(fact: Fact, store: FactStore, closure: ClosureSet | None = None) -> 
        edge's trace if derived;
     3. any other fact has the closure's trace for it, if there is one.
 
+    Only the steps that read ``closure.traces`` test the closure: a stale
+    one, computed at another store generation, raises
+    ``StaleClosureError`` there, and an asserted leaf never reads it.
+
     ``materialize`` derives a relation's own facts only by symmetry or
     inheritance, so the edge of step 2 is read straight off the successor
     index unless ``rel`` is symmetric, whose edge must be canonicalized, or
@@ -556,13 +573,24 @@ def explain(fact: Fact, store: FactStore, closure: ClosureSet | None = None) -> 
                 edge = Fact(spec.name, fact.concepts, fact.domains)
                 if edge in store:
                     return LEAF
-                if closure is not None and edge in closure.traces:
-                    return closure.traces[edge]
+                if closure is not None:
+                    trace = _current_traces(closure, store, fact).get(edge)
+                    if trace is not None:
+                        return trace
     if closure is not None:
-        trace = closure.traces.get(fact)
+        trace = _current_traces(closure, store, fact).get(fact)
         if trace is not None:
             return trace
     raise NotDerivableError(f"{fact!r} is neither asserted nor derivable")
+
+
+def _current_traces(closure: ClosureSet, store: FactStore, fact: Fact) -> dict[Fact, DerivationTrace]:
+    """The closure's traces, which ``explain`` may read for ``fact`` only
+    while the closure is current."""
+    if not closure.is_current(store):
+        raise StaleClosureError(f"explain {fact!r}: the closure is of store generation {closure.generation}, "
+                                f"the store is at {store.generation}")
+    return closure.traces
 
 
 def trace_depth(fact: Fact, store: FactStore, closure: ClosureSet | None = None) -> int:

@@ -25,6 +25,7 @@ from collections.abc import Collection, Iterator, Mapping
 from dataclasses import dataclass
 from operator import attrgetter
 from types import MappingProxyType
+from typing import NamedTuple
 from weakref import WeakValueDictionary
 
 from .domains import DomainExpr
@@ -76,13 +77,19 @@ class ConceptId:
         return f"ConceptId({self.symbol!r})"
 
 
-@dataclass(frozen=True)
-class Fact:
+class Fact(NamedTuple):
     """One statement.  Payload layout by shape:
 
     INTRA   concepts=(subject, object),      domains=(domain,)
     CROSS   concepts=(c1, c2),               domains=(d1, d2)
     FUSION  concepts=(c1, c2, fused),        domains=(domain,)
+
+    A fact is the tuple of its three fields, so comparing and hashing one
+    run in C, apart from each domain's ``__hash__``.  It therefore equals a
+    plain tuple with the same fields, and has ``len``, iteration,
+    ``_replace`` and the tuple's ``<``, which is not ``sort_key``'s order
+    (and raises ``TypeError`` on reaching the domains, which do not order):
+    sort facts with ``key=Fact.sort_key``.
     """
 
     relation: str
@@ -114,11 +121,9 @@ class Fact:
         return self.domains[0]
 
     def sort_key(self) -> tuple:
-        return (
-            self.relation,
-            tuple(d.text for d in self.domains),
-            tuple(c.symbol for c in self.concepts),
-        )
+        """(relation, domain texts, concept symbols): the documented fact
+        order, which ``facts()``, ``match`` and ``save_file`` sort by."""
+        return self.relation, tuple(map(_text, self.domains)), tuple(map(_symbol, self.concepts))
 
     def __repr__(self) -> str:
         args = [c.symbol for c in self.concepts] + [f'"{d.text}"' for d in self.domains]
@@ -180,7 +185,7 @@ def swap_orientation(fact: Fact | FactPattern, spec: RelationSpec) -> Fact | Fac
 
 
 _NO_ROWS: Mapping = MappingProxyType({})
-_text = attrgetter("text")
+_text, _symbol = attrgetter("text"), attrgetter("symbol")
 
 
 # one partition's facts by the near concept, then by the far concept

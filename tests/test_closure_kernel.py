@@ -1,6 +1,8 @@
 """Differential tests: the per-domain bitset kernel behind ``materialize``
 against the semi-naive fixpoint it replaced (``reference_closure``).  The
 closures must be equal: the same derived facts and the same trace for each.
+Every closure compared also keeps ``materialize``'s bookkeeping invariants
+(``assert_closure_bookkeeping``).
 """
 
 from __future__ import annotations
@@ -20,16 +22,34 @@ from cdcgraph import (
     materialize,
     parse_domain,
 )
-from cdcgraph.inference import RULE_INHERITANCE, RULE_SYMMETRIC, RULE_TRANSITIVE, _closure
+from cdcgraph.inference import RULE_INHERITANCE, RULE_SYMMETRIC, RULE_TRANSITIVE, ClosureSet, _closure
 from conftest import random_dag_store, random_registry_store
 from reference_closure import reference_materialize
 
 
+def assert_closure_bookkeeping(store: FactStore, closure: ClosureSet) -> None:
+    """The invariants of ``materialize``'s per-label ``{fact: trace}`` dicts:
+    the keys of ``traces`` are the union of ``derived``'s sets, each derived
+    fact sits under exactly one label, and every premise of every trace is
+    held by the store or is itself a key of ``traces``."""
+    labelled = [fact for facts in closure.derived.values() for fact in facts]
+    assert len(labelled) == len(set(labelled))
+    assert closure.traces.keys() == set(labelled)
+    for label, facts in closure.derived.items():
+        assert all(fact.relation == label for fact in facts)
+    for trace in closure.traces.values():
+        assert trace.premises
+        for premise in trace.premises:
+            assert premise in closure.traces or premise in store, (trace, premise)
+
+
 def assert_same_closure(store: FactStore) -> set[str]:
-    """Assert kernel == reference; return the rules the closure used."""
+    """Assert kernel == reference and the closure's bookkeeping; return the
+    rules the closure used."""
     got, want = materialize(store), reference_materialize(store)
     assert got.derived == want.derived
     assert got.traces == want.traces
+    assert_closure_bookkeeping(store, got)
     return {trace.rule for trace in got.traces.values()}
 
 

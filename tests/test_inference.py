@@ -11,6 +11,7 @@ from cdcgraph import (
     Fact,
     FactStore,
     NotDerivableError,
+    StaleClosureError,
     all_prerequisites,
     analogy_search,
     builtin_registry,
@@ -440,6 +441,27 @@ def test_explain_not_derivable(store):
     closure = materialize(store)
     with pytest.raises(NotDerivableError):
         explain(intra("is_a", "a", "zzz", "d"), store, closure)
+
+
+def test_explain_refuses_a_stale_closure(store):
+    """After a retract, the closure's trace for ``is_a_star(a, c)`` rests on
+    the retracted fact; ``explain`` and ``trace_depth`` refuse to read it,
+    while an asserted leaf is still a leaf."""
+    store.assert_fact(intra("is_a", "a", "b", "d"))
+    store.assert_fact(intra("is_a", "b", "c", "d"))
+    closure = materialize(store)
+    star = intra("is_a_star", "a", "c", "d")
+    assert explain(star, store, closure).premises[1] == intra("is_a", "b", "c", "d")
+    store.retract_fact(intra("is_a", "b", "c", "d"))
+    for read in (explain, trace_depth):
+        with pytest.raises(StaleClosureError, match="generation"):
+            read(star, store, closure)
+        with pytest.raises(StaleClosureError):
+            read(intra("is_a", "x", "y", "d"), store, closure)
+    assert explain(intra("is_a", "a", "b", "d"), store, closure) == LEAF
+    assert explain(intra("is_a_star", "a", "b", "d"), store, closure) == LEAF
+    with pytest.raises(NotDerivableError):
+        explain(star, store, materialize(store))
 
 
 def test_explain_star_of_non_transitive_relation_not_derivable(store):

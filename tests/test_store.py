@@ -77,6 +77,53 @@ def test_facts_and_domains_survive_copy_and_pickle(duplicate):
     assert all(duplicate(fact) in store for fact in facts)
 
 
+def test_fact_and_trace_value_contract():
+    """``Fact`` and ``DerivationTrace`` are NamedTuples: values built apart
+    are equal and hash alike, they refuse assignment, survive ``pickle`` and
+    ``deepcopy``, and equal the plain tuple of their fields.  Sorted views
+    keep ``sort_key``'s order, not the tuple's."""
+    from cdcgraph import DerivationTrace
+
+    def build():
+        fact = intra("is_a", "Apple", "Fruit", "Biology@Plant_Taxonomy")
+        return fact, DerivationTrace("transitive", (fact, intra("is_a", "Fruit", "Food", "Biology@Plant_Taxonomy")))
+
+    (fact, trace), (fact2, trace2) = build(), build()
+    assert fact == fact2 and hash(fact) == hash(fact2) and fact is not fact2
+    assert trace == trace2 and hash(trace) == hash(trace2) and trace is not trace2
+    assert DerivationTrace("asserted").premises == () and DerivationTrace("asserted").is_leaf
+    for value, field in ((fact, "relation"), (fact, "concepts"), (trace, "rule"), (trace, "premises")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+    for duplicate in (copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        assert duplicate(fact) == fact and type(duplicate(fact)) is Fact
+        assert duplicate(trace) == trace and type(duplicate(trace)) is DerivationTrace
+    # tuple semantics, the documented behaviour
+    assert fact == tuple(fact) == (fact.relation, fact.concepts, fact.domains)
+    assert trace == tuple(trace) == (trace.rule, trace.premises)
+    assert hash(fact) == hash(tuple(fact)) and {tuple(fact): 1}[fact] == 1
+    assert len(fact) == 3 and len(trace) == 2
+    assert fact._replace(relation="part_of") == intra("part_of", "Apple", "Fruit", "Biology@Plant_Taxonomy")
+    assert repr(fact) == 'is_a(Apple, Fruit, "Biology@Plant_Taxonomy")'
+    other = intra("part_of", "Apple", "Fruit", "Biology@Plant_Taxonomy")
+    assert (fact < other) == (tuple(fact) < tuple(other)) is True
+    # ``<`` is the tuple's order; ``facts()`` sorts by ``sort_key``: domain
+    # text before concepts, where the tuple order compares concepts first
+    store = FactStore(builtin_registry())
+    for f in (intra("is_a", "a", "z", "y"), intra("is_a", "b", "c", "x"), intra("is_a", "a", "c", "y"),
+              cross("analogous_to", "atom", "sun", "Physics", "Astronomy"), other):
+        store.assert_fact(f)
+    assert store.facts() == sorted(store, key=Fact.sort_key)
+    assert [f.sort_key() for f in store.facts()] == sorted(f.sort_key() for f in store)
+    assert [repr(f) for f in store.facts()] == [
+        'analogous_to(atom, sun, "Physics", "Astronomy")',
+        'is_a(b, c, "x")', 'is_a(a, c, "y")', 'is_a(a, z, "y")',
+        'part_of(Apple, Fruit, "Biology@Plant_Taxonomy")',
+    ]
+
+
 def test_assert_and_duplicate(store):
     fact = intra("is_a", "Apple", "Fruit", "Biology@Plant_Taxonomy")
     assert store.assert_fact(fact) is True
