@@ -124,6 +124,32 @@ def test_check_lists_duplicate_facts_first(tmp_path, capsys):
     assert records[-1] == {"type": "summary", "errors": 0, "warnings": 2, "witnesses": 0}
 
 
+def test_every_output_spells_a_domain_canonically(tmp_path, capsys):
+    """A domain written ``zz+aa@m`` is saved, exported, warned about,
+    reported and rendered as ``aa+zz@m``: no output reads the written atom
+    order."""
+    kb = tmp_path / "spelled.cdc"
+    kb.write_text('is_a(a, b, "zz+aa@m").\nis_a(a, b, "zz+aa@m").\nis_a(b, a, "zz+aa@m").\n')
+    saved, exported = tmp_path / "saved.cdc", tmp_path / "kb.pl"
+    assert main(["save", "--kb", str(kb), str(saved)]) == 0
+    assert saved.read_bytes() == b'is_a(a, b, "aa+zz@m").\nis_a(b, a, "aa+zz@m").\n'
+    assert main(["export-prolog", "--kb", str(kb), str(exported)]) == 0
+    assert "is_a(a, b, 'aa+zz@m').\nis_a(b, a, 'aa+zz@m').\n" in exported.read_text()
+    capsys.readouterr()
+
+    assert main(["check", "--kb", str(kb)]) == 1
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "error [is_a @ aa+zz@m]: cycle a -> b -> a",
+        f'warning [duplicate-fact]: {kb}:2:1: warning: duplicate fact is_a(a, b, "aa+zz@m")',
+    ]
+    assert main(["materialize", "--kb", str(kb)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: cycle in acyclic relation 'is_a' within domain 'aa+zz@m': a -> b -> a"
+    )
+    assert main(["query", "--kb", str(kb), "is_a(a, ?Y, ?D)"]) == 0
+    assert capsys.readouterr().out == "?Y = b, ?D = aa+zz@m\n"
+
+
 def test_load_reports_counts(apple_path, capsys):
     status = main(["load", "--kb", apple_path])
     assert status == 0
