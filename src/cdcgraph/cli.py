@@ -164,11 +164,7 @@ def cmd_check(args: argparse.Namespace, store: FactStore, result: LoadResult) ->
 
 
 def cmd_materialize(args: argparse.Namespace, store: FactStore, result: LoadResult) -> int:
-    try:
-        closure = materialize(store)
-    except CycleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    closure = materialize(store)
     by_label = {label: len(facts) for label, facts in sorted(closure.derived.items())}
     lines = [f"materialized {closure.size()} derived facts"]
     lines += [f"  {label}: {count}" for label, count in by_label.items()]
@@ -446,6 +442,9 @@ def main(argv: list[str] | None = None) -> int:
             return args.func(args)
         loaded = _load_session(args)
         return 2 if loaded is None else args.func(args, *loaded)
+    except CycleError as exc:  # a cycle in the KB fails a check, like `cdc check`
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (CdcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

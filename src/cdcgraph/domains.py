@@ -2,8 +2,9 @@
 
 A domain is an ``@``-separated path of segments, most general first, e.g.
 ``HighSchool@Math@Calculus``.  A segment may fuse several atoms with ``+``
-(``product+engineering@mobile``); fusion is order-insensitive, so the
-canonical rendering sorts fused atoms lexicographically.
+(``product+engineering@mobile``).  Fusion is order-insensitive, so a
+segment holds its atoms sorted, and every spelling of a domain parses to one
+interned ``DomainExpr``, rendered with fused atoms in lexicographic order.
 
 Grammar (exact):
 
@@ -15,8 +16,10 @@ Grammar (exact):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from threading import RLock
+from weakref import WeakValueDictionary
 
 from .errors import DomainSyntaxError
 
@@ -29,66 +32,60 @@ _ATOM_CHAR = rf"[{_ATOM_LETTERS}.\-]"
 _ATOM_RE = re.compile(_ATOM_FIRST + _ATOM_CHAR + "*")
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, slots=True)
 class DomainSegment:
     """One path segment: a single atom, or a ``+``-fusion of several.
 
-    ``atoms`` keeps the order in which the atoms were written; equality,
-    hashing, and formatting use the canonical (sorted, deduplicated) form,
-    since fusion is symmetric.  It is computed once, at construction.
+    Fusion is symmetric, so ``atoms`` is held sorted and deduplicated; each
+    atom must match the grammar, so a domain's text always parses back.
     """
 
     atoms: tuple[str, ...]
-    canonical_atoms: tuple[str, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.atoms:
-            raise ValueError("segment needs at least one atom")
-        object.__setattr__(self, "canonical_atoms", tuple(sorted(set(self.atoms))))
+        if not self.atoms or not all(map(_ATOM_RE.fullmatch, self.atoms)):
+            raise ValueError(f"a segment needs one or more domain atoms, not {self.atoms!r}")
+        object.__setattr__(self, "atoms", tuple(sorted(set(self.atoms))))
 
     @property
     def is_fusion(self) -> bool:
-        return len(self.canonical_atoms) > 1
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DomainSegment):
-            return NotImplemented
-        return self.canonical_atoms == other.canonical_atoms
-
-    def __hash__(self) -> int:
-        return hash(self.canonical_atoms)
+        return len(self.atoms) > 1
 
     def __str__(self) -> str:
-        return "+".join(self.canonical_atoms)
+        return "+".join(self.atoms)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class DomainExpr:
     """A parsed domain path, outermost (most general) segment first.
 
-    Immutable value; safe to share and to use as a dict key.  ``text``, the
-    canonical rendering (fusion atoms sorted), is computed once, at
-    construction, and the hash is the hash of that text.
+    Interned by its canonical text (fusion atoms sorted) in a weak table,
+    under a lock: equal segments yield the identical object, in any thread,
+    so equality and hashing are by identity, as for ``ConceptId``.  Copying
+    or unpickling re-parses the text, so it returns that same object.
     """
 
-    segments: tuple[DomainSegment, ...]
-    text: str = field(init=False, repr=False)
+    __slots__ = ("segments", "text", "__weakref__")
+    _interned: WeakValueDictionary[str, "DomainExpr"] = WeakValueDictionary()
+    _interning = RLock()
 
-    def __post_init__(self):
-        if not self.segments:
+    def __new__(cls, segments: tuple[DomainSegment, ...]) -> "DomainExpr":
+        if not segments:
             raise ValueError("domain needs at least one segment")
-        object.__setattr__(self, "text", "@".join(str(seg) for seg in self.segments))
+        text = "@".join(map(str, segments))
+        with cls._interning:
+            obj = cls._interned.get(text)
+            if obj is None:
+                obj = super().__new__(cls)
+                object.__setattr__(obj, "segments", tuple(segments))
+                object.__setattr__(obj, "text", text)
+                cls._interned[text] = obj
+        return obj
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, DomainExpr):
-            return NotImplemented
-        return self.segments == other.segments
+    def __setattr__(self, name, value):
+        raise AttributeError("DomainExpr is immutable")
 
-    def __hash__(self) -> int:
-        # equal segments render equal text, so this agrees with __eq__
-        return hash(self.text)
+    def __reduce__(self):
+        return (parse_domain, (self.text,))
 
     def __str__(self) -> str:
         return self.text
@@ -106,9 +103,9 @@ _PARSE_CACHE_SIZE = 4096
 def parse_domain(text: str) -> DomainExpr:
     """Parse a domain string; raises DomainSyntaxError naming the offset.
 
-    Memoized by the text as written, so repeated text returns one shared
-    (immutable) value whose segments keep their written atom order.  Syntax
-    errors are not remembered: they raise on every call.
+    Every spelling of a domain returns its one interned value; the memo,
+    keyed by the text as written, skips re-parsing a repeated spelling.
+    Syntax errors are not remembered: they raise on every call.
     """
     if not text:
         raise DomainSyntaxError("empty domain", 0)
@@ -162,8 +159,7 @@ def fuse(d1: DomainExpr, d2: DomainExpr) -> DomainExpr:
 
     def head_atoms(d: DomainExpr) -> tuple[str, ...]:
         if len(d.segments) == 1:
-            return d.segments[0].canonical_atoms
+            return d.segments[0].atoms
         return (d.text.replace("@", ".").replace("+", "."),)
 
-    merged = tuple(sorted(set(head_atoms(d1)) | set(head_atoms(d2))))
-    return DomainExpr((DomainSegment(merged),))
+    return DomainExpr((DomainSegment(head_atoms(d1) + head_atoms(d2)),))

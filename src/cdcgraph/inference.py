@@ -485,8 +485,10 @@ def inherited_attributes(
 ) -> set[tuple[ConceptId, ConceptId]]:
     """(attribute, source) pairs: the concept's own attributes plus those of
     every owner that one or more carrier edges reach from it, asserted or
-    derived, as the ``has_attribute`` goal reads them.  No overriding - all
-    pairs returned."""
+    derived, as the ``has_attribute`` goal reads them.  An owner's attributes
+    are the objects of its asserted ``has_attribute`` facts; when the
+    relation is symmetric, the subjects of the facts it is the object of as
+    well.  No overriding - all pairs returned."""
     attr_spec = store.registry.get("has_attribute")
     if attr_spec is None:
         return set()
@@ -494,8 +496,10 @@ def inherited_attributes(
     carrier = attr_spec.inherits_via
     if carrier is not None:
         owners |= _bound_rows(store, carrier, domain, True).reach(carrier, concept)
-    attributes = store.successors("has_attribute", domain)
-    return {(attribute, owner) for owner in owners for attribute in attributes.get(owner, ())}
+    # a symmetric fact is stored in one orientation only, so read both
+    reads = (store.successors, store.predecessors) if attr_spec.symmetric else (store.successors,)
+    indexes = [read("has_attribute", domain) for read in reads]
+    return {(attribute, owner) for index in indexes for owner in owners for attribute in index.get(owner, ())}
 
 
 def derived_facts_for(store: FactStore, relation: str, domain: DomainExpr | None = None, *,

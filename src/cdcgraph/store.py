@@ -84,8 +84,8 @@ class Fact(NamedTuple):
     CROSS   concepts=(c1, c2),               domains=(d1, d2)
     FUSION  concepts=(c1, c2, fused),        domains=(domain,)
 
-    A fact is the tuple of its three fields, so comparing and hashing one
-    run in C, apart from each domain's ``__hash__``.  It therefore equals a
+    A fact is the tuple of its three fields, and its concepts and domains
+    are interned, so comparing and hashing one run wholly in C.  It equals a
     plain tuple with the same fields, and has ``len``, iteration,
     ``_replace`` and the tuple's ``<``, which is not ``sort_key``'s order
     (and raises ``TypeError`` on reaching the domains, which do not order):

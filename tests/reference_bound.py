@@ -163,5 +163,9 @@ def inherited_attributes(store: FactStore, concept: ConceptId, domain: DomainExp
     if attr_spec.inherits_via is not None:
         owners |= reachable_star(store, attr_spec.inherits_via, concept, domain)
     index = GlobalIndexes(store)
-    return {(f.concepts[1], owner) for owner in owners for f in index.facts_with_subject(owner)
-            if f.relation == "has_attribute" and domain in f.domains}
+    pairs = {(f.concepts[1], owner) for owner in owners for f in index.facts_with_subject(owner)
+             if f.relation == "has_attribute" and domain in f.domains}
+    if attr_spec.symmetric:
+        pairs |= {(f.concepts[0], owner) for owner in owners for f in index.facts_with_object(owner)
+                  if f.relation == "has_attribute" and domain in f.domains}
+    return pairs

@@ -1,10 +1,27 @@
 from __future__ import annotations
 
+import copy
+import pickle
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdcgraph import DomainExpr, DomainSyntaxError, format_domain, fuse, is_prefix_of, parse_domain
+from cdcgraph import (
+    DomainExpr,
+    DomainSyntaxError,
+    FactStore,
+    builtin_registry,
+    eval_query,
+    format_domain,
+    fuse,
+    is_prefix_of,
+    load_text,
+    parse_domain,
+    parse_query,
+)
 from cdcgraph.domains import DomainSegment
 from conftest import grammar_text
 
@@ -31,10 +48,9 @@ def test_parse_fusion_segment():
     expr = parse_domain("product+engineering@mobile")
     assert len(expr.segments) == 2
     assert expr.segments[0].is_fusion
-    assert expr.segments[0].canonical_atoms == ("engineering", "product")
+    # a segment holds its atoms sorted, whatever order they were written in
+    assert expr.segments[0].atoms == ("engineering", "product")
     assert expr.segments[1].atoms == ("mobile",)
-    # written order is preserved internally, canonical order in the text
-    assert expr.segments[0].atoms == ("product", "engineering")
     assert expr.text == "engineering+product@mobile"
 
 
@@ -97,12 +113,73 @@ def test_hand_built_domain_equals_parsed():
 def test_parse_domain_shares_one_value_per_text():
     first = parse_domain("product+engineering@mobile")
     assert parse_domain("".join(["product+engineering", "@mobile"])) is first
-    # the memo is keyed by the text as written: another spelling of the same
-    # domain is an equal value that keeps its own atom order
+    # another spelling of the same domain is the same value, atoms sorted
     other = parse_domain("engineering+product@mobile")
-    assert other == first and other is not first
-    assert first.segments[0].atoms == ("product", "engineering")
+    assert other is first
     assert other.segments[0].atoms == ("engineering", "product")
+
+
+@pytest.mark.parametrize("atoms", [(), ("a b",), ("a", "x@y"), ("",)])
+def test_hand_built_segment_takes_only_domain_atoms(atoms):
+    with pytest.raises(ValueError):
+        DomainSegment(atoms)
+
+
+def test_domain_equality_and_hash_are_identity():
+    assert DomainExpr.__eq__ is object.__eq__
+    assert DomainExpr.__hash__ is object.__hash__
+    with pytest.raises(AttributeError):
+        parse_domain("a@b").text = "b@a"
+
+
+@given(st.data())
+def test_every_spelling_of_a_domain_is_one_value(data):
+    text = data.draw(domain_texts)
+    expr = parse_domain(text)
+    # respell: shuffle and repeat the atoms of each segment
+    respelled = "@".join(
+        "+".join(data.draw(st.permutations(atoms)) + data.draw(st.lists(st.sampled_from(atoms), max_size=2)))
+        for atoms in (segment.split("+") for segment in text.split("@"))
+    )
+    assert parse_domain(respelled) is expr
+    assert DomainExpr(tuple(DomainSegment(seg.atoms[::-1]) for seg in expr.segments)) is expr
+    if len(expr.segments) == 1:
+        assert fuse(expr, parse_domain(expr.segments[0].atoms[-1])) is expr
+    assert copy.copy(expr) is expr
+    assert copy.deepcopy(expr) is expr
+    assert pickle.loads(pickle.dumps(expr)) is expr
+
+
+def test_threads_racing_to_make_a_domain_get_one_object():
+    # more threads than cores, each making the same new domains in one order
+    paths = [(DomainSegment((f"race{i}", "x")), DomainSegment((str(i),))) for i in range(5000)]
+    made: list[list[DomainExpr]] = [[] for _ in range(4)]
+    start = threading.Barrier(len(made))
+
+    def make(k):
+        start.wait()
+        made[k] = [DomainExpr(segments) for segments in paths]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=make, args=(k,)) for k in range(len(made))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(len(objects) == len(paths) for objects in made)
+    assert all(a is b for objects in made[1:] for a, b in zip(made[0], objects))
+
+
+def test_inherit_mode_admits_another_spelling_of_a_prefix():
+    store = FactStore(builtin_registry())
+    assert load_text('is_a(app, tool, "product+engineering").', store).ok
+    query = parse_query('is_a(app, ?W, "engineering+product@mobile")', store.registry).with_modes("inherit")
+    assert eval_query(query, store).render_lines() == ["?W = tool"]
 
 
 @pytest.mark.parametrize("text,offset", [("a@@b", 2), ("a b", 1), ("", 0)])

@@ -15,12 +15,14 @@ from cdcgraph import (
     all_prerequisites,
     analogy_search,
     builtin_registry,
+    eval_query,
     explain,
     inherited_attributes,
     load_casestudy,
     load_text,
     materialize,
     parse_domain,
+    parse_query,
     reachable_star,
     star_pairs,
     trace_depth,
@@ -28,6 +30,7 @@ from cdcgraph import (
 from cdcgraph.inference import LEAF, RULE_INHERITANCE, RULE_SYMMETRIC, RULE_TRANSITIVE, star_label
 from conftest import carrier_chain_text, cross, intra, random_dag_store, random_registry_store
 from oracles import all_topological_orders, brute_force_inherited, floyd_warshall_pairs, reachable_from
+import reference_bound
 
 
 def cid(symbol: str) -> ConceptId:
@@ -323,6 +326,23 @@ def test_inheritance_three_levels_matches_enumeration(store):
         (cid("sweet"), cid("fruit")),
         (cid("edible"), cid("food")),
     }
+
+
+def test_inheritance_reads_a_symmetric_attribute_either_way():
+    """A symmetric ``has_attribute`` fact is stored in one orientation, so an
+    owner's attributes are read from both of its indexes, as the goal reads
+    them."""
+    store = FactStore(builtin_registry())
+    assert load_text(
+        '@relation has_attribute intra symmetric inherits_via=is_a.\n'
+        'is_a(x, y, "d").\nhas_attribute(y, red, "d").\nhas_attribute(blue, y, "d").\n',
+        store,
+    ).ok
+    domain, want = parse_domain("d"), {(cid("red"), cid("y")), (cid("blue"), cid("y"))}
+    assert inherited_attributes(store, cid("x"), domain) == want
+    assert reference_bound.inherited_attributes(store, cid("x"), domain) == want
+    goal = eval_query(parse_query('has_attribute(x, ?A, "d")', store.registry), store)
+    assert goal.render_lines() == ["?A = blue", "?A = red"]
 
 
 def test_inheritance_matches_oracle_random():
