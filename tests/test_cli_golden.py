@@ -29,6 +29,15 @@ INPUTS = {
     ),
     "cycle.cdc": 'requires(a, b, "d").\nrequires(b, a, "d").\n',
     "bad.cdc": 'is_a(a b, "d").\nis_a(x, y, "d").\n',
+    # an inherited r1 edge is the first premise of a star fact, so a derived
+    # premise comes before its sibling
+    "derived-edge.cdc": (
+        "@relation c1 intra.\n"
+        "@relation r1 intra transitive inherits_via=c1.\n"
+        'c1(k0, k1, "d").\n'
+        'r1(k1, k2, "d").\n'
+        'r1(k2, k3, "d").\n'
+    ),
 }
 
 EDU = ["--case", "education"]
@@ -37,6 +46,7 @@ ENT = ["--case", "enterprise"]
 CUSTOM = ["--kb", "{tmp}/custom.cdc"]
 CYCLE = ["--kb", "{tmp}/cycle.cdc"]
 BAD = ["--kb", "{tmp}/bad.cdc"]
+DERIVED_EDGE = ["--kb", "{tmp}/derived-edge.cdc"]
 
 # commands that take --format: each runs once per format
 FORMATTED = {
@@ -79,6 +89,7 @@ FORMATTED = {
         "explain", *ENT, 'conflicts_with(battery_efficiency, real_time_sync, "product+engineering@mobile")'],
     "explain-symmetric-as-written": [
         "explain", *ENT, 'conflicts_with(real_time_sync, battery_efficiency, "product+engineering@mobile")'],
+    "explain-derived-edge": ["explain", *DERIVED_EDGE, 'r1_star(k0, k3, "d")'],
     "prereqs-education": ["prereqs", *EDU, "calculus", "highschool"],
     "prereqs-none": ["prereqs", *EDU, "arithmetic", "highschool"],
     "prereqs-cycle": ["prereqs", *CYCLE, "a", "d"],
