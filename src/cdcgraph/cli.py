@@ -95,7 +95,7 @@ def cmd_query(args: argparse.Namespace, store: FactStore, result: LoadResult) ->
     bindings = eval_query(query, store)
     if args.format == "json-lines":
         for solution in bindings:
-            record = {f"?{name}": _plain(value) for name, value in solution.items()}
+            record = {f"?{name}": str(value) for name, value in solution.items()}
             print(json.dumps({"type": "solution", "bindings": record}, sort_keys=True))
     else:
         _print_solutions(bindings)
@@ -107,10 +107,6 @@ def _print_solutions(bindings: BindingSet) -> None:
         print(line)
     if not bindings:
         print("no solutions")
-
-
-def _plain(value: object) -> str:
-    return getattr(value, "text", None) or str(value)
 
 
 def cmd_check(args: argparse.Namespace, store: FactStore, result: LoadResult) -> int:
@@ -178,73 +174,49 @@ def cmd_materialize(args: argparse.Namespace, store: FactStore, result: LoadResu
 
 def cmd_explain(args: argparse.Namespace, store: FactStore, result: LoadResult) -> int:
     fact = parse_fact_text(args.fact, store.registry, allow_star=True)
-    closure = materialize(store)
-    try:
-        record = _trace_record(fact, store, closure)
+    try:  # the whole walk runs first, so a failure prints no partial trace
+        nodes = _trace_nodes(fact, store, materialize(store))
     except NotDerivableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.format == "json-lines":
-        print(_json_line(record))
+        print(_trace_json(nodes))
     else:
-        for line in _render_trace_lines(record):
-            print(line)
+        for depth, text, rule in nodes:
+            print(f"{'  ' * depth}{text}   [{rule}]")
     return 0
 
 
-# A derivation is as deep as its longest chain of rule applications, so the
-# trace helpers below keep explicit stacks rather than recurse per level.
-
-def _trace_record(fact: Fact, store: FactStore, closure: ClosureSet) -> dict:
-    root: dict = {}
-    stack = [(fact, root)]
+def _trace_nodes(fact: Fact, store: FactStore, closure: ClosureSet) -> list[tuple[int, str, str]]:
+    """The derivation of ``fact`` in pre-order, as (depth, fact text, rule).
+    A derivation is as deep as its longest chain of rule applications, so the
+    walk keeps an explicit stack rather than recurse per level."""
+    nodes = []
+    stack = [(fact, 0)]
     while stack:
-        fact, record = stack.pop()
+        fact, depth = stack.pop()
         trace = explain(fact, store, closure)
-        premises = [{} for _ in trace.premises]
-        record.update(type="trace", fact=render_clause(fact).rstrip("."), rule=trace.rule, premises=premises)
-        stack.extend(zip(trace.premises, premises))
-    return root
+        nodes.append((depth, render_clause(fact).rstrip("."), trace.rule))
+        stack.extend((premise, depth + 1) for premise in reversed(trace.premises))
+    return nodes
 
 
-def _render_trace_lines(record: dict) -> list[str]:
-    lines = []
-    stack = [(record, 0)]
-    while stack:
-        record, depth = stack.pop()
-        lines.append(f"{'  ' * depth}{record['fact']}   [{record['rule']}]")
-        stack.extend((premise, depth + 1) for premise in reversed(record["premises"]))
-    return lines
-
-
-class _Text(str):
-    """Encoded JSON text, as opposed to a string value still to encode."""
-
-
-def _json_line(value: object) -> str:
-    """``json.dumps(value, sort_keys=True)`` with an explicit stack for the
-    dicts and lists: the encoder recurses per nesting level and fails on a
-    deep trace."""
+def _trace_json(nodes: list[tuple[int, str, str]]) -> str:
+    """The nested trace record, written as ``json.dumps(record,
+    sort_keys=True)`` writes it, from the pre-order nodes: each node opens its
+    record and premise list, and one at the depth of an open node or above it
+    first closes the open nodes down to its own depth.  (``json.dumps``
+    recurses per level and fails on a deep trace.)"""
     parts = []
-    stack = [value]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, _Text):
-            parts.append(item)
-        elif isinstance(item, (dict, list)):
-            if isinstance(item, dict):
-                opening, closing = "{", "}"
-                members = [(f"{json.dumps(key)}: ", item[key]) for key in sorted(item)]
-            else:
-                opening, closing = "[", "]"
-                members = [("", element) for element in item]
-            parts.append(opening)
-            stack.append(_Text(closing))
-            for i in reversed(range(len(members))):
-                prefix, member = members[i]
-                stack += [member, _Text(", " + prefix if i else prefix)]
-        else:
-            parts.append(json.dumps(item))
+    closings: list[str] = []  # one per open node, outermost first
+    for depth, text, rule in nodes:
+        if depth < len(closings):
+            parts += reversed(closings[depth:])
+            del closings[depth:]
+            parts.append(", ")
+        parts.append(f'{{"fact": {json.dumps(text)}, "premises": [')
+        closings.append(f'], "rule": {json.dumps(rule)}, "type": "trace"}}')
+    parts += reversed(closings)
     return "".join(parts)
 
 
@@ -259,18 +231,12 @@ def cmd_prereqs(args: argparse.Namespace, store: FactStore, result: LoadResult) 
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    order = all_prerequisites(store, target, domain_expr)
-    if args.format == "json-lines":
-        print(json.dumps(
-            {"type": "prereqs", "concept": args.concept, "domain": domain_expr.text,
-             "order": [c.symbol for c in order]},
-            sort_keys=True,
-        ))
-    else:
-        for item in order:
-            print(item.symbol)
-        if not order:
-            print("no prerequisites")
+    order = [concept.symbol for concept in all_prerequisites(store, target, domain_expr)]
+    _emit(
+        args,
+        {"type": "prereqs", "concept": args.concept, "domain": domain_expr.text, "order": order},
+        "\n".join(order) or "no prerequisites",
+    )
     return 0 if order else 1
 
 

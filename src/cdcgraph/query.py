@@ -90,14 +90,8 @@ class BindingSet:
         return [_render_solution(self.variables, values) for values in self.solutions]
 
 
-def _render_value(value: object) -> str:
-    if isinstance(value, DomainExpr):
-        return value.text
-    return str(value)
-
-
 def _render_solution(variables: tuple[str, ...], values: tuple[object, ...]) -> str:
-    return ", ".join(f"?{name} = {_render_value(value)}" for name, value in zip(variables, values))
+    return ", ".join(f"?{name} = {value}" for name, value in zip(variables, values))
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +237,7 @@ def eval_query(
         if bound is None:
             continue
         values = tuple(bound[name] for name in variables)
-        by_rendered.setdefault(tuple(_render_value(v) for v in values), values)
+        by_rendered.setdefault(tuple(map(str, values)), values)
     return BindingSet(variables=variables, solutions=tuple(by_rendered[key] for key in sorted(by_rendered)))
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections.abc import Collection, Iterator, Mapping
 from dataclasses import dataclass
 from operator import attrgetter
+from threading import RLock
 from types import MappingProxyType
 from typing import NamedTuple
 from weakref import WeakValueDictionary
@@ -34,10 +35,12 @@ from .relations import RelationRegistry, RelationShape, RelationSpec
 
 
 class ConceptId:
-    """Interned concept symbol: equal strings yield the identical object, so
-    equality and hashing are by identity.  Copying or unpickling re-interns
-    the symbol, so it returns that same object.  The intern table holds its
-    symbols weakly: one nothing refers to any more is dropped.
+    """Interned concept symbol: equal strings yield the identical object, in
+    any thread, so equality and hashing are by identity.  A known symbol is
+    looked up without a lock; a new one is made under it.  Copying or
+    unpickling re-interns the symbol, so it returns that same object.  The
+    intern table holds its symbols weakly: one nothing refers to any more is
+    dropped.
 
     A symbol is non-empty, holds no line break and not both quote kinds, so
     that a saved fact file can always quote it and read it back.
@@ -45,6 +48,7 @@ class ConceptId:
 
     __slots__ = ("symbol", "__weakref__")
     _interned: WeakValueDictionary[str, "ConceptId"] = WeakValueDictionary()
+    _interning = RLock()
 
     def __new__(cls, symbol: str) -> "ConceptId":
         existing = cls._interned.get(symbol)
@@ -56,9 +60,12 @@ class ConceptId:
             raise ValueError(f"concept symbol {symbol!r} holds a line break")
         if "'" in symbol and '"' in symbol:
             raise ValueError(f"concept symbol {symbol!r} holds both quote kinds")
-        obj = super().__new__(cls)
-        object.__setattr__(obj, "symbol", symbol)
-        cls._interned[symbol] = obj
+        with cls._interning:  # re-check: another thread may have made it
+            obj = cls._interned.get(symbol)
+            if obj is None:
+                obj = super().__new__(cls)
+                object.__setattr__(obj, "symbol", symbol)
+                cls._interned[symbol] = obj
         return obj
 
     def __setattr__(self, name, value):

@@ -60,6 +60,17 @@ def carrier_chain_text(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+# An inherited r1 edge is the first premise of r1_star(k0, k3, "d"), so its
+# derivation holds a derived premise before a sibling.
+DERIVED_EDGE_KB = """\
+@relation c1 intra.
+@relation r1 intra transitive inherits_via=c1.
+c1(k0, k1, "d").
+r1(k1, k2, "d").
+r1(k2, k3, "d").
+"""
+
+
 def random_dag_store(
     rng: random.Random,
     relations: tuple[str, ...] = ("is_a", "part_of", "requires"),

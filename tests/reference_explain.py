@@ -9,9 +9,10 @@ Its membership test is the store's old ``__contains__``, spelled out here:
 the shape check, ``canonicalize_fact`` on every fact, then the index read.
 
 ``trace_depth`` is the recursive definition of the derivation depth, the
-reference for the engine's stack-based walk.  It recurses once per level,
-so it is held to the engine only on derivations shallower than the
-recursion limit.
+reference for the engine's stack-based walk, and ``trace_record`` builds by
+recursion the nested record ``cdc explain --format json-lines`` writes.
+Both recurse once per level, so they are held to the engine only on
+derivations shallower than the recursion limit.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 from cdcgraph import inference
 from cdcgraph.errors import NotDerivableError, StaleClosureError
 from cdcgraph.inference import LEAF, ClosureSet, DerivationTrace
+from cdcgraph.kbfile import render_clause
 from cdcgraph.relations import star_relation
 from cdcgraph.store import Fact, FactStore, canonicalize_fact
 
@@ -63,3 +65,15 @@ def trace_depth(fact: Fact, store: FactStore, closure: ClosureSet | None = None)
     if trace.is_leaf:
         return 0
     return 1 + max(trace_depth(p, store, closure) for p in trace.premises)
+
+
+def trace_record(fact: Fact, store: FactStore, closure: ClosureSet | None = None) -> dict:
+    """The derivation of ``fact`` as one nested record: its clause, rule and
+    premise records."""
+    trace = inference.explain(fact, store, closure)
+    return {
+        "type": "trace",
+        "fact": render_clause(fact).rstrip("."),
+        "rule": trace.rule,
+        "premises": [trace_record(premise, store, closure) for premise in trace.premises],
+    }

@@ -3,12 +3,16 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import random
 
 import pytest
 
-from cdcgraph.cli import _json_line, build_parser, main
+from cdcgraph import FactStore, builtin_registry, load_casestudy, load_text, materialize, save_file
+from cdcgraph.cli import build_parser, main
+from cdcgraph.kbfile import CASESTUDY_NAMES, render_clause
 from cdcgraph.synthetic import run_bench
-from conftest import carrier_chain_text
+from conftest import DERIVED_EDGE_KB, carrier_chain_text, random_registry_store
+import reference_explain
 
 APPLE_KB = """\
 is_a(apple, fruit, "Biology@Plant_Taxonomy").
@@ -220,13 +224,41 @@ def test_explain_deep_chain(fmt, tmp_path, capsys):
     assert out.splitlines() == want
 
 
-@pytest.mark.parametrize("value", [
-    {}, [], "", None, True, 1.5, -7, "caf\u00e9 \"quoted\"\n",
-    {"b": [1, {"z": [], "a": {}}, [[]]], "a": None, "\u00e9": "x"},
-    [{"premises": [{"premises": []}], "fact": "f"}, "s", [1, [2, [3]]]],
-])
-def test_json_line_matches_json_dumps(value):
-    assert _json_line(value) == json.dumps(value, sort_keys=True)
+def _assert_explain_json_matches_reference(store: FactStore, source: list[str], capsys) -> None:
+    """``cdc explain --format json-lines`` on every asserted and derived fact
+    of ``store``, loaded by the CLI from ``source``, writes what
+    ``json.dumps`` writes of the recursively built record."""
+    closure = materialize(store)
+    facts = list(store) + [fact for facts in closure.derived.values() for fact in facts]
+    assert facts
+    for fact in facts:
+        assert main(["explain", *source, "--format", "json-lines", render_clause(fact)]) == 0, fact
+        want = json.dumps(reference_explain.trace_record(fact, store, closure), sort_keys=True)
+        assert capsys.readouterr().out == want + "\n", fact
+
+
+@pytest.mark.parametrize("name", CASESTUDY_NAMES)
+def test_explain_json_matches_reference_on_case_studies(name, capsys):
+    store = FactStore(builtin_registry())
+    load_casestudy(name, store)
+    _assert_explain_json_matches_reference(store, ["--case", name], capsys)
+
+
+def test_explain_json_matches_reference_on_random_registries(tmp_path, capsys):
+    rng = random.Random(61)
+    path = tmp_path / "kb.cdc"
+    for _ in range(10):
+        store = random_registry_store(rng)
+        save_file(store, str(path))
+        _assert_explain_json_matches_reference(store, ["--kb", str(path)], capsys)
+
+
+def test_explain_json_matches_reference_on_a_derived_edge(tmp_path, capsys):
+    path = tmp_path / "derived-edge.cdc"
+    path.write_text(DERIVED_EDGE_KB)
+    store = FactStore(builtin_registry())
+    assert load_text(DERIVED_EDGE_KB, store).ok
+    _assert_explain_json_matches_reference(store, ["--kb", str(path)], capsys)
 
 
 def test_prereqs_topological_order(capsys):

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from cdcgraph.cli import main
+from conftest import DERIVED_EDGE_KB
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
 
@@ -29,15 +30,7 @@ INPUTS = {
     ),
     "cycle.cdc": 'requires(a, b, "d").\nrequires(b, a, "d").\n',
     "bad.cdc": 'is_a(a b, "d").\nis_a(x, y, "d").\n',
-    # an inherited r1 edge is the first premise of a star fact, so a derived
-    # premise comes before its sibling
-    "derived-edge.cdc": (
-        "@relation c1 intra.\n"
-        "@relation r1 intra transitive inherits_via=c1.\n"
-        'c1(k0, k1, "d").\n'
-        'r1(k1, k2, "d").\n'
-        'r1(k2, k3, "d").\n'
-    ),
+    "derived-edge.cdc": DERIVED_EDGE_KB,
 }
 
 EDU = ["--case", "education"]

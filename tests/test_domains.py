@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdcgraph import (
+    ConceptId,
     DomainExpr,
     DomainSyntaxError,
     FactStore,
@@ -150,20 +151,20 @@ def test_every_spelling_of_a_domain_is_one_value(data):
     assert pickle.loads(pickle.dumps(expr)) is expr
 
 
-def test_threads_racing_to_make_a_domain_get_one_object():
-    # more threads than cores, each making the same new domains in one order
-    paths = [(DomainSegment((f"race{i}", "x")), DomainSegment((str(i),))) for i in range(5000)]
-    made: list[list[DomainExpr]] = [[] for _ in range(4)]
-    start = threading.Barrier(len(made))
+def _made_by_racing_threads(make, n_threads=4):
+    """Run ``make()`` in ``n_threads`` threads (more than cores) released
+    together, with a 1-microsecond switch interval; return their results."""
+    made = [None] * n_threads
+    start = threading.Barrier(n_threads)
 
-    def make(k):
+    def run(k):
         start.wait()
-        made[k] = [DomainExpr(segments) for segments in paths]
+        made[k] = make()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=make, args=(k,)) for k in range(len(made))]
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(n_threads)]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -171,7 +172,22 @@ def test_threads_racing_to_make_a_domain_get_one_object():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
+    return made
+
+
+def test_threads_racing_to_make_a_domain_get_one_object():
+    # each thread makes the same new domains in one order
+    paths = [(DomainSegment((f"race{i}", "x")), DomainSegment((str(i),))) for i in range(5000)]
+    made = _made_by_racing_threads(lambda: [DomainExpr(segments) for segments in paths])
     assert all(len(objects) == len(paths) for objects in made)
+    assert all(a is b for objects in made[1:] for a, b in zip(made[0], objects))
+
+
+def test_threads_racing_to_make_a_concept_get_one_object():
+    # each thread makes the same new symbols in one order
+    symbols = [f"race-concept{i}" for i in range(5000)]
+    made = _made_by_racing_threads(lambda: [ConceptId(symbol) for symbol in symbols])
+    assert all(len(objects) == len(symbols) for objects in made)
     assert all(a is b for objects in made[1:] for a, b in zip(made[0], objects))
 
 
