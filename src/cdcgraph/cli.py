@@ -10,11 +10,12 @@ field names for golden-file tests.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 
-from .consistency import Lint, check
+from .consistency import Lint, check, ensure_acyclic
 from .domains import parse_domain
 from .errors import CdcError, CycleError, DomainSyntaxError, NotDerivableError, QuerySyntaxError
 from .inference import ClosureSet, all_prerequisites, explain, materialize
@@ -174,8 +175,12 @@ def cmd_materialize(args: argparse.Namespace, store: FactStore, result: LoadResu
 
 def cmd_explain(args: argparse.Namespace, store: FactStore, result: LoadResult) -> int:
     fact = parse_fact_text(args.fact, store.registry, allow_star=True)
+    ensure_acyclic(store, store.registry)  # a cyclic KB fails, whichever fact is asked
     try:  # the whole walk runs first, so a failure prints no partial trace
-        nodes = _trace_nodes(fact, store, materialize(store))
+        try:  # an asserted fact, or a star fact over an asserted edge, reads no closure
+            nodes = _trace_nodes(fact, store, None)
+        except NotDerivableError:
+            nodes = _trace_nodes(fact, store, materialize(store))
     except NotDerivableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -187,7 +192,7 @@ def cmd_explain(args: argparse.Namespace, store: FactStore, result: LoadResult) 
     return 0
 
 
-def _trace_nodes(fact: Fact, store: FactStore, closure: ClosureSet) -> list[tuple[int, str, str]]:
+def _trace_nodes(fact: Fact, store: FactStore, closure: ClosureSet | None) -> list[tuple[int, str, str]]:
     """The derivation of ``fact`` in pre-order, as (depth, fact text, rule).
     A derivation is as deep as its longest chain of rule applications, so the
     walk keeps an explicit stack rather than recurse per level."""
@@ -401,8 +406,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: ``parse_args`` reads it and changes nothing
+    in it, so every ``main`` call can share it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if "kb" not in args:  # bench reads no KB
             return args.func(args)

@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .domains import _ATOM_CHAR, _ATOM_FIRST, parse_domain
+from .domains import _ATOM_CHAR, _ATOM_FIRST, DomainExpr, parse_domain
 from .errors import CdcError, CycleError, DomainSyntaxError, RegistryError
 from .relations import RelationRegistry, RelationShape, RelationSpec, builtin_specs, spec_with_flags
 from .relations import star_label, star_relation
@@ -502,18 +502,41 @@ def parse_fact_text(text: str, registry, allow_star: bool = False) -> Fact:
 # Saving
 # ---------------------------------------------------------------------------
 
-def _render_concept(concept: ConceptId) -> str:
-    if _ATOM_TOKEN_RE.fullmatch(concept.symbol):
-        return concept.symbol
-    if "'" not in concept.symbol:
-        return f"'{concept.symbol}'"
-    return f'"{concept.symbol}"'
+class _Literals(dict):
+    """The literal of each concept and domain one writer call meets, made by
+    ``render`` on first use: a symbol is rendered once per call, not once per
+    occurrence.  Concepts and domains are interned, so they hash by identity."""
+
+    def __init__(self, render: Callable[[ConceptId | DomainExpr], str]):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, term: ConceptId | DomainExpr) -> str:
+        literal = self[term] = self.render(term)
+        return literal
+
+
+def _clauses(facts: Iterable[Fact], render: Callable[[ConceptId | DomainExpr], str]) -> list[str]:
+    """Each fact as ``relation(concepts..., domains...).``, every concept and
+    domain written by ``render``, which sees each distinct one once."""
+    literal = _Literals(render).__getitem__
+    return [f"{relation}({', '.join(map(literal, concepts + domains))})." for relation, concepts, domains in facts]
+
+
+def _fact_file_literal(term: ConceptId | DomainExpr) -> str:
+    """A domain in double quotes; a concept bare when it reads back as one
+    atom, else in the quote kind it does not hold."""
+    if isinstance(term, DomainExpr):
+        return f'"{term.text}"'
+    if _ATOM_TOKEN_RE.fullmatch(term.symbol):
+        return term.symbol
+    if "'" not in term.symbol:
+        return f"'{term.symbol}'"
+    return f'"{term.symbol}"'
 
 
 def render_clause(fact: Fact) -> str:
-    parts = [_render_concept(c) for c in fact.concepts]
-    parts += [f'"{d.text}"' for d in fact.domains]
-    return f"{fact.relation}({', '.join(parts)})."
+    return _clauses([fact], _fact_file_literal)[0]
 
 
 def render_directive(spec: RelationSpec) -> str:
@@ -527,18 +550,17 @@ def render_directive(spec: RelationSpec) -> str:
 
 
 def save_file(store: FactStore, path: str | Path) -> None:
-    """Canonical serialization: custom relation directives first, then facts
-    sorted by (relation, domain text, concepts).  Equal stores produce
-    byte-identical files."""
+    """Canonical serialization: custom relation directives first, then the
+    facts in ``FactStore.facts()`` order, (relation, domain text, concepts).
+    Equal stores produce byte-identical files."""
     builtin_by_name = {spec.name: spec for spec in builtin_specs()}
     lines: list[str] = []
     for name in store.registry.names():
         spec = store.registry.lookup(name)
         if builtin_by_name.get(name) != spec:
             lines.append(render_directive(spec))
-    for fact in store.facts():
-        lines.append(render_clause(fact))
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    lines += _clauses(store.facts(), _fact_file_literal)
+    Path(path).write_text("\n".join([*lines, ""]), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -551,10 +573,8 @@ def _prolog_atom(text: str) -> str:
     return "'" + text.replace("'", "\\'") + "'"
 
 
-def _prolog_fact(fact: Fact) -> str:
-    parts = [_prolog_atom(c.symbol) for c in fact.concepts]
-    parts += [_prolog_atom(d.text) for d in fact.domains]
-    return f"{fact.relation}({', '.join(parts)})."
+def _prolog_literal(term: ConceptId | DomainExpr) -> str:
+    return _prolog_atom(str(term))  # a concept's symbol, a domain's text
 
 
 def export_interop(store: FactStore, path: str | Path) -> None:
@@ -569,8 +589,7 @@ def export_interop(store: FactStore, path: str | Path) -> None:
         spec = registry.lookup(name)
         lines.append(f":- dynamic {_prolog_atom(name)}/{spec.shape.arity}.")
     lines.append("")
-    for fact in store.facts():
-        lines.append(_prolog_fact(fact))
+    lines += _clauses(store.facts(), _prolog_literal)
     lines.append("")
     for name in registry.names():
         spec = registry.lookup(name)
@@ -591,7 +610,7 @@ def export_interop(store: FactStore, path: str | Path) -> None:
             lines.append(f"{name}(X, Attr, Domain) :-")
             lines.append(f"    {spec.inherits_via}(X, Y, Domain),")
             lines.append(f"    {name}(Y, Attr, Domain).")
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    Path(path).write_text("\n".join([*lines, ""]), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from cdcgraph import FactStore, builtin_registry, load_casestudy, load_text, materialize, save_file
+from cdcgraph import FactStore, builtin_registry, cli, load_casestudy, load_text, materialize, save_file
 from cdcgraph.cli import build_parser, main
 from cdcgraph.kbfile import CASESTUDY_NAMES, render_clause
 from cdcgraph.synthetic import run_bench
@@ -473,3 +473,29 @@ def test_ignored_flag_is_a_usage_error(argv, capsys):
         main(argv)
     assert exit_info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_explain_reads_no_closure_for_an_asserted_fact(monkeypatch, capsys):
+    """An asserted fact, in either orientation if its relation is symmetric,
+    and a star fact over an asserted edge are leaves: ``cdc explain`` answers
+    them without ``materialize``, and materializes once for a derived fact."""
+    made = []
+    monkeypatch.setattr(cli, "materialize", lambda store: made.append(store) or materialize(store))
+    for fact in ['is_a(polynomial_function, function, "math@algebra")',
+                 'is_a_star(polynomial_function, function, "math@algebra")',
+                 'analogous_to(machine, function, "engineering@systems", "cs@programming")']:
+        assert main(["explain", "--case", "education", fact]) == 0
+        assert capsys.readouterr().out == f"{fact}   [asserted]\n"
+    assert made == []
+    assert main(["explain", "--case", "education", 'is_a_star(quadratic_function, function, "math@algebra")']) == 0
+    assert "[transitive]" in capsys.readouterr().out
+    assert len(made) == 1
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda build=cli.build_parser: built.append(1) or build())
+    cli._parser.cache_clear()
+    for _ in range(3):
+        assert main(["stats", "--case", "education"]) == 0
+    assert built == [1]
