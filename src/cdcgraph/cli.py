@@ -114,38 +114,16 @@ def cmd_check(args: argparse.Namespace, store: FactStore, result: LoadResult) ->
     report = check(store)
     # the loader's duplicate-fact warnings come first
     warnings = [Lint(kind="duplicate-fact", description=str(d)) for d in result.warnings] + report.warnings
-    for violation in report.errors:
-        _emit(
-            args,
-            {
-                "type": "error",
-                "kind": violation.kind,
-                "relation": violation.relation,
-                "domain": violation.domain,
-                "description": violation.description,
-            },
-            f"error [{violation.relation} @ {violation.domain}]: {violation.description}",
-        )
+    for kind, relation, domain, description, _ in report.errors:
+        record = {"type": "error", "kind": kind, "relation": relation, "domain": domain, "description": description}
+        _emit(args, record, f"error [{relation} @ {domain}]: {description}")
     for lint in warnings:
-        _emit(
-            args,
-            {"type": "warning", "kind": lint.kind, "description": lint.description},
-            f"warning [{lint.kind}]: {lint.description}",
-        )
+        _emit(args, {"type": "warning", **lint._asdict()}, f"warning [{lint.kind}]: {lint.description}")
     for witness in report.separation_witnesses:
-        _emit(
-            args,
-            {
-                "type": "witness",
-                "concept": witness.concept.symbol,
-                "relation": witness.relation,
-                "object1": witness.first[0].symbol,
-                "domain1": witness.first[1].text,
-                "object2": witness.second[0].symbol,
-                "domain2": witness.second[1].text,
-            },
-            f"witness: {witness.describe()}",
-        )
+        concept, relation, (object1, domain1), (object2, domain2) = witness
+        record = {"type": "witness", "concept": concept.symbol, "relation": relation, "object1": object1.symbol,
+                  "domain1": domain1.text, "object2": object2.symbol, "domain2": domain2.text}
+        _emit(args, record, f"witness: {witness.describe()}")
     _emit(
         args,
         {
@@ -175,12 +153,13 @@ def cmd_materialize(args: argparse.Namespace, store: FactStore, result: LoadResu
 
 def cmd_explain(args: argparse.Namespace, store: FactStore, result: LoadResult) -> int:
     fact = parse_fact_text(args.fact, store.registry, allow_star=True)
-    ensure_acyclic(store, store.registry)  # a cyclic KB fails, whichever fact is asked
     try:  # the whole walk runs first, so a failure prints no partial trace
         try:  # an asserted fact, or a star fact over an asserted edge, reads no closure
             nodes = _trace_nodes(fact, store, None)
-        except NotDerivableError:
+        except NotDerivableError:  # materialize checks the KB for cycles first
             nodes = _trace_nodes(fact, store, materialize(store))
+        else:  # a cyclic KB fails, whichever fact is asked
+            ensure_acyclic(store, store.registry)
     except NotDerivableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -249,16 +228,7 @@ def cmd_stats(args: argparse.Namespace, store: FactStore, result: LoadResult) ->
     stats = store.stats()
     lines = [f"total facts: {stats.total_facts}", f"last query scanned: {stats.last_query_scanned}"]
     lines += [f"  {domain}: {count}" for domain, count in stats.facts_per_domain.items()]
-    _emit(
-        args,
-        {
-            "type": "stats",
-            "total_facts": stats.total_facts,
-            "facts_per_domain": stats.facts_per_domain,
-            "last_query_scanned": stats.last_query_scanned,
-        },
-        "\n".join(lines),
-    )
+    _emit(args, {"type": "stats", **stats._asdict()}, "\n".join(lines))
     return 0
 
 

@@ -15,8 +15,8 @@ the cycle that the violation and ``CycleError`` report.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Mapping
-from dataclasses import dataclass, field
+from collections.abc import Collection, Mapping, Sequence
+from typing import NamedTuple
 
 from .domains import DomainExpr
 from .errors import CycleError
@@ -24,8 +24,7 @@ from .relations import RelationRegistry, RelationShape
 from .store import ConceptId, Fact, FactStore
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str  # "cycle" or "irreflexive"
     relation: str
     domain: str
@@ -33,14 +32,12 @@ class Violation:
     facts: tuple[Fact, ...]
 
 
-@dataclass(frozen=True)
-class Lint:
+class Lint(NamedTuple):
     kind: str  # "case-variant-domains", "near-duplicate-domains", "duplicate-fact", ...
     description: str
 
 
-@dataclass(frozen=True)
-class SeparationWitness:
+class SeparationWitness(NamedTuple):
     """One concept categorized differently in two domains - coexisting, not conflicting."""
 
     concept: ConceptId
@@ -56,11 +53,12 @@ class SeparationWitness:
         )
 
 
-@dataclass
-class ConsistencyReport:
-    errors: list[Violation] = field(default_factory=list)
-    warnings: list[Lint] = field(default_factory=list)
-    separation_witnesses: list[SeparationWitness] = field(default_factory=list)
+class ConsistencyReport(NamedTuple):
+    """What ``check`` found, each field a list; a field left out is ``()``."""
+
+    errors: Sequence[Violation] = ()
+    warnings: Sequence[Lint] = ()
+    separation_witnesses: Sequence[SeparationWitness] = ()
 
     @property
     def ok(self) -> bool:
@@ -290,8 +288,6 @@ def _domain_lints(store: FactStore) -> list[Lint]:
 def check(store: FactStore) -> ConsistencyReport:
     """Validate a store.  Pure: never mutates; repeated calls agree."""
     registry = store.registry
-    report = ConsistencyReport()
-    report.errors = _acyclicity_violations(store, registry)
-    report.separation_witnesses = _separation_witnesses(store, registry)
-    report.warnings = _domain_lints(store)
-    return report
+    return ConsistencyReport(errors=_acyclicity_violations(store, registry),
+                             separation_witnesses=_separation_witnesses(store, registry),
+                             warnings=_domain_lints(store))

@@ -16,9 +16,9 @@ Grammar (exact):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from threading import RLock
+from typing import NamedTuple
 from weakref import WeakValueDictionary
 
 from .errors import DomainSyntaxError
@@ -32,20 +32,23 @@ _ATOM_CHAR = rf"[{_ATOM_LETTERS}.\-]"
 _ATOM_RE = re.compile(_ATOM_FIRST + _ATOM_CHAR + "*")
 
 
-@dataclass(frozen=True, slots=True)
-class DomainSegment:
+class DomainSegment(NamedTuple("DomainSegment", [("atoms", tuple[str, ...])])):
     """One path segment: a single atom, or a ``+``-fusion of several.
 
     Fusion is symmetric, so ``atoms`` is held sorted and deduplicated; each
     atom must match the grammar, so a domain's text always parses back.
     """
 
-    atoms: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.atoms or not all(map(_ATOM_RE.fullmatch, self.atoms)):
-            raise ValueError(f"a segment needs one or more domain atoms, not {self.atoms!r}")
-        object.__setattr__(self, "atoms", tuple(sorted(set(self.atoms))))
+    def __new__(cls, atoms: tuple[str, ...]) -> "DomainSegment":
+        if not atoms or not all(map(_ATOM_RE.fullmatch, atoms)):
+            raise ValueError(f"a segment needs one or more domain atoms, not {atoms!r}")
+        return super().__new__(cls, tuple(sorted(set(atoms))))
+
+    @classmethod
+    def _make(cls, iterable) -> "DomainSegment":  # so that ``_replace`` checks and sorts too
+        return cls(*iterable)
 
     @property
     def is_fusion(self) -> bool:

@@ -37,7 +37,6 @@ bound goal.
 from __future__ import annotations
 
 from collections.abc import Collection, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from operator import attrgetter, or_
 from typing import NamedTuple
@@ -72,17 +71,26 @@ class DerivationTrace(NamedTuple):
 LEAF = DerivationTrace(RULE_ASSERTED)
 
 
-@dataclass
 class ClosureSet:
     """Derived facts only (asserted facts live in the store), plus traces.
 
     ``generation`` snapshots the store generation this closure was computed
-    from; a mismatch means the closure is stale.
+    from; a mismatch means the closure is stale.  A plain class, not a
+    tuple: its large dicts are the closure's state rather than a value.
     """
 
-    generation: int
-    derived: dict[str, frozenset[Fact]] = field(default_factory=dict)
-    traces: dict[Fact, DerivationTrace] = field(default_factory=dict)
+    __slots__ = ("generation", "derived", "traces")
+
+    def __init__(self, generation: int, derived: dict[str, frozenset[Fact]] | None = None,
+                 traces: dict[Fact, DerivationTrace] | None = None) -> None:
+        self.generation = generation
+        self.derived = {} if derived is None else derived
+        self.traces = {} if traces is None else traces
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not ClosureSet:
+            return NotImplemented
+        return (self.generation, self.derived, self.traces) == (other.generation, other.derived, other.traces)
 
     def facts_for(self, label: str, domain: DomainExpr | None = None) -> list[Fact]:
         facts = self.derived.get(label, frozenset())

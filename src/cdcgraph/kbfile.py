@@ -31,9 +31,9 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .domains import _ATOM_CHAR, _ATOM_FIRST, DomainExpr, parse_domain
 from .errors import CdcError, CycleError, DomainSyntaxError, RegistryError
@@ -48,8 +48,7 @@ _PROLOG_BARE_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
 _PROLOG_INTEGER_RE = re.compile(r"0|[1-9][0-9]*")
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     file: str
     line: int
     column: int
@@ -58,8 +57,7 @@ class SourceSpan:
         return f"{self.file}:{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str  # "error" or "warning"
     message: str
     span: SourceSpan
@@ -68,16 +66,25 @@ class Diagnostic:
         return f"{self.span}: {self.severity}: {self.message}"
 
 
-@dataclass(frozen=True)
-class LoadedFact:
+class LoadedFact(NamedTuple):
     fact: Fact
     span: SourceSpan
 
 
-@dataclass
 class LoadResult:
-    facts: list[LoadedFact] = field(default_factory=list)
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    """What a load read: its facts and its diagnostics.  A plain class, not a
+    tuple, since ``merge`` appends to it."""
+
+    __slots__ = ("facts", "diagnostics")
+
+    def __init__(self, facts: list[LoadedFact] | None = None, diagnostics: list[Diagnostic] | None = None) -> None:
+        self.facts = [] if facts is None else facts
+        self.diagnostics = [] if diagnostics is None else diagnostics
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not LoadResult:
+            return NotImplemented
+        return (self.facts, self.diagnostics) == (other.facts, other.diagnostics)
 
     @property
     def errors(self) -> list[Diagnostic]:

@@ -18,7 +18,7 @@ lets a query scoped at ``a@b`` also see facts asserted at the more general
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .domains import _ATOM_RE, DomainExpr, is_prefix_of, parse_domain
 from .errors import DomainSyntaxError, QuerySyntaxError, StaleClosureError
@@ -30,32 +30,28 @@ EXACT = "exact"
 INHERIT = "inherit"
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     name: str  # without the leading '?'
 
 
-@dataclass(frozen=True)
-class ConceptConst:
+class ConceptConst(NamedTuple):
     value: ConceptId
 
 
-@dataclass(frozen=True)
-class DomainConst:
+class DomainConst(NamedTuple):
     value: DomainExpr
 
 
 Arg = Variable | ConceptConst | DomainConst
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(NamedTuple):
     goal: str
     args: tuple[Arg, ...]
     domain_mode: str = EXACT
 
     def with_modes(self, domain_mode: str | None = None) -> "Query":
-        return self if domain_mode is None else replace(self, domain_mode=domain_mode)
+        return self if domain_mode is None else self._replace(domain_mode=domain_mode)
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -66,13 +62,27 @@ class Query:
         return tuple(seen)
 
 
-@dataclass(frozen=True)
 class BindingSet:
     """Deduplicated solutions, one value tuple per solution, aligned with
-    ``variables`` and sorted by rendered text."""
+    ``variables`` and sorted by rendered text.  Immutable.  A plain class,
+    not a tuple, since its ``len`` and iteration are over the solutions."""
 
-    variables: tuple[str, ...]
-    solutions: tuple[tuple[object, ...], ...]
+    __slots__ = ("variables", "solutions")
+
+    def __init__(self, variables: tuple[str, ...], solutions: tuple[tuple[object, ...], ...]) -> None:
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "solutions", solutions)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BindingSet is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not BindingSet:
+            return NotImplemented
+        return (self.variables, self.solutions) == (other.variables, other.solutions)
+
+    def __hash__(self) -> int:
+        return hash((self.variables, self.solutions))
 
     def __len__(self) -> int:
         return len(self.solutions)

@@ -16,8 +16,7 @@ relation may be registered under that name while ``R`` is transitive.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Iterator, NamedTuple
 from weakref import WeakSet
 
 from .errors import RegistryError
@@ -60,8 +59,7 @@ class RelationShape(enum.Enum):
         self.arity = self.concept_count + domains
 
 
-@dataclass(frozen=True)
-class RelationSpec:
+class RelationSpec(NamedTuple):
     """Declaration of one relation predicate.
 
     ``inherits_via`` names a carrier relation: facts of this relation
@@ -218,7 +216,6 @@ def spec_with_flags(
     flags: dict[str, str | bool],
 ) -> RelationSpec:
     """Build a RelationSpec from directive-style flags (@relation lines)."""
-    spec = RelationSpec(name=name, shape=shape)
     for key, value in flags.items():
         if key == "inherits_via":
             if not isinstance(value, str):
@@ -228,5 +225,4 @@ def spec_with_flags(
                 raise RegistryError(f"{name}: flag {key} takes no value")
         else:
             raise RegistryError(f"{name}: unknown relation flag {key!r}")
-        spec = replace(spec, **{key: value})
-    return spec
+    return RelationSpec(name=name, shape=shape, **flags)

@@ -22,7 +22,6 @@ staleness.  Reads never mutate, apart from the scan counter.
 from __future__ import annotations
 
 from collections.abc import Collection, Iterator, Mapping
-from dataclasses import dataclass
 from operator import attrgetter
 from threading import RLock
 from types import MappingProxyType
@@ -137,8 +136,7 @@ class Fact(NamedTuple):
         return f"{self.relation}({', '.join(args)})"
 
 
-@dataclass(frozen=True)
-class FactPattern:
+class FactPattern(NamedTuple):
     """Match template: None in any slot is a wildcard.  Relation is fixed."""
 
     relation: str
@@ -159,8 +157,7 @@ class FactPattern:
         return True
 
 
-@dataclass
-class StoreStats:
+class StoreStats(NamedTuple):
     total_facts: int
     facts_per_domain: dict[str, int]
     last_query_scanned: int

@@ -49,6 +49,42 @@ def apple_store() -> FactStore:
     return s
 
 
+def assert_record_contract(cls, fields: dict, frozen: bool = True, hashable: bool = True):
+    """The contract every record keeps: construction by keyword and by
+    position give equal values, each field reads back by name, a hashable
+    record hashes like its equal and an unhashable one raises ``TypeError``,
+    and a frozen one refuses assignment.  Returns the record built by keyword."""
+    by_name, by_position = cls(**fields), cls(*fields.values())
+    assert by_name == by_position and not by_name != by_position and by_name is not by_position
+    for name, value in fields.items():
+        assert getattr(by_name, name) == value
+    if hashable:
+        assert hash(by_name) == hash(by_position)
+    else:
+        with pytest.raises(TypeError):
+            hash(by_name)
+    if frozen:
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(by_name, name, fields[name])
+    return by_name
+
+
+def assert_tuple_contract(record, hashable: bool = True, **change) -> None:
+    """A ``NamedTuple`` record is the tuple of its fields: it equals that
+    plain tuple, hashes like it when hashable, has its ``len``, and
+    ``_replace`` makes the record with the ``change`` fields changed."""
+    fields = tuple(getattr(record, name) for name in type(record)._fields)
+    assert record == fields and tuple(record) == fields and len(record) == len(fields)
+    if hashable:
+        assert hash(record) == hash(fields) and {fields: 1}[record] == 1
+    changed = record._replace(**change)
+    assert type(changed) is type(record) and changed != record
+    assert changed == type(record)(**{**record._asdict(), **change})
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
 def carrier_chain_text(n: int) -> str:
     """A KB of ``n`` ``under`` edges c0000 -> c0001 -> ... and one ``trait``
     on the last concept, which every concept inherits along ``under``: the

@@ -492,6 +492,30 @@ def test_explain_reads_no_closure_for_an_asserted_fact(monkeypatch, capsys):
     assert len(made) == 1
 
 
+def test_explain_checks_for_cycles_once(monkeypatch, tmp_path, capsys):
+    """``cdc explain`` runs the acyclicity pass once: itself for a leaf, and
+    inside ``materialize`` for a derived fact.  On a cyclic KB either kind of
+    fact exits 1 with nothing on stdout."""
+    from cdcgraph import inference
+
+    calls = []
+    for module in (cli, inference):
+        monkeypatch.setattr(module, "ensure_acyclic", lambda store, registry, check=module.ensure_acyclic:
+                            calls.append(1) or check(store, registry))
+    for fact in ['is_a(polynomial_function, function, "math@algebra")',
+                 'is_a_star(quadratic_function, function, "math@algebra")']:
+        calls.clear()
+        assert main(["explain", "--case", "education", fact]) == 0
+        assert capsys.readouterr().out and calls == [1]
+    path = tmp_path / "cycle.cdc"
+    path.write_text(CYCLE_KB)
+    for fact in ['requires(a, b, "d")', 'requires_star(a, b, "d")', 'requires_star(a, a, "d")']:
+        calls.clear()
+        assert main(["explain", "--kb", str(path), fact]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: cycle in acyclic relation 'requires'") and calls == [1]
+
+
 def test_main_builds_the_parser_once(monkeypatch, capsys):
     built = []
     monkeypatch.setattr(cli, "build_parser", lambda build=cli.build_parser: built.append(1) or build())

@@ -7,11 +7,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cdcgraph import CASESTUDY_NAMES, FactStore, builtin_registry, check, load_casestudy, load_text, materialize
-from cdcgraph.consistency import edit_distance_at_most
+from cdcgraph import (
+    CASESTUDY_NAMES,
+    ConceptId,
+    FactStore,
+    builtin_registry,
+    check,
+    load_casestudy,
+    load_text,
+    materialize,
+    parse_domain,
+)
+from cdcgraph.consistency import ConsistencyReport, Lint, SeparationWitness, Violation, edit_distance_at_most
 from cdcgraph.errors import CycleError
 from cdcgraph.synthetic import generate_synthetic_store
-from conftest import apple_store, intra
+from conftest import apple_store, assert_record_contract, assert_tuple_contract, intra
 import reference_consistency
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -282,3 +292,38 @@ def test_cycle_pretest_matches_reference(edges, cycles, upward):
     # the message is made from these three
     assert (caught.value.relation, caught.value.domain, caught.value.vertices) == (
         first.relation, first.domain, tuple(f.concepts[0].symbol for f in first.facts))
+
+
+def test_violation_record_contract():
+    facts = (intra("requires", "a", "b", "d"), intra("requires", "b", "a", "d"))
+    violation = assert_record_contract(Violation, dict(kind="cycle", relation="requires", domain="d",
+                                                       description="cycle a -> b -> a", facts=facts))
+    assert_tuple_contract(violation, kind="irreflexive")
+
+
+def test_lint_record_contract():
+    lint = assert_record_contract(Lint, dict(kind="duplicate-fact", description="d"))
+    assert repr(lint) == "Lint(kind='duplicate-fact', description='d')"
+    assert_tuple_contract(lint, description="e")
+    assert Lint("k", "d") == ("k", "d")
+
+
+def test_separation_witness_record_contract():
+    fruit, company = ConceptId("Fruit"), ConceptId("Company")
+    witness = assert_record_contract(SeparationWitness, dict(
+        concept=ConceptId("Apple"), relation="is_a", first=(fruit, parse_domain("Biology")),
+        second=(company, parse_domain("Business"))))
+    assert witness.describe() == 'is_a(Apple, Fruit, "Biology") coexists with is_a(Apple, Company, "Business")'
+    assert_tuple_contract(witness, relation="part_of")
+
+
+def test_consistency_report_record_contract():
+    store = apple_store()
+    report = check(store)
+    assert_record_contract(ConsistencyReport, dict(errors=report.errors, warnings=report.warnings,
+                                                   separation_witnesses=report.separation_witnesses),
+                           hashable=False)
+    assert report == check(store) and report.ok
+    assert_tuple_contract(report, hashable=False, separation_witnesses=[])
+    empty = ConsistencyReport()
+    assert empty.ok and not empty.errors and not empty.warnings and not empty.separation_witnesses

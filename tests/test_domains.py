@@ -24,7 +24,7 @@ from cdcgraph import (
     parse_query,
 )
 from cdcgraph.domains import DomainSegment
-from conftest import grammar_text
+from conftest import assert_record_contract, assert_tuple_contract, grammar_text
 
 ATOM_START = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_"
 ATOM_CONT = ATOM_START + ".-"
@@ -275,3 +275,16 @@ def test_fuse_multi_segment_paths_become_opaque():
 def test_fuse_commutative(t1, t2):
     a, b = parse_domain(t1), parse_domain(t2)
     assert fuse(a, b) == fuse(b, a)
+
+
+def test_domain_segment_record_contract():
+    segment = assert_record_contract(DomainSegment, dict(atoms=("engineering", "product")))
+    assert segment == DomainSegment(("product", "engineering", "product"))
+    assert segment != DomainSegment(("product",)) and segment.is_fusion and str(segment) == "engineering+product"
+    for duplicate in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        assert duplicate(segment) == segment and type(duplicate(segment)) is DomainSegment
+    assert repr(segment) == "DomainSegment(atoms=('engineering', 'product'))"
+    assert_tuple_contract(segment, atoms=("mobile",))
+    assert segment._replace(atoms=("b", "a", "b")).atoms == ("a", "b")
+    with pytest.raises(ValueError):
+        segment._replace(atoms=("a b",))

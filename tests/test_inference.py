@@ -27,8 +27,8 @@ from cdcgraph import (
     star_pairs,
     trace_depth,
 )
-from cdcgraph.inference import LEAF, RULE_INHERITANCE, RULE_SYMMETRIC, RULE_TRANSITIVE, star_label
-from conftest import carrier_chain_text, cross, intra, random_dag_store, random_registry_store
+from cdcgraph.inference import LEAF, RULE_INHERITANCE, RULE_SYMMETRIC, RULE_TRANSITIVE, ClosureSet, star_label
+from conftest import assert_record_contract, carrier_chain_text, cross, intra, random_dag_store, random_registry_store
 from oracles import all_topological_orders, brute_force_inherited, floyd_warshall_pairs, reachable_from
 import reference_bound
 
@@ -646,3 +646,15 @@ def test_lazy_queries_agree_with_closure_on_custom_flags(text, answers):
         lazy = eval_query(query, store).render_lines()
         eager = eval_query(query, store, closure, strict=True).render_lines()
         assert lazy == eager == want, goal
+
+
+def test_closure_set_record_contract(store):
+    store.assert_fact(intra("is_a", "a", "b", "d"))
+    store.assert_fact(intra("is_a", "b", "c", "d"))
+    closure = materialize(store)
+    assert_record_contract(ClosureSet, dict(generation=closure.generation, derived=closure.derived,
+                                            traces=closure.traces), frozen=False, hashable=False)
+    assert closure == materialize(store) and closure != ClosureSet(closure.generation)
+    assert closure != (closure.generation, closure.derived, closure.traces)
+    empty = ClosureSet(0)
+    assert empty.derived == {} and empty.traces == {} and empty.size() == 0

@@ -23,8 +23,8 @@ from cdcgraph import (
     parse_fact_text,
     save_file,
 )
-from cdcgraph.kbfile import render_clause
-from conftest import fusion, grammar_text, intra
+from cdcgraph.kbfile import Diagnostic, LoadedFact, LoadResult, SourceSpan, render_clause
+from conftest import assert_record_contract, assert_tuple_contract, fusion, grammar_text, intra
 
 
 def fresh_store() -> FactStore:
@@ -612,3 +612,36 @@ def test_save_load_round_trip_property(tmp_path):
         assert second.read_bytes() == first.read_bytes()
 
     round_trip()
+
+
+def test_source_span_record_contract():
+    span = assert_record_contract(SourceSpan, dict(file="kb.cdc", line=3, column=7))
+    assert str(span) == "kb.cdc:3:7"
+    assert_tuple_contract(span, column=8)
+
+
+def test_diagnostic_record_contract():
+    diagnostic = assert_record_contract(Diagnostic, dict(severity="error", message="expected ')'",
+                                                         span=SourceSpan("kb.cdc", 3, 7)))
+    assert str(diagnostic) == "kb.cdc:3:7: error: expected ')'"
+    assert_tuple_contract(diagnostic, severity="warning")
+
+
+def test_loaded_fact_record_contract():
+    loaded = assert_record_contract(LoadedFact, dict(fact=intra("is_a", "a", "b", "d"),
+                                                     span=SourceSpan("kb.cdc", 1, 1)))
+    assert_tuple_contract(loaded, span=SourceSpan("kb.cdc", 2, 1))
+
+
+def test_load_result_record_contract():
+    text = 'is_a(a, b, "d").\nis_a(a b).\n'
+    result = load_text(text, FactStore(builtin_registry()), file="kb.cdc")
+    assert_record_contract(LoadResult, dict(facts=result.facts, diagnostics=result.diagnostics),
+                           frozen=False, hashable=False)
+    assert result == load_text(text, FactStore(builtin_registry()), file="kb.cdc")
+    assert result != (result.facts, result.diagnostics)
+    combined = LoadResult()
+    assert combined.facts == [] and combined.diagnostics == [] and combined.ok
+    combined.merge(result)
+    combined.merge(result)
+    assert combined.facts == result.facts * 2 and len(combined.errors) == 2 and not combined.ok

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from cdcgraph import (
     CASESTUDY_NAMES,
     CdcError,
+    ConceptId,
     DomainExpr,
     Fact,
     FactStore,
@@ -28,8 +29,17 @@ from cdcgraph import (
 )
 from cdcgraph import query as query_module
 from cdcgraph.inference import star_label
-from cdcgraph.query import ConceptConst, DomainConst, Variable, _admitted_domains
-from conftest import apple_store, cross, grammar_text, intra, random_dag_store, random_registry_store
+from cdcgraph.query import BindingSet, ConceptConst, DomainConst, Variable, _admitted_domains
+from conftest import (
+    apple_store,
+    assert_record_contract,
+    assert_tuple_contract,
+    cross,
+    grammar_text,
+    intra,
+    random_dag_store,
+    random_registry_store,
+)
 from oracles import reachable_from
 import reference_query
 
@@ -468,3 +478,36 @@ def test_star_name_pair_refused_in_a_fact_file(directives, refused_line):
         # foo_star came first: foo is refused, and foo_star stays a plain relation
         assert store.registry.lookup("foo_star").transitive is False
         assert answers_of(store, 'foo_star(?X, ?Y, "d")') == ["?X = x, ?Y = y"]
+
+
+def test_variable_record_contract():
+    assert_tuple_contract(assert_record_contract(Variable, dict(name="X")), name="Y")
+
+
+def test_concept_const_record_contract():
+    assert_tuple_contract(assert_record_contract(ConceptConst, dict(value=ConceptId("Apple"))),
+                          value=ConceptId("Pear"))
+
+
+def test_domain_const_record_contract():
+    assert_tuple_contract(assert_record_contract(DomainConst, dict(value=parse_domain("Biology@Plant_Taxonomy"))),
+                          value=parse_domain("Biology"))
+
+
+def test_query_record_contract(registry):
+    args = (ConceptConst(ConceptId("Apple")), Variable("Y"), DomainConst(parse_domain("Biology")))
+    query = assert_record_contract(Query, dict(goal="is_a", args=args, domain_mode="inherit"))
+    assert query == parse_query('is_a(Apple, ?Y, "Biology")', registry).with_modes("inherit")
+    assert Query("is_a", args).domain_mode == "exact" and query.variables == ("Y",)
+    assert query.with_modes() is query and query.with_modes("exact") == Query("is_a", args)
+    assert_tuple_contract(query, goal="part_of")
+
+
+def test_binding_set_record_contract():
+    solutions = ((ConceptId("Company"),), (ConceptId("Fruit"),))
+    binding = assert_record_contract(BindingSet, dict(variables=("Y",), solutions=solutions))
+    query = parse_query('is_a(Apple, ?Y, "Biology@Plant_Taxonomy")', builtin_registry())
+    assert eval_query(query, apple_store()) == BindingSet(("Y",), solutions[1:])
+    assert len(binding) == 2 and binding and not BindingSet(("Y",), ())
+    assert list(binding) == [{"Y": ConceptId("Company")}, {"Y": ConceptId("Fruit")}]
+    assert binding != BindingSet(("Z",), solutions) and binding != (("Y",), solutions)

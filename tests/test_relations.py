@@ -3,6 +3,8 @@ from __future__ import annotations
 import pytest
 
 from cdcgraph import RegistryError, RelationShape, RelationSpec, builtin_registry
+from cdcgraph.relations import spec_with_flags
+from conftest import assert_record_contract, assert_tuple_contract
 
 EXPECTED_BUILTINS = {
     "is_a", "part_of", "has_attribute", "requires", "cause_of", "enables",
@@ -138,3 +140,14 @@ def test_star_name_refused_next_to_a_transitive_relation():
     with pytest.raises(RegistryError, match="bar_star"):
         registry.register(RelationSpec("bar_star", symmetric=True))
     assert "bar_star" not in registry
+
+
+def test_relation_spec_record_contract():
+    spec = assert_record_contract(RelationSpec, dict(name="is_a", shape=RelationShape.INTRA, transitive=True,
+                                                     symmetric=False, reflexive=False, acyclic=True,
+                                                     inherits_via=None))
+    assert spec == builtin_registry().lookup("is_a")
+    assert RelationSpec("r") == RelationSpec("r", RelationShape.INTRA, False, False, False, False, None)
+    flagged = spec_with_flags("r", RelationShape.INTRA, {"transitive": True, "inherits_via": "is_a"})
+    assert flagged == RelationSpec("r", transitive=True, inherits_via="is_a")
+    assert_tuple_contract(spec, acyclic=False)

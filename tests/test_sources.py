@@ -27,3 +27,22 @@ def test_every_source_parses_as_the_oldest_python():
         except SyntaxError as exc:
             failures.append(f"{path.relative_to(ROOT)}:{exc.lineno}: {exc.msg}")
     assert failures == []
+
+
+def test_the_package_does_not_import_dataclasses():
+    """Records are NamedTuples or slotted classes: importing ``dataclasses``
+    (and ``inspect`` with it) would cost every ``cdc`` child process."""
+    paths = sorted((ROOT / "src" / "cdcgraph").rglob("*.py"))
+    assert len(paths) > 10
+    imports = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            imports += [f"{path.relative_to(ROOT)}:{node.lineno}: {name}"
+                        for name in names if name.split(".")[0] == "dataclasses"]
+    assert imports == []

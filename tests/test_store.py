@@ -20,8 +20,8 @@ from cdcgraph import (
     builtin_registry,
     parse_domain,
 )
-from cdcgraph.store import canonicalize_fact, swap_orientation
-from conftest import apple_store, cross, fusion, intra
+from cdcgraph.store import StoreStats, canonicalize_fact, swap_orientation
+from conftest import apple_store, assert_record_contract, assert_tuple_contract, cross, fusion, intra
 import reference_store
 
 
@@ -362,3 +362,20 @@ def test_cross_and_fusion_scan_counts(relation, concepts, domains, scanned, hits
                           tuple(d and parse_domain(d) for d in domains))
     assert len(list(store.match(pattern))) == hits
     assert store.stats().last_query_scanned == scanned
+
+
+def test_fact_pattern_record_contract():
+    pattern = assert_record_contract(FactPattern, dict(relation="is_a", concepts=(ConceptId("Apple"), None),
+                                                       domains=(None,)))
+    assert pattern.matches(intra("is_a", "Apple", "Fruit", "Biology@Plant_Taxonomy"))
+    assert not pattern.matches(intra("is_a", "Pear", "Fruit", "Biology@Plant_Taxonomy"))
+    assert_tuple_contract(pattern, domains=(parse_domain("Biology@Plant_Taxonomy"),))
+
+
+def test_store_stats_record_contract():
+    stats = apple_store().stats()
+    assert_record_contract(StoreStats, dict(total_facts=2, facts_per_domain={"Biology@Plant_Taxonomy": 1,
+                                                                             "Business@Tech_Sector": 1},
+                                            last_query_scanned=0), hashable=False)
+    assert stats == StoreStats(2, {"Biology@Plant_Taxonomy": 1, "Business@Tech_Sector": 1}, 0)
+    assert_tuple_contract(stats, hashable=False, last_query_scanned=1)
