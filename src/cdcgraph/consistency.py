@@ -7,15 +7,17 @@ multiple inheritance, and cross-domain divergence is the whole point of
 domain scoping; the latter is recorded as a separation witness.  Lints flag
 domain proliferation: case-only variants and near-duplicate spellings.
 
-The cycle search runs twice only where a cycle exists: a depth-first pass in
-whatever order the store's adjacency holds answers whether a partition is
-acyclic, and only a cyclic one is searched again in sorted order, which picks
-the cycle that the violation and ``CycleError`` report.
+One depth-first search, ``find_cycle``, answers every cycle question.  Its
+first pass over a partition walks the store's adjacency in its own order and
+counts a self-loop as a cycle, so a partition with no cycle is read once.
+Only a cyclic one is scanned for self-loops and searched again in sorted
+order without them, which picks the cycle that the violation and
+``CycleError`` report.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection, Mapping, Sequence
+from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from typing import NamedTuple
 
 from .domains import DomainExpr
@@ -65,63 +67,37 @@ class ConsistencyReport(NamedTuple):
         return not self.errors
 
 
-def find_cycle(adjacency: dict[ConceptId, list[ConceptId]]) -> list[ConceptId] | None:
-    """One closed walk [v0..vk] (edge vk->v0 exists) or None.  Deterministic:
-    nodes and successors are visited in sorted order."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[ConceptId, int] = {}
-    for root in sorted(adjacency):
-        if color.get(root, WHITE) != WHITE:
-            continue
-        color[root] = GRAY
-        path = [root]
-        stack = [(root, iter(sorted(adjacency.get(root, ()))))]
-        while stack:
-            node, successors = stack[-1]
-            advanced = False
-            for succ in successors:
-                state = color.get(succ, WHITE)
-                if state == GRAY:
-                    return path[path.index(succ):]
-                if state == WHITE:
-                    color[succ] = GRAY
-                    path.append(succ)
-                    stack.append((succ, iter(sorted(adjacency.get(succ, ())))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                path.pop()
-                stack.pop()
-    return None
-
-
-def _has_cycle(successors: Mapping[ConceptId, Collection[ConceptId]]) -> bool:
-    """Whether the adjacency holds a cycle through two or more nodes
-    (self-loops are skipped).  Visits nodes in the adjacency's own order."""
+def find_cycle(successors: Mapping[ConceptId, Collection[ConceptId]],
+               order: Callable[[Iterable[ConceptId]], Iterable[ConceptId]] = sorted) -> list[ConceptId] | None:
+    """One closed walk [v0..vk] (edge vk->v0 exists) or None; a self-loop is
+    the walk [v].  A successor that is not a key has no successors.  Roots
+    and each node's successors are visited in ``order``: sorted, which makes
+    the walk deterministic, or ``iter``, the mapping's own order."""
     done: set[ConceptId] = set()
-    for root in successors:
+    for root in order(successors):
         if root in done:
             continue
-        path = {root}
-        stack = [(root, iter(successors[root]))]
-        while stack:
-            node, rest = stack[-1]
+        # the open walk, each node with what is left of its successors
+        walk = {root: iter(order(successors[root]))}
+        node, rest = root, walk[root]
+        while True:
             for succ in rest:
-                if succ in path:
-                    if succ != node:
-                        return True
-                elif succ not in done:
+                if succ in walk:
+                    nodes = list(walk)
+                    return nodes[nodes.index(succ):]
+                if succ not in done:
                     if succ in successors:
-                        path.add(succ)
-                        stack.append((succ, iter(successors[succ])))
+                        node, rest = succ, iter(order(successors[succ]))
+                        walk[succ] = rest
                         break
                     done.add(succ)
             else:
-                stack.pop()
-                path.remove(node)
+                walk.popitem()
                 done.add(node)
-    return False
+                if not walk:
+                    break
+                node, rest = next(reversed(walk.items()))
+    return None
 
 
 def _acyclicity_violations(store: FactStore, registry: RelationRegistry) -> list[Violation]:
@@ -131,6 +107,8 @@ def _acyclicity_violations(store: FactStore, registry: RelationRegistry) -> list
             continue
         for domain in store.relation_domains(spec.name):
             successors = store.successors(spec.name, domain)
+            if find_cycle(successors, iter) is None:
+                continue
             # self-loops violate asymmetry; report them separately and keep
             # them out of the cycle search
             for node, objects in successors.items():
@@ -142,11 +120,12 @@ def _acyclicity_violations(store: FactStore, registry: RelationRegistry) -> list
                         description=f"{spec.name}({node}, {node}, \"{domain.text}\") relates a concept to itself",
                         facts=(objects[node],),
                     ))
-            if not _has_cycle(successors):
-                continue
-            # the sorted search picks the cycle to report
+            # the sorted search picks the cycle to report; none is left when
+            # the only cycles were self-loops
             cycle = find_cycle({node: [succ for succ in objects if succ != node]
                                 for node, objects in successors.items()})
+            if cycle is None:
+                continue
             edges = [Fact.intra(spec.name, v, cycle[(i + 1) % len(cycle)], domain) for i, v in enumerate(cycle)]
             walk = " -> ".join(v.symbol for v in cycle) + f" -> {cycle[0].symbol}"
             violations.append(Violation(

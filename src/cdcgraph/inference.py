@@ -44,8 +44,7 @@ from typing import NamedTuple
 from .consistency import ensure_acyclic, find_cycle
 from .domains import DomainExpr
 from .errors import CycleError, NotDerivableError, RegistryError, StaleClosureError
-# star_label and base_of_star are re-exported for callers that import them from here
-from .relations import RelationRegistry, RelationShape, RelationSpec, base_of_star, star_label, star_relation
+from .relations import RelationRegistry, RelationShape, RelationSpec, star_label, star_relation
 from .store import _NO_ROWS, ConceptId, Fact, FactPattern, FactStore, swap_orientation
 
 RULE_ASSERTED = "asserted"
@@ -481,7 +480,7 @@ def all_prerequisites(
                 heappush(ready, (w.symbol, w))
     if len(order) < len(left):
         rest = left.difference(order)
-        cycle = find_cycle({y: [z for z in rows.edges(relation, y) if z in rest] for y in rest})
+        cycle = find_cycle({y: rows.edges(relation, y) for y in rest})
         raise CycleError(relation, domain.text, tuple(c.symbol for c in cycle))
     return order
 
@@ -496,7 +495,8 @@ def inherited_attributes(
     derived, as the ``has_attribute`` goal reads them.  An owner's attributes
     are the objects of its asserted ``has_attribute`` facts; when the
     relation is symmetric, the subjects of the facts it is the object of as
-    well.  No overriding - all pairs returned."""
+    well, and everything whose carrier edges reach one of those, again with
+    that owner as the source.  No overriding - all pairs returned."""
     attr_spec = store.registry.get("has_attribute")
     if attr_spec is None:
         return set()
@@ -507,7 +507,13 @@ def inherited_attributes(
     # a symmetric fact is stored in one orientation only, so read both
     reads = (store.successors, store.predecessors) if attr_spec.symmetric else (store.successors,)
     indexes = [read("has_attribute", domain) for read in reads]
-    return {(attribute, owner) for index in indexes for owner in owners for attribute in index.get(owner, ())}
+    pairs = {(attribute, owner) for index in indexes for owner in owners for attribute in index.get(owner, ())}
+    if carrier is not None and attr_spec.symmetric:
+        # the relation is its own reverse: what inherits from an attribute
+        # holds it the other way round
+        below = _bound_rows(store, carrier, domain, False)
+        pairs |= {(heir, owner) for attribute, owner in pairs for heir in below.reach(carrier, attribute)}
+    return pairs
 
 
 def derived_facts_for(store: FactStore, relation: str, domain: DomainExpr | None = None, *,
@@ -540,12 +546,17 @@ def analogy_search(
     source_domain: DomainExpr | None = None,
 ) -> set[tuple[ConceptId, DomainExpr, DomainExpr]]:
     """(counterpart, own-side domain, counterpart-side domain) for every
-    cross-domain analogy touching the concept, in either orientation: the
-    concept's entries in the store's first- and second-concept indexes."""
+    cross-domain analogy with the concept first, as the ``analogy_search``
+    goal reads them: its entries in the store's first-concept index and,
+    when the relation is symmetric, its second-concept index turned round."""
+    spec = store.registry.lookup("analogous_to")
+    if spec.shape is not RelationShape.CROSS:
+        raise RegistryError(f"analogy_search needs a cross-domain relation, 'analogous_to' is {spec.shape.value}")
     as_first = store.match(FactPattern("analogous_to", (concept, None), (None, None)))
-    as_second = store.match(FactPattern("analogous_to", (None, concept), (None, None)))
     results = {(f.concepts[1], *f.domains) for f in as_first}
-    results.update((f.concepts[0], *f.domains[::-1]) for f in as_second)
+    if spec.symmetric:
+        as_second = store.match(FactPattern("analogous_to", (None, concept), (None, None)))
+        results.update((f.concepts[0], *f.domains[::-1]) for f in as_second)
     if source_domain is not None:
         results = {row for row in results if row[1] == source_domain}
     return results

@@ -37,8 +37,8 @@ from typing import NamedTuple
 
 from .domains import _ATOM_CHAR, _ATOM_FIRST, DomainExpr, parse_domain
 from .errors import CdcError, CycleError, DomainSyntaxError, RegistryError
-from .relations import RelationRegistry, RelationShape, RelationSpec, builtin_specs, spec_with_flags
-from .relations import star_label, star_relation
+from .relations import RELATION_FLAGS, SHAPE_NAMES, RelationRegistry, RelationShape, RelationSpec, builtin_specs
+from .relations import spec_with_flags, star_label, star_relation
 from .store import ConceptId, Fact, FactStore
 
 CASESTUDY_NAMES = ("cbt", "education", "enterprise", "techdocs")
@@ -303,8 +303,9 @@ class _Parser:
             self.skip_to_dot()
             return None
         shape_kind, shape, shape_offset = self.take()
-        if shape_kind != "ATOM" or shape not in ("intra", "cross", "fusion"):
-            self.error("@relation shape must be intra, cross, or fusion", shape_offset)
+        if shape_kind != "ATOM" or shape not in SHAPE_NAMES:
+            *others, last = SHAPE_NAMES
+            self.error(f"@relation shape must be {', '.join(others)}, or {last}", shape_offset)
             self.skip_to_dot()
             return None
         flags: dict[str, str | bool] = {}
@@ -548,7 +549,7 @@ def render_clause(fact: Fact) -> str:
 
 def render_directive(spec: RelationSpec) -> str:
     parts = ["@relation", spec.name, spec.shape.value]
-    for flag in ("transitive", "symmetric", "reflexive", "acyclic"):
+    for flag in RELATION_FLAGS:
         if getattr(spec, flag):
             parts.append(flag)
     if spec.inherits_via is not None:

@@ -59,6 +59,11 @@ class RelationShape(enum.Enum):
         self.arity = self.concept_count + domains
 
 
+# the shapes and the flags an @relation directive names, in the order it writes them
+SHAPE_NAMES = tuple(shape.value for shape in RelationShape)
+RELATION_FLAGS = ("transitive", "symmetric", "reflexive", "acyclic")
+
+
 class RelationSpec(NamedTuple):
     """Declaration of one relation predicate.
 
@@ -220,7 +225,7 @@ def spec_with_flags(
         if key == "inherits_via":
             if not isinstance(value, str):
                 raise RegistryError(f"{name}: inherits_via needs a relation name")
-        elif key in ("transitive", "symmetric", "reflexive", "acyclic"):
+        elif key in RELATION_FLAGS:
             if value is not True:
                 raise RegistryError(f"{name}: flag {key} takes no value")
         else:

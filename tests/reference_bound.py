@@ -18,12 +18,12 @@ from __future__ import annotations
 from collections.abc import Collection, Iterable, Iterator
 from operator import or_
 
-from cdcgraph.consistency import find_cycle
 from cdcgraph.domains import DomainExpr
 from cdcgraph.errors import CycleError
 from cdcgraph.inference import _DomainClosure, _ids, _joined_specs
 from cdcgraph.relations import RelationSpec
 from cdcgraph.store import ConceptId, Fact, FactStore
+from reference_consistency import find_cycle
 
 
 class GlobalIndexes:

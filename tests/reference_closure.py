@@ -17,10 +17,9 @@ from cdcgraph.inference import (
     RULE_TRANSITIVE,
     ClosureSet,
     DerivationTrace,
-    base_of_star,
     star_label,
 )
-from cdcgraph.relations import RelationRegistry
+from cdcgraph.relations import RelationRegistry, base_of_star
 from cdcgraph.store import ConceptId, Fact, FactStore, swap_orientation
 
 

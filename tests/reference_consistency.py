@@ -1,16 +1,20 @@
 """The all-pairs near-duplicate lint, the full-row edit distance and the
-always-sorted cycle search that ``cdcgraph.consistency`` replaced, kept
-unchanged as the reference for ``tests/test_consistency.py``.
+cycle searches that ``cdcgraph.consistency`` replaced, kept unchanged as the
+reference for ``tests/test_consistency.py``.
 
 ``_domain_lints`` compares every pair of domain texts with
 ``edit_distance_at_most``, which fills whole rows of the Levenshtein table.
 ``_acyclicity_violations`` runs the sorted ``find_cycle`` on every partition
-of an acyclic relation, cyclic or not.
+of an acyclic relation, cyclic or not.  ``_has_cycle`` is the store-order
+pass that, ahead of the sorted search, answered whether a partition held a
+cycle through two or more nodes.
 """
 
 from __future__ import annotations
 
-from cdcgraph.consistency import Lint, Violation, find_cycle
+from collections.abc import Collection, Mapping
+
+from cdcgraph.consistency import Lint, Violation
 from cdcgraph.relations import RelationRegistry
 from cdcgraph.store import ConceptId, Fact, FactStore
 
@@ -63,6 +67,65 @@ def _domain_lints(store: FactStore) -> list[Lint]:
                     description=f"domains are near-duplicates (edit distance <= 2): {a}, {b}",
                 ))
     return lints
+
+
+def find_cycle(adjacency: dict[ConceptId, list[ConceptId]]) -> list[ConceptId] | None:
+    """One closed walk [v0..vk] (edge vk->v0 exists) or None.  Deterministic:
+    nodes and successors are visited in sorted order."""
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color: dict[ConceptId, int] = {}
+    for root in sorted(adjacency):
+        if color.get(root, WHITE) != WHITE:
+            continue
+        color[root] = GRAY
+        path = [root]
+        stack = [(root, iter(sorted(adjacency.get(root, ()))))]
+        while stack:
+            node, successors = stack[-1]
+            advanced = False
+            for succ in successors:
+                state = color.get(succ, WHITE)
+                if state == GRAY:
+                    return path[path.index(succ):]
+                if state == WHITE:
+                    color[succ] = GRAY
+                    path.append(succ)
+                    stack.append((succ, iter(sorted(adjacency.get(succ, ())))))
+                    advanced = True
+                    break
+            if not advanced:
+                color[node] = BLACK
+                path.pop()
+                stack.pop()
+    return None
+
+
+def _has_cycle(successors: Mapping[ConceptId, Collection[ConceptId]]) -> bool:
+    """Whether the adjacency holds a cycle through two or more nodes
+    (self-loops are skipped).  Visits nodes in the adjacency's own order."""
+    done: set[ConceptId] = set()
+    for root in successors:
+        if root in done:
+            continue
+        path = {root}
+        stack = [(root, iter(successors[root]))]
+        while stack:
+            node, rest = stack[-1]
+            for succ in rest:
+                if succ in path:
+                    if succ != node:
+                        return True
+                elif succ not in done:
+                    if succ in successors:
+                        path.add(succ)
+                        stack.append((succ, iter(successors[succ])))
+                        break
+                    done.add(succ)
+            else:
+                stack.pop()
+                path.remove(node)
+                done.add(node)
+    return False
 
 
 def _acyclicity_violations(store: FactStore, registry: RelationRegistry) -> list[Violation]:

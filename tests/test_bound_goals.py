@@ -19,9 +19,12 @@ from cdcgraph import (
     ConceptId,
     CycleError,
     Fact,
+    DomainExpr,
     FactStore,
+    RegistryError,
     RelationSpec,
     all_prerequisites,
+    analogy_search,
     builtin_registry,
     eval_query,
     explain,
@@ -338,3 +341,109 @@ def test_bound_star_goal_reads_one_row_at_10k():
         times.append(time.perf_counter() - start)
     assert len(answers) == 240
     assert statistics.median(times) < 0.020
+
+
+# --- the public alias helpers against their goals ----------------------------
+
+def goal_answers(store: FactStore, goal: str, *args) -> set:
+    """The solutions of ``goal(args)`` as value tuples; a str argument is a
+    variable of that name."""
+    query = Query(goal, tuple(Variable(a) if isinstance(a, str) else DomainConst(a) if isinstance(a, DomainExpr)
+                              else ConceptConst(a) for a in args))
+    return set(eval_query(query, store).solutions)
+
+
+def assert_helpers_match_goals(store: FactStore) -> None:
+    """Each public helper that an alias goal names answers as that goal, or
+    its relation, does: ``inherited_attributes`` as ``has_attribute(c, ?A,
+    d)``, ``reachable_star`` as ``<rel>_star(c, ?Y, d)``, ``all_prerequisites``
+    as its goal, and ``analogy_search``, with and without a source domain,
+    as its goal; over a relation that is not cross-domain it raises."""
+    registry = store.registry
+    attr, requires = registry.get("has_attribute"), registry.get("requires")
+    transitive = [spec.name for spec in registry if spec.transitive]
+    for domain, concepts in intra_domains(store).items():
+        for c in concepts:
+            if attr is not None and attr.shape is RelationShape.INTRA:
+                want = goal_answers(store, "has_attribute", c, "A", domain)
+                assert {(a,) for a, _ in inherited_attributes(store, c, domain)} == want, (c, domain)
+                assert goal_answers(store, "inherited_attributes", c, "A", domain) == want
+            for name in transitive:
+                assert {(y,) for y in reachable_star(store, name, c, domain)} == goal_answers(
+                    store, star_label(name), c, "Y", domain), (name, c, domain)
+            if requires is not None and requires.transitive:
+                assert {(y,) for y in all_prerequisites(store, c, domain)} == goal_answers(
+                    store, "all_prerequisites", c, "P", domain), (c, domain)
+    analogy = registry.get("analogous_to")
+    if analogy is None:
+        return
+    concepts = sorted({c for fact in store.relation_facts("analogous_to") for c in fact.concepts}) + [ABSENT]
+    for c in concepts:
+        if analogy.shape is not RelationShape.CROSS:
+            with pytest.raises(RegistryError, match="cross-domain"):
+                analogy_search(store, c)
+            continue
+        want = goal_answers(store, "analogy_search", c, "C", "D1", "D2")
+        assert analogy_search(store, c) == want, c
+        for own in {d1 for _, d1, _ in want} | {parse_domain("elsewhere")}:
+            assert analogy_search(store, c, own) == {
+                (counterpart, own, d2) for counterpart, d2 in goal_answers(store, "analogy_search", c, "C", own, "D2")}
+
+
+def case_study_store(name: str) -> FactStore:
+    store = FactStore(builtin_registry())
+    load_casestudy(name, store)
+    return store
+
+
+def kb_store(text: str) -> FactStore:
+    store = FactStore(builtin_registry())
+    assert load_text(text, store).ok
+    return store
+
+
+def symmetric_attribute_stores(seed: int) -> list[FactStore]:
+    """``has_attribute`` redeclared symmetric over a transitive, a plain and
+    a symmetric carrier, with random carrier and attribute facts."""
+    rng = random.Random(seed)
+    stores = []
+    for carrier in ("is_a", "cause_of", "contrasts_with") * 8:
+        registry = builtin_registry()
+        registry.register(RelationSpec("has_attribute", symmetric=True, inherits_via=carrier), override=True)
+        store = FactStore(registry)
+        concepts = [ConceptId(f"k{i}") for i in range(rng.randint(3, 7))]
+        for domain in ("d0", "d1"):
+            for i, a in enumerate(concepts):
+                for j, b in enumerate(concepts):
+                    if rng.random() < 0.25 and not (registry.lookup(carrier).acyclic and i >= j):
+                        store.assert_fact(Fact.intra(carrier, a, b, parse_domain(domain)))
+                    if rng.random() < 0.15:
+                        store.assert_fact(Fact.intra("has_attribute", a, b, parse_domain(domain)))
+        stores.append(store)
+    return stores
+
+
+ANALOGY_FACTS = (
+    'analogous_to(a, b, "x", "y").\nanalogous_to(b, c, "y", "z").\nanalogous_to(c, a, "x", "x").\n'
+    'analogous_to(a, a, "y", "x").\n'
+)
+
+HELPER_STORES = {
+    **{f"case-study-{name}": lambda name=name: [case_study_store(name)] for name in CASESTUDY_NAMES},
+    "random-registries": lambda: [random_registry_store(random.Random(seed)) for seed in range(30)],
+    "symmetric-attribute-example": lambda: [kb_store(
+        '@relation has_attribute intra symmetric inherits_via=is_a.\n'
+        'has_attribute(a, b, "d").\nis_a(x, b, "d").\nis_a(b, y, "d").\nis_a(w, x, "d").\n')],
+    "symmetric-attribute-random": lambda: symmetric_attribute_stores(61),
+    "analogy-builtin": lambda: [kb_store(ANALOGY_FACTS)],
+    "analogy-cross-not-symmetric": lambda: [kb_store("@relation analogous_to cross.\n" + ANALOGY_FACTS)],
+    "analogy-intra-symmetric": lambda: [kb_store(
+        '@relation analogous_to intra symmetric.\nanalogous_to(a, b, "x").\nanalogous_to(c, a, "x").\n')],
+    "analogy-intra": lambda: [kb_store('@relation analogous_to intra.\nanalogous_to(a, b, "x").\n')],
+}
+
+
+@pytest.mark.parametrize("source", HELPER_STORES)
+def test_alias_helpers_match_goals(source):
+    for store in HELPER_STORES[source]():
+        assert_helpers_match_goals(store)

@@ -18,10 +18,17 @@ from cdcgraph import (
     materialize,
     parse_domain,
 )
-from cdcgraph.consistency import ConsistencyReport, Lint, SeparationWitness, Violation, edit_distance_at_most
+from cdcgraph.consistency import (
+    ConsistencyReport,
+    Lint,
+    SeparationWitness,
+    Violation,
+    edit_distance_at_most,
+    find_cycle,
+)
 from cdcgraph.errors import CycleError
 from cdcgraph.synthetic import generate_synthetic_store
-from conftest import apple_store, assert_record_contract, assert_tuple_contract, intra
+from conftest import apple_store, assert_record_contract, assert_tuple_contract, intra, random_registry_store
 import reference_consistency
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -246,6 +253,22 @@ def test_lints_match_reference_on_drawn_domains(texts):
     assert_lints_like_reference(store)
 
 
+def assert_cycles_like_reference(store: FactStore) -> None:
+    """``check``'s errors are the reference's, and so is the ``CycleError``
+    that ``materialize`` raises from ``ensure_acyclic``, or it raises none."""
+    expected = reference_consistency._acyclicity_violations(store, store.registry)
+    assert check(store).errors == expected
+    if not expected:
+        materialize(store)
+        return
+    first = expected[0]
+    with pytest.raises(CycleError) as caught:
+        materialize(store)
+    # the message is made from these three
+    assert (caught.value.relation, caught.value.domain, caught.value.vertices) == (
+        first.relation, first.domain, tuple(f.concepts[0].symbol for f in first.facts))
+
+
 # --- the order-free cycle pre-test against the always-sorted reference ------
 
 # Random edges over few nodes, in a few partitions of two acyclic relations,
@@ -281,17 +304,68 @@ def test_cycle_pretest_matches_reference(edges, cycles, upward):
     for relation, domain, nodes in cycles:
         for u, v in zip(nodes, nodes[1:] + nodes[:1]):
             store.assert_fact(intra(relation, f"n{u}", f"n{v}", domain))
-    expected = reference_consistency._acyclicity_violations(store, store.registry)
-    assert check(store).errors == expected
-    if not expected:
-        materialize(store)
-        return
-    first = expected[0]
-    with pytest.raises(CycleError) as caught:
-        materialize(store)
-    # the message is made from these three
-    assert (caught.value.relation, caught.value.domain, caught.value.vertices) == (
-        first.relation, first.domain, tuple(f.concepts[0].symbol for f in first.facts))
+    assert_cycles_like_reference(store)
+
+
+# --- the one cycle search against the moved references ---------------------
+
+# Successor lists over nodes 0-9, keyed by some of 0-7: self-loops, repeated
+# successors, and successors that are not keys.
+adjacencies = st.dictionaries(st.integers(0, 7), st.lists(st.integers(0, 9), max_size=5), max_size=8)
+
+
+@settings(max_examples=500, deadline=None)
+@given(adjacencies)
+@example({0: [0]})
+@example({0: [8, 1], 1: [8]})
+@example({0: [1, 2], 1: [3], 2: [3], 3: []})
+@example({0: [1, 3], 1: [2], 2: [], 3: [2, 1, 4], 4: [3]})
+@example({0: [1, 2], 1: [], 2: [0]})
+def test_find_cycle_matches_reference(adjacency):
+    """Sorted, ``find_cycle`` picks the reference's walk; in the adjacency's
+    own order it finds a cycle exactly when there is a self-loop or the
+    store-order reference finds a longer one, and a closed walk of distinct
+    nodes; laid out sorted, its own order is the sorted one."""
+    assert find_cycle(adjacency) == reference_consistency.find_cycle(adjacency)
+    cycle = find_cycle(adjacency, iter)
+    self_loop = any(node in objects for node, objects in adjacency.items())
+    assert (cycle is not None) == (self_loop or reference_consistency._has_cycle(adjacency))
+    if cycle is not None:
+        assert len(set(cycle)) == len(cycle)
+        assert all(succ in adjacency[node] for node, succ in zip(cycle, cycle[1:] + cycle[:1]))
+    laid_out = {node: sorted(adjacency[node]) for node in sorted(adjacency)}
+    assert find_cycle(laid_out, iter) == reference_consistency.find_cycle(adjacency)
+
+
+@pytest.mark.parametrize("name", CASESTUDY_NAMES)
+def test_cycles_match_reference_on_case_studies(name):
+    store = FactStore(builtin_registry())
+    load_casestudy(name, store)
+    assert_cycles_like_reference(store)
+
+
+@pytest.mark.parametrize("workload", ["closure-deep", "lazy-wide", "edit-readback"])
+def test_cycles_match_reference_on_benchmark_kbs(workload, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    store = FactStore(builtin_registry())
+    assert load_text(workloads.generate(workload, 1).kb_text, store).ok
+    assert_cycles_like_reference(store)
+
+
+def test_cycles_match_reference_on_random_registries():
+    """Random flags, with cycles in every relation that is not acyclic, and
+    then the same stores with cycles and self-loops planted in ``is_a``."""
+    rng = random.Random(29)
+    for _ in range(40):
+        store = random_registry_store(rng)
+        assert_cycles_like_reference(store)
+        concepts = sorted({c for fact in store.facts() for c in fact.concepts[:2]})
+        for _ in range(3):
+            a, b = rng.choice(concepts), rng.choice(concepts)
+            store.assert_fact(intra("is_a", a.symbol, b.symbol, "dom0"))
+        assert_cycles_like_reference(store)
 
 
 def test_violation_record_contract():

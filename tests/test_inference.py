@@ -11,6 +11,7 @@ from cdcgraph import (
     Fact,
     FactStore,
     NotDerivableError,
+    RegistryError,
     StaleClosureError,
     all_prerequisites,
     analogy_search,
@@ -345,6 +346,21 @@ def test_inheritance_reads_a_symmetric_attribute_either_way():
     assert goal.render_lines() == ["?A = blue", "?A = red"]
 
 
+def test_inheritance_of_a_symmetric_attribute_reaches_its_heirs():
+    """What inherits from an owner's attribute holds it the other way round,
+    with that owner as the source: the goal answers ``x`` beside ``b``."""
+    store = FactStore(builtin_registry())
+    assert load_text(
+        '@relation has_attribute intra symmetric inherits_via=is_a.\n'
+        'has_attribute(a, b, "d").\nis_a(x, b, "d").\nis_a(b, y, "d").\n',
+        store,
+    ).ok
+    got = inherited_attributes(store, cid("a"), parse_domain("d"))
+    assert got == {(cid("b"), cid("a")), (cid("x"), cid("a"))}
+    goal = eval_query(parse_query('has_attribute(a, ?W, "d")', store.registry), store)
+    assert goal.render_lines() == ["?W = b", "?W = x"]
+
+
 def test_inheritance_matches_oracle_random():
     rng = random.Random(17)
     for _ in range(25):
@@ -367,6 +383,19 @@ def test_analogy_reversed_orientation(store):
     store.assert_fact(cross("analogous_to", "neural_network", "brain", "CS@ML", "Neuroscience@Cognition"))
     got = analogy_search(store, cid("brain"))
     assert got == {(cid("neural_network"), parse_domain("Neuroscience@Cognition"), parse_domain("CS@ML"))}
+
+
+def test_analogy_reads_the_declaration():
+    """Only a symmetric analogy is read from its second concept, and one
+    that is not cross-domain is refused."""
+    store = FactStore(builtin_registry())
+    assert load_text('@relation analogous_to cross.\nanalogous_to(a, b, "x", "y").\n', store).ok
+    assert analogy_search(store, cid("b")) == set()
+    assert analogy_search(store, cid("a")) == {(cid("b"), parse_domain("x"), parse_domain("y"))}
+    store = FactStore(builtin_registry())
+    assert load_text('@relation analogous_to intra symmetric.\nanalogous_to(a, b, "x").\n', store).ok
+    with pytest.raises(RegistryError, match="^analogy_search needs a cross-domain relation, 'analogous_to' is intra$"):
+        analogy_search(store, cid("b"))
 
 
 def test_analogy_none(store):

@@ -3,7 +3,8 @@ from __future__ import annotations
 import pytest
 
 from cdcgraph import RegistryError, RelationShape, RelationSpec, builtin_registry
-from cdcgraph.relations import spec_with_flags
+from cdcgraph.kbfile import render_directive
+from cdcgraph.relations import RELATION_FLAGS, SHAPE_NAMES, spec_with_flags
 from conftest import assert_record_contract, assert_tuple_contract
 
 EXPECTED_BUILTINS = {
@@ -39,6 +40,18 @@ def test_shapes():
     assert registry.lookup("is_a").shape is RelationShape.INTRA
     assert registry.lookup("analogous_to").shape is RelationShape.CROSS
     assert registry.lookup("fuses_with").shape is RelationShape.FUSION
+
+
+def test_vocabulary_tables():
+    """The shapes and flags a directive names are the enum's values and the
+    spec's boolean fields, and a directive writes its flags in that order."""
+    assert SHAPE_NAMES == ("intra", "cross", "fusion") == tuple(shape.value for shape in RelationShape)
+    assert RELATION_FLAGS == tuple(name for name, default in RelationSpec._field_defaults.items()
+                                   if isinstance(default, bool))
+    spec = spec_with_flags("r", RelationShape.INTRA, {"acyclic": True, "transitive": True, "inherits_via": "is_a"})
+    assert render_directive(spec) == "@relation r intra transitive acyclic inherits_via=is_a."
+    with pytest.raises(RegistryError, match="unknown relation flag"):
+        spec_with_flags("r", RelationShape.INTRA, {"antisymmetric": True})
 
 
 def test_acyclic_flags():
