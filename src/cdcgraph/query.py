@@ -18,13 +18,15 @@ lets a query scoped at ``a@b`` also see facts asserted at the more general
 
 from __future__ import annotations
 
+import re
+from itertools import product
 from typing import NamedTuple
 
-from .domains import _ATOM_RE, DomainExpr, is_prefix_of, parse_domain
+from .domains import _ATOM_RE, DomainExpr, parse_domain
 from .errors import DomainSyntaxError, QuerySyntaxError, StaleClosureError
 from .inference import ClosureSet, derived_facts_for, star_pairs
 from .relations import RelationShape, RelationSpec, star_relation
-from .store import ConceptId, Fact, FactPattern, FactStore, swap_orientation
+from .store import ConceptId, FactPattern, FactStore, swap_orientation
 
 EXACT = "exact"
 INHERIT = "inherit"
@@ -108,6 +110,24 @@ def _render_solution(variables: tuple[str, ...], values: tuple[object, ...]) -> 
 # Parsing
 # ---------------------------------------------------------------------------
 
+# A whole well-formed query: an optional ``?-``, the goal, three or four
+# terms, each ``?atom``, ``"..."`` or a bare atom, an optional ``.``, and only
+# the blanks ``_skip_ws`` takes.  Group 1 is the goal and groups 2 to 5 the
+# terms.  It only tokenizes: its terms feed the builder that the hand parser
+# feeds, and text it does not take whole goes to the hand parser, so every
+# error comes from one grammar.
+_BLANKS = r"[ \t\r\n]*"
+_ATOM = _ATOM_RE.pattern
+_TERM = rf'(\??{_ATOM}|"[^"]*")'
+_QUERY_RE = re.compile(
+    rf"{_BLANKS}(?:\?-{_BLANKS})?({_ATOM}){_BLANKS}\({_BLANKS}{_TERM}{_BLANKS},{_BLANKS}{_TERM}{_BLANKS},{_BLANKS}"
+    rf"{_TERM}{_BLANKS}(?:,{_BLANKS}{_TERM}{_BLANKS})?\){_BLANKS}(?:\.{_BLANKS})?"
+)
+# a term's kind and its text by its first character
+_TERM_KINDS = {"?": ("var", slice(1, None)), '"': ("domain", slice(1, -1))}
+_BARE_TERM = ("atom", slice(None))
+
+
 def _skip_ws(text: str, i: int) -> int:
     while i < len(text) and text[i] in " \t\r\n":
         i += 1
@@ -124,7 +144,21 @@ def _scan_atom(text: str, i: int, error: str) -> tuple[str, int]:
 def parse_query(text: str, registry) -> Query:
     """Parse query text and validate the goal and its arity against the
     registry.  A leading ``?-`` and a trailing ``.`` are tolerated."""
-    raw = text
+    match = _QUERY_RE.fullmatch(text)
+    if match is None:
+        goal, terms = _scan_terms(text)
+    else:
+        goal, terms = match.group(1), []
+        for group in range(2, match.lastindex + 1):
+            term = match.group(group)
+            kind, inner = _TERM_KINDS.get(term[0], _BARE_TERM)
+            terms.append((kind, term[inner], match.start(group)))
+    return _build_query(goal, terms, registry)
+
+
+def _scan_terms(raw: str) -> tuple[str, list[tuple[str, str, int]]]:
+    """The goal and its (kind, text, offset) terms, read character by
+    character; raises ``QuerySyntaxError`` where the text leaves the grammar."""
     i = _skip_ws(raw, 0)
     if raw[i : i + 2] == "?-":
         i = _skip_ws(raw, i + 2)
@@ -133,7 +167,7 @@ def parse_query(text: str, registry) -> Query:
     if i >= len(raw) or raw[i] != "(":
         raise QuerySyntaxError("expected '('", i)
     i += 1
-    terms: list[tuple[str, str, int]] = []  # (kind, text, offset)
+    terms: list[tuple[str, str, int]] = []
     while True:
         i = _skip_ws(raw, i)
         if i >= len(raw):
@@ -167,7 +201,11 @@ def parse_query(text: str, registry) -> Query:
         i = _skip_ws(raw, i + 1)
     if i < len(raw):
         raise QuerySyntaxError(f"trailing input {raw[i]!r}", i)
+    return goal, terms
 
+
+def _build_query(goal: str, terms: list[tuple[str, str, int]], registry) -> Query:
+    """The query of a goal and its terms, checked against the registry."""
     star, spec = _resolve_goal(goal, registry)
     # a star goal is intra-shaped, whatever its relation
     shape = RelationShape.INTRA if star else spec.shape
@@ -235,51 +273,39 @@ def eval_query(
     strict: bool = False,
 ) -> BindingSet:
     """Solutions entailed by asserted and derived facts.  ``strict`` refuses
-    lazy evaluation of derived goals when the closure is missing or stale."""
-    star, spec = _resolve_goal(query.goal, store.registry)
-    rows = (_star_rows if star else _relation_rows)(query, spec, store, closure, strict)
+    lazy evaluation of derived goals when the closure is missing or stale.
 
-    variables = query.variables
+    The goal's shape picks the reader: an intra-domain relation reads its
+    index entries (``_intra_rows``), a star goal ``star_pairs``, and a cross
+    or fusion goal goes through ``match``.  Every reader fixes the goal's
+    constants, so its rows are only projected onto the variables."""
+    star, spec = _resolve_goal(query.goal, store.registry)
+    if strict and (star or spec.inherits_via is not None) and (closure is None or not closure.is_current(store)):
+        what = query.goal if star else f"derived facts of {spec.name!r}"
+        raise StaleClosureError(f"closure required for {what}")
+    domain_positions = (RelationShape.INTRA if star else spec.shape).domain_positions
+    first: dict[str, int] = {}  # each variable's first position
+    repeats: list[tuple[int, int]] = []  # (first position, a later one)
+    mismatched = False  # a hand-built constant of the other kind, which no value equals
+    for position, arg in enumerate(query.args):
+        if isinstance(arg, Variable):
+            if arg.name in first:
+                repeats.append((first[arg.name], position))
+            else:
+                first[arg.name] = position
+        elif isinstance(arg, DomainConst) is not (position in domain_positions):
+            mismatched = True
+    reader = _star_rows if star else _intra_rows if spec.shape is RelationShape.INTRA else _matched_rows
+    rows = () if mismatched else reader(query, spec, store)
+    picks = tuple(first.values())
     # one rendering per solution serves both the dedup and the sort
     by_rendered: dict[tuple[str, ...], tuple[object, ...]] = {}
     for row in rows:
-        bound = _unify(query, row)
-        if bound is None:
+        if repeats and any(row[a] != row[b] for a, b in repeats):
             continue
-        values = tuple(bound[name] for name in variables)
+        values = tuple([row[p] for p in picks])
         by_rendered.setdefault(tuple(map(str, values)), values)
-    return BindingSet(variables=variables, solutions=tuple(by_rendered[key] for key in sorted(by_rendered)))
-
-
-def _unify(query: Query, row: tuple[object, ...]) -> dict[str, object] | None:
-    bound: dict[str, object] = {}
-    for arg, value in zip(query.args, row):
-        if isinstance(arg, Variable):
-            if arg.name in bound:
-                if bound[arg.name] != value:
-                    return None
-            else:
-                bound[arg.name] = value
-        elif isinstance(arg, ConceptConst):
-            if value != arg.value:
-                return None
-        else:
-            if not isinstance(value, DomainExpr):
-                return None
-            if query.domain_mode == INHERIT:
-                if not is_prefix_of(value, arg.value):
-                    return None
-            elif value != arg.value:
-                return None
-    return bound
-
-
-def _domain_literals(query: Query, domain_positions: tuple[int, ...]) -> list[DomainExpr | None]:
-    literals: list[DomainExpr | None] = []
-    for position in domain_positions:
-        arg = query.args[position]
-        literals.append(arg.value if isinstance(arg, DomainConst) else None)
-    return literals
+    return BindingSet(variables=tuple(first), solutions=tuple(by_rendered[key] for key in sorted(by_rendered)))
 
 
 def _admitted_domains(store: FactStore, relation: str, literal: DomainExpr, mode: str) -> list[DomainExpr]:
@@ -295,88 +321,60 @@ def _admitted_domains(store: FactStore, relation: str, literal: DomainExpr, mode
     return [d for d in prefixes if store.has_partition(relation, d)] or [literal]
 
 
-def _fact_rows(fact: Fact, spec: RelationSpec) -> list[tuple[object, ...]]:
-    # every shape puts its domain arguments after its concepts
-    rows = [fact.concepts + fact.domains]
-    if spec.symmetric:
-        flipped = swap_orientation(fact, spec)
-        if flipped != fact:
-            rows.append(flipped.concepts + flipped.domains)
-    return rows
+def _read_domains(query: Query, store: FactStore, relation: str) -> list[DomainExpr]:
+    """The domains an intra-shaped goal reads: those its literal admits, else all the relation's."""
+    arg = query.args[2]
+    if isinstance(arg, DomainConst):
+        return _admitted_domains(store, relation, arg.value, query.domain_mode)
+    return store.relation_domains(relation)
 
 
-def _relation_rows(
-    query: Query,
-    spec: RelationSpec,
-    store: FactStore,
-    closure: ClosureSet | None,
-    strict: bool,
-) -> list[tuple[object, ...]]:
-    domain_positions = spec.shape.domain_positions
-    # concepts come first in every shape
-    concepts = [arg.value if isinstance(arg, ConceptConst) else None for arg in query.args[: domain_positions[0]]]
-    literals = _domain_literals(query, domain_positions)
-
-    # pick index-friendly patterns: fix one admitted domain when a literal
-    # is present, wildcard otherwise
-    patterns: list[FactPattern] = []
-    n_domains = len(domain_positions)
-    if literals[0] is not None:
-        for dom in _admitted_domains(store, spec.name, literals[0], query.domain_mode):
-            domains = (dom, None) if n_domains == 2 else (dom,)
-            patterns.append(FactPattern(spec.name, tuple(concepts), domains))
-    elif n_domains == 2 and literals[1] is not None:
-        for dom in _admitted_domains(store, spec.name, literals[1], query.domain_mode):
-            patterns.append(FactPattern(spec.name, tuple(concepts), (None, dom)))
-    else:
-        patterns.append(FactPattern(spec.name, tuple(concepts), (None,) * n_domains))
-
-    facts: set[Fact] = set()
-    for pattern in patterns:
-        facts.update(store.match(pattern))
-        if spec.symmetric:
-            facts.update(store.match(swap_orientation(pattern, spec)))
-
-    if spec.inherits_via is not None:
-        _require_current(closure, store, strict, f"derived facts of {spec.name!r}")
-        # inheriting relations are intra-domain: each pattern fixes one
-        # admitted domain, or none
-        subject, obj = concepts
-        for pattern in patterns:
-            facts.update(derived_facts_for(store, spec.name, pattern.domains[0], subject=subject, obj=obj))
-
-    rows: list[tuple[object, ...]] = []
-    for fact in facts:
-        rows.extend(_fact_rows(fact, spec))
-    return rows
-
-
-def _star_rows(
-    query: Query,
-    spec: RelationSpec,
-    store: FactStore,
-    closure: ClosureSet | None,
-    strict: bool,
-) -> list[tuple[object, ...]]:
-    relation = spec.name
-    literal = _domain_literals(query, (2,))[0]
-    if literal is not None:
-        domains = _admitted_domains(store, relation, literal, query.domain_mode)
-    else:
-        domains = store.relation_domains(relation)
-
-    _require_current(closure, store, strict, query.goal)
+def _intra_rows(query: Query, spec: RelationSpec, store: FactStore) -> list[tuple]:
+    """(subject, object, domain) rows from the bound subject's successor
+    entry, else the bound object's predecessor entry, else the whole
+    partition.  A symmetric relation's facts are stored in one orientation,
+    so it reads the other index too; an inheriting relation adds the lazy
+    reads' derived facts, which come in both orientations when symmetric."""
+    relation, symmetric = spec.name, spec.symmetric
     subject, obj = (arg.value if isinstance(arg, ConceptConst) else None for arg in query.args[:2])
-    rows: list[tuple[object, ...]] = []
-    for domain in domains:
-        pairs = star_pairs(store, relation, domain, subject=subject, obj=obj)
-        for x, y in pairs:
-            rows.append((x, y, domain))
+    rows: list[tuple] = []
+    for domain in _read_domains(query, store, relation):
+        ahead, behind = store.successors(relation, domain), store.predecessors(relation, domain)
+        if subject is not None:
+            ends = [*ahead.get(subject, ()), *behind.get(subject, ())] if symmetric else ahead.get(subject, ())
+            rows += [(subject, y, domain) for y in ends if obj is None or y == obj]
+        elif obj is not None:
+            ends = [*behind.get(obj, ()), *ahead.get(obj, ())] if symmetric else behind.get(obj, ())
+            rows += [(x, obj, domain) for x in ends]
+        else:
+            rows += [(x, y, domain) for x, row in ahead.items() for y in row]
+            rows += [(y, x, domain) for x, row in ahead.items() for y in row] if symmetric else []
+        if spec.inherits_via is not None:
+            derived = derived_facts_for(store, relation, domain, subject=subject, obj=obj)
+            rows += [(*fact.concepts, domain) for fact in derived]
     return rows
 
 
-def _require_current(closure: ClosureSet | None, store: FactStore, strict: bool, what: str) -> None:
-    """``strict`` evaluation refuses a missing or stale closure; otherwise
-    derived goals are answered from the store alone, as the closure would."""
-    if strict and (closure is None or not closure.is_current(store)):
-        raise StaleClosureError(f"closure required for {what}")
+def _star_rows(query: Query, spec: RelationSpec, store: FactStore) -> list[tuple]:
+    subject, obj = (arg.value if isinstance(arg, ConceptConst) else None for arg in query.args[:2])
+    return [(x, y, domain) for domain in _read_domains(query, store, spec.name)
+            for x, y in star_pairs(store, spec.name, domain, subject=subject, obj=obj)]
+
+
+def _matched_rows(query: Query, spec: RelationSpec, store: FactStore) -> list[tuple]:
+    """Cross and fusion goals: the facts ``match`` gives for the goal's
+    concepts and each combination of admitted domains, as concepts then
+    domains.  A symmetric relation also matches the reversed pattern and
+    turns those facts round."""
+    n_concepts = spec.shape.domain_positions[0]
+    concepts = tuple(arg.value if isinstance(arg, ConceptConst) else None for arg in query.args[:n_concepts])
+    admitted = [_admitted_domains(store, spec.name, arg.value, query.domain_mode) if isinstance(arg, DomainConst)
+                else [None] for arg in query.args[n_concepts:]]
+    rows: list[tuple] = []
+    for domains in product(*admitted):
+        pattern = FactPattern(spec.name, concepts, domains)
+        facts = list(store.match(pattern))
+        if spec.symmetric:
+            facts += [swap_orientation(fact, spec) for fact in store.match(swap_orientation(pattern, spec))]
+        rows += [fact.concepts + fact.domains for fact in facts]
+    return rows

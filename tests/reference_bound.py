@@ -155,17 +155,39 @@ def derived_facts_for(store: FactStore, relation: str, domain: DomainExpr, subje
     return {Fact.intra(relation, x, y, domain) for x, y in pairs(kernel, derived, subject, obj)}
 
 
+def carrier_reach(store: FactStore, carrier: str, domain: DomainExpr, start: ConceptId,
+                  forward: bool) -> set[ConceptId]:
+    """What one or more carrier edges, asserted or derived, lead to from
+    ``start`` (``forward``) or lead from to it: a walk over the edges of the
+    whole-domain kernel, so the carrier need not be transitive."""
+    kernel = closure(store, carrier, domain)
+    step: dict[ConceptId, set[ConceptId]] = {}
+    for x, y in pairs(kernel, kernel.edges[carrier], None, None):
+        step.setdefault(x if forward else y, set()).add(y if forward else x)
+    seen: set[ConceptId] = set()
+    frontier = {start}
+    while frontier:
+        frontier = {far for near in frontier for far in step.get(near, ())} - seen
+        seen |= frontier
+    return seen
+
+
 def inherited_attributes(store: FactStore, concept: ConceptId, domain: DomainExpr) -> set[tuple[ConceptId, ConceptId]]:
     attr_spec = store.registry.get("has_attribute")
     if attr_spec is None:
         return set()
+    carrier = attr_spec.inherits_via
     owners = {concept}
-    if attr_spec.inherits_via is not None:
-        owners |= reachable_star(store, attr_spec.inherits_via, concept, domain)
+    if carrier is not None:
+        owners |= carrier_reach(store, carrier, domain, concept, True)
     index = GlobalIndexes(store)
-    pairs = {(f.concepts[1], owner) for owner in owners for f in index.facts_with_subject(owner)
+    found = {(f.concepts[1], owner) for owner in owners for f in index.facts_with_subject(owner)
              if f.relation == "has_attribute" and domain in f.domains}
     if attr_spec.symmetric:
-        pairs |= {(f.concepts[0], owner) for owner in owners for f in index.facts_with_object(owner)
+        found |= {(f.concepts[0], owner) for owner in owners for f in index.facts_with_object(owner)
                   if f.relation == "has_attribute" and domain in f.domains}
-    return pairs
+        if carrier is not None:
+            # what inherits from an attribute holds it the other way round
+            found |= {(heir, owner) for attribute, owner in found
+                      for heir in carrier_reach(store, carrier, domain, attribute, False)}
+    return found

@@ -443,6 +443,34 @@ HELPER_STORES = {
 }
 
 
+def three_fact_attribute_store() -> FactStore:
+    return kb_store('@relation has_attribute intra symmetric inherits_via=is_a.\n'
+                    'has_attribute(a, b, "d").\nis_a(x, b, "d").\n')
+
+
+@pytest.mark.parametrize("stores", [
+    lambda: [three_fact_attribute_store()],
+    HELPER_STORES["symmetric-attribute-example"],
+    HELPER_STORES["symmetric-attribute-random"],
+], ids=["three-facts", "five-facts", "random"])
+def test_inherited_attributes_of_symmetric_attributes_match_reference(stores):
+    """With a symmetric ``has_attribute`` and a carrier, the helper, the
+    ``inherited_attributes`` goal and the reference all list the heirs of an
+    owner's attributes, for every concept and domain."""
+    for store in stores():
+        for domain, concepts in intra_domains(store).items():
+            for c in concepts:
+                want = reference.inherited_attributes(store, c, domain)
+                assert inherited_attributes(store, c, domain) == want, (c, domain)
+                assert goal_answers(store, "inherited_attributes", c, "A", domain) == {(a,) for a, _ in want}
+
+
+def test_reference_lists_the_heirs_of_an_owners_attributes():
+    """has_attribute(a, b) is symmetric and x is_a b, so x holds a too."""
+    a, b, x = map(ConceptId, "abx")
+    assert reference.inherited_attributes(three_fact_attribute_store(), a, parse_domain("d")) == {(b, a), (x, a)}
+
+
 @pytest.mark.parametrize("source", HELPER_STORES)
 def test_alias_helpers_match_goals(source):
     for store in HELPER_STORES[source]():
