@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import os
 import sys
 
@@ -38,7 +39,6 @@ ENV_KB_PATH = "CDC_KB_PATH"
 
 def _emit(args: argparse.Namespace, record: dict, text: str) -> None:
     if args.format == "json-lines":
-        import json  # here and in the other JSON writers, so a text run never loads it
         print(json.dumps(record, sort_keys=True))
     else:
         print(text)
@@ -95,7 +95,6 @@ def cmd_query(args: argparse.Namespace, store: FactStore, result: LoadResult) ->
         return 2
     bindings = eval_query(query, store)
     if args.format == "json-lines":
-        import json
         for solution in bindings:
             record = {f"?{name}": str(value) for name, value in solution.items()}
             print(json.dumps({"type": "solution", "bindings": record}, sort_keys=True))
@@ -192,7 +191,6 @@ def _trace_json(nodes: list[tuple[int, str, str]]) -> str:
     record and premise list, and one at the depth of an open node or above it
     first closes the open nodes down to its own depth.  (``json.dumps``
     recurses per level and fails on a deep trace.)"""
-    import json
     parts = []
     closings: list[str] = []  # one per open node, outermost first
     for depth, text, rule in nodes:

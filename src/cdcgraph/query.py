@@ -283,7 +283,9 @@ def eval_query(
     if strict and (star or spec.inherits_via is not None) and (closure is None or not closure.is_current(store)):
         what = query.goal if star else f"derived facts of {spec.name!r}"
         raise StaleClosureError(f"closure required for {what}")
-    domain_positions = (RelationShape.INTRA if star else spec.shape).domain_positions
+    shape = RelationShape.INTRA if star else spec.shape
+    if len(query.args) != shape.arity:  # only a hand-built query gets here
+        raise QuerySyntaxError(f"{query.goal} takes {shape.arity} arguments, got {len(query.args)}", 0)
     first: dict[str, int] = {}  # each variable's first position
     repeats: list[tuple[int, int]] = []  # (first position, a later one)
     mismatched = False  # a hand-built constant of the other kind, which no value equals
@@ -293,7 +295,7 @@ def eval_query(
                 repeats.append((first[arg.name], position))
             else:
                 first[arg.name] = position
-        elif isinstance(arg, DomainConst) is not (position in domain_positions):
+        elif isinstance(arg, DomainConst) is not (position in shape.domain_positions):
             mismatched = True
     reader = _star_rows if star else _intra_rows if spec.shape is RelationShape.INTRA else _matched_rows
     rows = () if mismatched else reader(query, spec, store)

@@ -189,3 +189,12 @@ def test_intra_goals_read_the_index_without_match():
                     eval_query(Query(goal, args, mode), store)
         with pytest.raises(AssertionError, match="match called"):
             eval_query(Query("analogous_to", tuple(Variable(v) for v in "ABCD")), store)
+
+
+@pytest.mark.parametrize("goal, n_args", [("is_a", 1), ("is_a", 4), ("is_a_star", 2), ("analogous_to", 3)])
+def test_a_hand_built_query_of_the_wrong_arity_is_a_syntax_error(goal, n_args):
+    """``parse_query`` checks the arity; a hand-built query gets the same message."""
+    store = kb_store(FACTS)
+    arity = 4 if goal == "analogous_to" else 3
+    with pytest.raises(QuerySyntaxError, match=f"{goal} takes {arity} arguments, got {n_args}"):
+        eval_query(Query(goal, tuple(Variable(f"V{i}") for i in range(n_args))), store)

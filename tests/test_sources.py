@@ -5,10 +5,7 @@ first on that interpreter."""
 from __future__ import annotations
 
 import ast
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -87,12 +84,3 @@ def test_every_name_perfbench_wraps_resolves():
     assert {owner for owner, _ in wrapped} <= set(owners)
     assert sorted(f"{owner}.{name}" for owner, name in wrapped if not hasattr(owners[owner], name)) == []
 
-
-def test_the_cli_imports_json_only_to_write_it():
-    """``import cdcgraph.cli`` leaves ``json`` unloaded: only the commands
-    that write json-lines import it."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    code = "import sys, cdcgraph.cli; print('json' in sys.modules)"
-    # -S: no site hook, which may import json itself
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60)
-    assert proc.stdout.split() == ["False"], proc.stderr
