@@ -492,52 +492,50 @@ def inherited_attributes(
 ) -> set[tuple[ConceptId, ConceptId]]:
     """(attribute, source) pairs: the concept's own attributes plus those of
     every owner that one or more carrier edges reach from it, asserted or
-    derived, as the ``has_attribute`` goal reads them.  An owner's attributes
-    are the objects of its asserted ``has_attribute`` facts; when the
-    relation is symmetric, the subjects of the facts it is the object of as
-    well, and everything whose carrier edges reach one of those, again with
-    that owner as the source.  No overriding - all pairs returned."""
+    derived, read on the rows the ``has_attribute`` goal reads.  An owner's
+    attributes are the objects of its asserted ``has_attribute`` facts; when
+    the relation is symmetric, the subjects of the facts it is the object of
+    as well, and everything whose carrier edges reach one of those, again
+    with that owner as the source.  No overriding - all pairs returned."""
     attr_spec = store.registry.get("has_attribute")
     if attr_spec is None:
         return set()
+    rows = _bound_rows(store, "has_attribute", domain, True)
     owners = {concept}
     carrier = attr_spec.inherits_via
     if carrier is not None:
-        owners |= _bound_rows(store, carrier, domain, True).reach(carrier, concept)
+        owners |= rows.reach(carrier, concept)
     # a symmetric fact is stored in one orientation only, so read both
-    reads = (store.successors, store.predecessors) if attr_spec.symmetric else (store.successors,)
-    indexes = [read("has_attribute", domain) for read in reads]
-    pairs = {(attribute, owner) for index in indexes for owner in owners for attribute in index.get(owner, ())}
+    sides = (rows, rows.flipped) if attr_spec.symmetric else (rows,)
+    pairs = {(attribute, owner) for side in sides for owner in owners
+             for attribute in side.asserted("has_attribute", owner)}
     if carrier is not None and attr_spec.symmetric:
         # the relation is its own reverse: what inherits from an attribute
         # holds it the other way round
-        below = _bound_rows(store, carrier, domain, False)
-        pairs |= {(heir, owner) for attribute, owner in pairs for heir in below.reach(carrier, attribute)}
+        pairs |= {(heir, owner) for attribute, owner in pairs for heir in rows.flipped.reach(carrier, attribute)}
     return pairs
 
 
-def derived_facts_for(store: FactStore, relation: str, domain: DomainExpr | None = None, *,
-                      subject: ConceptId | None = None, obj: ConceptId | None = None) -> set[Fact]:
-    """Lazy equivalent of ClosureSet.derived[relation] for an intra-domain
-    relation (symmetric completions and inherited facts), in ``domain`` or,
-    without one, in every domain of the relation; only the facts whose first
-    concept is ``subject`` and whose second is ``obj`` when either is given."""
-    out: set[Fact] = set()
-    for d in [domain] if domain is not None else store.relation_domains(relation):
-        if subject is None and obj is None:
-            closure = _closure(store, (relation,), d)
-            derived = [have & ~asserted for have, asserted in zip(closure.edges[relation], closure.asserted[relation])]
-            out.update(Fact.intra(relation, x, y, d) for x, y in closure.pairs(derived))
-            continue
-        rows = _bound_rows(store, relation, d, subject is not None)
-        near = subject if subject is not None else obj
-        own = rows.asserted(relation, near)
-        derived_ends = [far for far in rows.edges(relation, near) if far not in own]
-        if subject is not None:
-            out.update(Fact.intra(relation, subject, y, d) for y in derived_ends if obj is None or y == obj)
-        else:
-            out.update(Fact.intra(relation, x, obj, d) for x in derived_ends)
-    return out
+def derived_facts_for(store: FactStore, relation: str, domain: DomainExpr) -> set[Fact]:
+    """Lazy equivalent of ClosureSet.derived[relation] in ``domain`` for an
+    intra-domain relation: its symmetric completions and inherited facts, by
+    the kernel over the whole domain.  A goal with a bound concept reads the
+    concept's row of ``_bound_rows`` instead."""
+    closure = _closure(store, (relation,), domain)
+    derived = [have & ~asserted for have, asserted in zip(closure.edges[relation], closure.asserted[relation])]
+    return {Fact.intra(relation, x, y, domain) for x, y in closure.pairs(derived)}
+
+
+def oriented_match(store: FactStore, spec: RelationSpec, concepts: tuple[ConceptId | None, ...],
+                   domains: tuple[DomainExpr | None, ...]) -> list[Fact]:
+    """The facts of the pattern (None a wildcard), in its orientation: a
+    symmetric relation's facts are stored in one orientation, so the
+    reversed pattern is matched too and its facts turned round."""
+    pattern = FactPattern(spec.name, concepts, domains)
+    facts = list(store.match(pattern))
+    if spec.symmetric:
+        facts += [swap_orientation(fact, spec) for fact in store.match(swap_orientation(pattern, spec))]
+    return facts
 
 
 def analogy_search(
@@ -546,20 +544,13 @@ def analogy_search(
     source_domain: DomainExpr | None = None,
 ) -> set[tuple[ConceptId, DomainExpr, DomainExpr]]:
     """(counterpart, own-side domain, counterpart-side domain) for every
-    cross-domain analogy with the concept first, as the ``analogy_search``
-    goal reads them: its entries in the store's first-concept index and,
-    when the relation is symmetric, its second-concept index turned round."""
+    cross-domain analogy with the concept first, and on the
+    ``source_domain`` side when one is given, as the ``analogy_search``
+    goal reads them: by ``oriented_match``."""
     spec = store.registry.lookup("analogous_to")
     if spec.shape is not RelationShape.CROSS:
         raise RegistryError(f"analogy_search needs a cross-domain relation, 'analogous_to' is {spec.shape.value}")
-    as_first = store.match(FactPattern("analogous_to", (concept, None), (None, None)))
-    results = {(f.concepts[1], *f.domains) for f in as_first}
-    if spec.symmetric:
-        as_second = store.match(FactPattern("analogous_to", (None, concept), (None, None)))
-        results.update((f.concepts[0], *f.domains[::-1]) for f in as_second)
-    if source_domain is not None:
-        results = {row for row in results if row[1] == source_domain}
-    return results
+    return {(f.concepts[1], *f.domains) for f in oriented_match(store, spec, (concept, None), (source_domain, None))}
 
 
 def explain(fact: Fact, store: FactStore, closure: ClosureSet | None = None) -> DerivationTrace:

@@ -482,16 +482,19 @@ def _universal_newlines(text: str) -> str:
 
 
 def parse_fact_text(text: str, registry, allow_star: bool = False) -> Fact:
-    """Parse one fact clause (the trailing '.' may be omitted).
+    """Parse one fact clause (the trailing '.' may be omitted, also before
+    a trailing ``%`` comment).
 
     With ``allow_star``, a ``<rel>_star`` head over a transitive relation is
     accepted as an intra-shaped derived fact, for explain-style lookups.
     """
     source = text.strip()
-    if not source:
+    kinds = [kind for kind, _, _ in _lex(source)][:-1]  # without the EOF token
+    if not kinds:
         raise CdcError("expected exactly one fact clause")
-    if not source.endswith("."):
-        source += "."
+    if kinds[-1] != "DOT":
+        # on a line of its own, so that a trailing comment does not take it
+        source += "\n."
     diagnostics: list[Diagnostic] = []
     parser = _Parser(source, "<fact>", diagnostics, registry)
     items = list(parser.items())

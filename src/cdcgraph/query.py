@@ -23,10 +23,10 @@ from itertools import product
 from typing import NamedTuple
 
 from .domains import _ATOM_RE, DomainExpr, parse_domain
-from .errors import DomainSyntaxError, QuerySyntaxError, StaleClosureError
-from .inference import ClosureSet, derived_facts_for, star_pairs
+from .errors import CdcError, DomainSyntaxError, QuerySyntaxError, StaleClosureError
+from .inference import ClosureSet, _bound_rows, derived_facts_for, oriented_match, star_pairs
 from .relations import RelationShape, RelationSpec, star_relation
-from .store import ConceptId, FactPattern, FactStore, swap_orientation
+from .store import ConceptId, FactStore
 
 EXACT = "exact"
 INHERIT = "inherit"
@@ -276,9 +276,11 @@ def eval_query(
     lazy evaluation of derived goals when the closure is missing or stale.
 
     The goal's shape picks the reader: an intra-domain relation reads its
-    index entries (``_intra_rows``), a star goal ``star_pairs``, and a cross
-    or fusion goal goes through ``match``.  Every reader fixes the goal's
-    constants, so its rows are only projected onto the variables."""
+    index entries or, bound and inheriting, its ``_bound_rows`` row
+    (``_intra_rows``), a star goal ``star_pairs``, and a cross or fusion
+    goal ``oriented_match``.  Every reader fixes the goal's constants, so
+    its rows are only projected onto the variables.  A domain mode other
+    than ``exact`` and ``inherit`` raises ``CdcError``."""
     star, spec = _resolve_goal(query.goal, store.registry)
     if strict and (star or spec.inherits_via is not None) and (closure is None or not closure.is_current(store)):
         what = query.goal if star else f"derived facts of {spec.name!r}"
@@ -286,6 +288,8 @@ def eval_query(
     shape = RelationShape.INTRA if star else spec.shape
     if len(query.args) != shape.arity:  # only a hand-built query gets here
         raise QuerySyntaxError(f"{query.goal} takes {shape.arity} arguments, got {len(query.args)}", 0)
+    if query.domain_mode not in (EXACT, INHERIT):
+        raise CdcError(f"unknown domain mode {query.domain_mode!r}: expected {EXACT!r} or {INHERIT!r}")
     first: dict[str, int] = {}  # each variable's first position
     repeats: list[tuple[int, int]] = []  # (first position, a later one)
     mismatched = False  # a hand-built constant of the other kind, which no value equals
@@ -332,28 +336,36 @@ def _read_domains(query: Query, store: FactStore, relation: str) -> list[DomainE
 
 
 def _intra_rows(query: Query, spec: RelationSpec, store: FactStore) -> list[tuple]:
-    """(subject, object, domain) rows from the bound subject's successor
-    entry, else the bound object's predecessor entry, else the whole
-    partition.  A symmetric relation's facts are stored in one orientation,
-    so it reads the other index too; an inheriting relation adds the lazy
-    reads' derived facts, which come in both orientations when symmetric."""
-    relation, symmetric = spec.name, spec.symmetric
+    """(subject, object, domain) rows.  An inheriting relation with a bound
+    concept reads that concept's row of ``_bound_rows``: its asserted and
+    derived ends in one walk, both orientations when symmetric.  Any other
+    goal reads the bound subject's successor entry, else the bound object's
+    predecessor entry, else the whole partition; a symmetric relation's
+    facts are stored in one orientation, so it reads the other index too,
+    and an inheriting relation adds the partition's derived facts."""
+    relation, symmetric, inherits = spec.name, spec.symmetric, spec.inherits_via is not None
     subject, obj = (arg.value if isinstance(arg, ConceptConst) else None for arg in query.args[:2])
+    forward, near = subject is not None, subject if subject is not None else obj
     rows: list[tuple] = []
     for domain in _read_domains(query, store, relation):
-        ahead, behind = store.successors(relation, domain), store.predecessors(relation, domain)
-        if subject is not None:
-            ends = [*ahead.get(subject, ()), *behind.get(subject, ())] if symmetric else ahead.get(subject, ())
-            rows += [(subject, y, domain) for y in ends if obj is None or y == obj]
-        elif obj is not None:
-            ends = [*behind.get(obj, ()), *ahead.get(obj, ())] if symmetric else behind.get(obj, ())
-            rows += [(x, obj, domain) for x in ends]
-        else:
+        if near is None:
+            ahead = store.successors(relation, domain)
             rows += [(x, y, domain) for x, row in ahead.items() for y in row]
             rows += [(y, x, domain) for x, row in ahead.items() for y in row] if symmetric else []
-        if spec.inherits_via is not None:
-            derived = derived_facts_for(store, relation, domain, subject=subject, obj=obj)
-            rows += [(*fact.concepts, domain) for fact in derived]
+            if inherits:
+                rows += [(*fact.concepts, domain) for fact in derived_facts_for(store, relation, domain)]
+            continue
+        if inherits:
+            ends = _bound_rows(store, relation, domain, forward).edges(relation, near)
+        else:
+            ahead, behind = store.successors(relation, domain), store.predecessors(relation, domain)
+            if not forward:
+                ahead, behind = behind, ahead
+            ends = [*ahead.get(near, ()), *behind.get(near, ())] if symmetric else ahead.get(near, ())
+        if forward:
+            rows += [(subject, y, domain) for y in ends if obj is None or y == obj]
+        else:
+            rows += [(x, obj, domain) for x in ends]
     return rows
 
 
@@ -364,19 +376,12 @@ def _star_rows(query: Query, spec: RelationSpec, store: FactStore) -> list[tuple
 
 
 def _matched_rows(query: Query, spec: RelationSpec, store: FactStore) -> list[tuple]:
-    """Cross and fusion goals: the facts ``match`` gives for the goal's
-    concepts and each combination of admitted domains, as concepts then
-    domains.  A symmetric relation also matches the reversed pattern and
-    turns those facts round."""
+    """Cross and fusion goals: the facts ``oriented_match`` gives for the
+    goal's concepts and each combination of admitted domains, as concepts
+    then domains."""
     n_concepts = spec.shape.domain_positions[0]
     concepts = tuple(arg.value if isinstance(arg, ConceptConst) else None for arg in query.args[:n_concepts])
     admitted = [_admitted_domains(store, spec.name, arg.value, query.domain_mode) if isinstance(arg, DomainConst)
                 else [None] for arg in query.args[n_concepts:]]
-    rows: list[tuple] = []
-    for domains in product(*admitted):
-        pattern = FactPattern(spec.name, concepts, domains)
-        facts = list(store.match(pattern))
-        if spec.symmetric:
-            facts += [swap_orientation(fact, spec) for fact in store.match(swap_orientation(pattern, spec))]
-        rows += [fact.concepts + fact.domains for fact in facts]
-    return rows
+    return [fact.concepts + fact.domains for domains in product(*admitted)
+            for fact in oriented_match(store, spec, concepts, domains)]

@@ -8,17 +8,20 @@ constants included.  Inherit-mode admission is the scan
 ``query._admitted_domains`` made before it looked up the literal's prefixes:
 it tests every domain of the relation with ``is_prefix_of``.  The
 differential tests in ``test_query.py`` and ``test_query_plans.py`` hold the
-engine to both.
+engine to both.  Derived and star rows come from ``reference_bound``, which
+closes the part of a domain that its own walk collects, not from the
+engine's lazy reads (``derived_facts_for``, ``star_pairs``).
 """
 
 from __future__ import annotations
 
 from cdcgraph.domains import DomainExpr, is_prefix_of
 from cdcgraph.errors import StaleClosureError
-from cdcgraph.inference import ClosureSet, derived_facts_for, star_pairs
+from cdcgraph.inference import ClosureSet
 from cdcgraph.query import EXACT, INHERIT, BindingSet, ConceptConst, DomainConst, Query, Variable, _resolve_goal
 from cdcgraph.relations import RelationSpec
 from cdcgraph.store import Fact, FactPattern, FactStore, swap_orientation
+import reference_bound
 
 
 def admitted_domains(store: FactStore, relation: str, literal: DomainExpr, mode: str) -> list[DomainExpr]:
@@ -114,10 +117,12 @@ def _relation_rows(query: Query, spec: RelationSpec, store: FactStore, closure: 
     if spec.inherits_via is not None:
         _require_current(closure, store, strict, f"derived facts of {spec.name!r}")
         # inheriting relations are intra-domain: each pattern fixes one
-        # admitted domain, or none
+        # admitted domain, or none, which reads every domain of the relation
         subject, obj = concepts
         for pattern in patterns:
-            facts.update(derived_facts_for(store, spec.name, pattern.domains[0], subject=subject, obj=obj))
+            domain = pattern.domains[0]
+            for d in [domain] if domain is not None else store.relation_domains(spec.name):
+                facts.update(reference_bound.derived_facts_for(store, spec.name, d, subject=subject, obj=obj))
 
     rows: list[tuple[object, ...]] = []
     for fact in facts:
@@ -138,7 +143,7 @@ def _star_rows(query: Query, spec: RelationSpec, store: FactStore, closure: Clos
     subject, obj = (arg.value if isinstance(arg, ConceptConst) else None for arg in query.args[:2])
     rows: list[tuple[object, ...]] = []
     for domain in domains:
-        pairs = star_pairs(store, relation, domain, subject=subject, obj=obj)
+        pairs = reference_bound.star_pairs(store, relation, domain, subject=subject, obj=obj)
         for x, y in pairs:
             rows.append((x, y, domain))
     return rows

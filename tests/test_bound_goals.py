@@ -114,6 +114,11 @@ def prerequisites_or_cycle(read, *args):
         return exc.args
 
 
+def kept(pairs: set, bound: dict) -> set:
+    """The (x, y) pairs with x the bound subject and y the bound object, when given."""
+    return {p for p in pairs if p[0] == bound.get("subject", p[0]) and p[1] == bound.get("obj", p[1])}
+
+
 def assert_bound_reads_agree(store: FactStore, rng: random.Random) -> set:
     """The inference reads with a bound concept equal the whole-domain reads
     filtered to it and the reference reads; returns the kinds of join read:
@@ -135,8 +140,7 @@ def assert_bound_reads_agree(store: FactStore, rng: random.Random) -> set:
                     d = rng.choice(concepts)
                     for bound in ({"subject": c}, {"obj": c}, {"subject": c, "obj": d}):
                         got = star_pairs(store, spec.name, domain, **bound)
-                        assert got == {p for p in whole if p[0] == bound.get("subject", p[0])
-                                       and p[1] == bound.get("obj", p[1])}
+                        assert got == kept(whole, bound)
                         assert got == reference.star_pairs(store, spec.name, domain, **bound)
                     reach = reachable_star(store, spec.name, c, domain)
                     assert reach == {y for x, y in whole if x == c}
@@ -149,13 +153,15 @@ def assert_bound_reads_agree(store: FactStore, rng: random.Random) -> set:
                     else:
                         assert got == want
             if spec.symmetric or spec.inherits_via is not None:
-                whole = derived_facts_for(store, spec.name, domain)
+                whole = {f.concepts for f in derived_facts_for(store, spec.name, domain)}
+                asserted = {f.concepts for f in store.partition(spec.name, domain)}
                 for c in concepts:
                     for bound in ({"subject": c}, {"obj": c}, {"subject": c, "obj": rng.choice(concepts)}):
-                        got = derived_facts_for(store, spec.name, domain, **bound)
-                        assert got == {f for f in whole if f.concepts[0] == bound.get("subject", f.concepts[0])
-                                       and f.concepts[1] == bound.get("obj", f.concepts[1])}
-                        assert got == reference.derived_facts_for(store, spec.name, domain, **bound)
+                        # the bound goal's rows: asserted facts and derived ones
+                        got = set(solve(store, spec.name, bound.get("subject"), bound.get("obj"), domain, EXACT))
+                        assert got == kept(asserted, bound) | kept(whole, bound)
+                        derived = reference.derived_facts_for(store, spec.name, domain, **bound)
+                        assert got == kept(asserted, bound) | {f.concepts for f in derived}
         attr = registry.get("has_attribute")
         if attr is not None and attr.inherits_via is not None and registry.lookup(attr.inherits_via).transitive:
             ancestors = star_pairs(store, attr.inherits_via, domain)
@@ -256,16 +262,17 @@ def test_bound_inheritance_matches_enumeration():
             for c in nodes:
                 want = brute_force_inherited(c, carrier_edges, attrs)
                 assert inherited_attributes(store, c, domain) == want
-                assert solve(store, "has_attribute", c, None, domain, EXACT) == sorted({(c, a) for a, _ in want})
-                derived = {(f.concepts[0], f.concepts[1]) for f in
-                           derived_facts_for(store, "has_attribute", domain, subject=c)}
+                rows = solve(store, "has_attribute", c, None, domain, EXACT)
+                assert rows == sorted({(c, a) for a, _ in want})
+                derived = {f.concepts for f in reference.derived_facts_for(store, "has_attribute", domain, subject=c)}
                 assert derived == {(c, a) for a, _ in want} - attrs
+                assert set(rows) - attrs == derived
             for t in traits:
-                derived = {(f.concepts[0], f.concepts[1]) for f in
-                           derived_facts_for(store, "has_attribute", domain, obj=t)}
+                derived = {f.concepts for f in reference.derived_facts_for(store, "has_attribute", domain, obj=t)}
                 assert derived == {(c, t) for c in nodes
                                    if (t, c) not in brute_force_inherited(c, carrier_edges, attrs)
                                    and any(a == t for a, _ in brute_force_inherited(c, carrier_edges, attrs))}
+                assert set(solve(store, "has_attribute", None, t, domain, EXACT)) - attrs == derived
 
 
 def test_star_rows_start_from_derived_edges():

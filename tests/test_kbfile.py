@@ -507,6 +507,28 @@ def test_parse_fact_text_without_a_clause(text):
             parse_fact_text(text, builtin_registry(), allow_star=allow_star)
 
 
+@pytest.mark.parametrize("text", [
+    'is_a(apple, fruit, "d") % note',
+    'is_a(apple, fruit, "d") % note.',
+    'is_a(apple, fruit, "d"). % note',
+    'is_a(apple, fruit, "d"). % note.',
+    'is_a(apple, fruit, "d") % note\n',
+    'is_a(apple, fruit, "d")\n% a note. on its own line',
+])
+def test_parse_fact_text_with_a_trailing_comment(text):
+    # the '.' comes from the last token, not the last character
+    fact = parse_fact_text(text, builtin_registry())
+    assert fact == Fact.intra("is_a", ConceptId("apple"), ConceptId("fruit"), parse_domain("d"))
+
+
+def test_explain_takes_a_fact_with_a_trailing_comment(capsys):
+    from cdcgraph.cli import main
+
+    assert main(["explain", "--case", "education", 'is_a(quadratic_function, polynomial_function, '
+                 '"math@algebra") % note']) == 0
+    assert "polynomial_function" in capsys.readouterr().out
+
+
 def test_parse_fact_text_never_crashes():
     from hypothesis import given, settings
 

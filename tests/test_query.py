@@ -227,6 +227,22 @@ def test_inherit_mode_admits_prefix_domains(store):
     assert set(exact.render_lines()) <= set(inherit.render_lines())
 
 
+@pytest.mark.parametrize("mode", ["exakt", "", "INHERIT", None])
+def test_an_unknown_domain_mode_is_refused(mode):
+    """Only ``exact`` and ``inherit`` are domain modes; another one is not
+    read as ``inherit``, whether set by ``with_modes`` or ``_replace``."""
+    store = FactStore(builtin_registry())
+    store.assert_fact(intra("is_a", "a", "b", "x"))
+    store.assert_fact(intra("is_a", "c", "b", "x@y"))
+    query = q('is_a(?X, b, "x@y")', store)
+    assert eval_query(query, store).render_lines() == ["?X = c"]
+    assert eval_query(query.with_modes(domain_mode="inherit"), store).render_lines() == ["?X = a", "?X = c"]
+    bad = [query._replace(domain_mode=mode)] + ([query.with_modes(domain_mode=mode)] if mode is not None else [])
+    for query in bad:
+        with pytest.raises(CdcError, match="^unknown domain mode .*: expected 'exact' or 'inherit'$"):
+            eval_query(query, store)
+
+
 def test_inherit_mode_star_goal(store):
     store.assert_fact(intra("requires", "flight", "lift", "aero"))
     store.assert_fact(intra("requires", "lift", "airfoil", "aero"))

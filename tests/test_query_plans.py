@@ -198,3 +198,29 @@ def test_a_hand_built_query_of_the_wrong_arity_is_a_syntax_error(goal, n_args):
     arity = 4 if goal == "analogous_to" else 3
     with pytest.raises(QuerySyntaxError, match=f"{goal} takes {arity} arguments, got {n_args}"):
         eval_query(Query(goal, tuple(Variable(f"V{i}") for i in range(n_args))), store)
+
+
+def test_only_bound_inheriting_goals_read_bound_rows(monkeypatch):
+    """A bound plain or symmetric goal reads its index entries directly,
+    since a ``_bound_rows`` reader costs more to build in each domain than
+    that read; a bound inheriting goal reads one ``_bound_rows`` row per
+    domain, and a goal with no bound concept none."""
+    store = kb_store('is_a(x, y, "d1").\nis_a(x, z, "d2").\ncontrasts_with(x, w, "d1").\n'
+                     'has_attribute(y, red, "d1").\nhas_attribute(z, blue, "d2").\nhas_attribute(q, green, "d3").\n')
+    calls = []
+    read = query_module._bound_rows
+    monkeypatch.setattr(query_module, "_bound_rows", lambda *args: calls.append(args) or read(*args))
+
+    def answers(text: str) -> tuple[list[str], int]:
+        calls.clear()
+        lines = eval_query(query_module.parse_query(text, store.registry), store).render_lines()
+        return lines, len(calls)
+
+    assert answers('is_a(x, ?Y, ?D)') == (["?Y = y, ?D = d1", "?Y = z, ?D = d2"], 0)
+    assert answers('contrasts_with(x, ?Y, ?D)') == (["?Y = w, ?D = d1"], 0)
+    assert answers('contrasts_with(?X, x, ?D)') == (["?X = w, ?D = d1"], 0)
+    assert store.relation_domains("has_attribute") == [parse_domain(d) for d in ("d1", "d2", "d3")]
+    assert answers('has_attribute(x, ?A, ?D)') == (["?A = blue, ?D = d2", "?A = red, ?D = d1"], 3)
+    assert answers('has_attribute(?X, red, ?D)') == (["?X = x, ?D = d1", "?X = y, ?D = d1"], 3)
+    assert answers('has_attribute(x, ?A, "d1")') == (["?A = red"], 1)
+    assert answers('has_attribute(?X, ?A, "d1")') == (["?X = x, ?A = red", "?X = y, ?A = red"], 0)
