@@ -16,14 +16,17 @@ The reader also accepts the ISO-Prolog interop export this module writes:
 without diagnostics, so re-parsing an export recovers exactly the facts.
 
 Loading is resilient: every problem becomes a diagnostic with a source span
-and the loader moves on to the next clause.
+and the loader moves on to the next clause.  A clause ends at its first '.'
+token, or at the line break of an open quote, and no error reads past that
+point: whatever follows is read as the next clause.
 
 Most clauses are one-line facts.  The reader tokenizes each of those whole,
 with one pattern; everything else (directives, comments inside a clause,
-clauses over several lines, rule clauses and malformed ones) goes to the
-token parser.  Both give the same clause terms, and one builder checks the
-relation, arity, concepts and domains and makes the fact, so a clause reads
-the same, diagnostics included, whichever way it was tokenized.
+clauses over several lines, rule clauses and malformed ones) is lexed up to
+its end and parsed from those tokens.  Both give the same clause terms, and
+one builder checks the relation, arity, concepts and domains and makes the
+fact, so a clause reads the same, diagnostics included, whichever way it was
+tokenized.
 """
 
 from __future__ import annotations
@@ -176,36 +179,22 @@ _NEWLINE_RE = re.compile("\n")
 
 
 class _Parser:
-    """Reads clauses, lexing on demand.  At each clause start it tries
-    ``_CLAUSE_RE`` first and reads a clause the pattern cannot take whole
-    from tokens; both ways give the same ("clause", ...) item, and
-    ``build_fact`` makes every fact from one.  Items and terms carry
-    offsets; a SourceSpan is built only for a clause head or a diagnostic."""
+    """Reads one clause at a time.  At each clause start it tries
+    ``_CLAUSE_RE`` first; a clause the pattern cannot take whole is lexed
+    into a list of tokens that stops at the clause's first '.', at an
+    unterminated quote (which ran to its line break) or at the end of the
+    text, and is parsed from that list alone, so no error reads past it.
+    Both ways give the same ("clause", ...) item, and ``build_fact`` makes
+    every fact from one.  Items and terms carry offsets; a SourceSpan is
+    built only for a clause head or a diagnostic."""
 
     def __init__(self, text: str, file: str, diagnostics: list[Diagnostic], registry: RelationRegistry):
         self.text = text
         self.file = file
         self.registry = registry
-        self.pos = 0  # where the last whole clause ended
-        self.tokens: Iterator[tuple[str, str, int]] | None = None  # lexing from pos
-        self.token: tuple[str, str, int] | None = None  # lexed, not yet taken
-        self.previous: tuple[str, str, int] | None = None  # the last token taken
+        self.pos = 0  # where the next clause starts
         self.diagnostics = diagnostics
         self.line_starts = [0, *(match.end() for match in _NEWLINE_RE.finditer(text))]
-
-    def peek(self) -> tuple[str, str, int]:
-        if self.token is None:
-            if self.tokens is None:
-                self.tokens = _lex(self.text, self.pos)
-            self.token = next(self.tokens)
-        return self.token
-
-    def take(self) -> tuple[str, str, int]:
-        token = self.peek()
-        if token[0] != "EOF":
-            self.token = None
-        self.previous = token
-        return token
 
     def span(self, offset: int) -> SourceSpan:
         line = bisect_right(self.line_starts, offset)
@@ -214,59 +203,42 @@ class _Parser:
     def error(self, message: str, offset: int) -> None:
         self.diagnostics.append(Diagnostic("error", message, self.span(offset)))
 
-    def skip_to_dot(self) -> None:
-        """Skip the rest of a malformed clause: through its '.', or through an
-        unterminated quote, which ran to the line break and took the line's
-        '.' with it, so the next clause starts on the next line."""
-        if self.previous[0] == "ERROR":
-            return
-        while self.take()[0] not in ("DOT", "EOF", "ERROR"):
-            pass
-
     def items(self):
         """Yield ("directive", name, shape, flags, offset), ("dynamic", name,
         arity, offset) and ("clause", name, terms, offset) tuples; a term is
         (kind, text, offset) as the lexer gives it."""
         while True:
-            # at a clause start: where the last whole clause ended, or
-            # after the '.' the token path took last
-            if self.tokens is None or (self.token is None and self.previous[0] == "DOT"):
-                item = self.whole_clause()
-                if item is not None:
-                    yield item
-                    continue
-            kind, text, offset = self.peek()
+            item = self.whole_clause()
+            if item is not None:
+                yield item
+                continue
+            tokens = self.clause_tokens()
+            kind, text, offset = tokens[0]
             if kind == "EOF":
                 return
             if kind == "NECK":
                 # ':- dynamic name/arity.' declarations matter (they name the
                 # relations an interop export uses); other Prolog directives
                 # are skipped
-                yield from self.parse_prolog_directive()
+                yield from self.parse_prolog_directive(tokens)
                 continue
             if kind == "ATREL":
-                item = self.parse_directive()
-                if item is not None:
-                    yield item
+                item = self.parse_directive(tokens)
+            elif kind == "ATOM":
+                item = self.parse_clause(tokens)
+            else:
+                self.error(text if kind == "ERROR" else f"unexpected {text!r}", offset)
                 continue
-            if kind == "ATOM":
-                item = self.parse_clause()
-                if item is not None:
-                    yield item
-                continue
-            self.error(text if kind == "ERROR" else f"unexpected {text!r}", offset)
-            self.take()
-            self.skip_to_dot()
+            if item is not None:
+                yield item
 
     def whole_clause(self):
         """The next clause as a ("clause", ...) item, the one ``parse_clause``
         would make, if ``_CLAUSE_RE`` takes it whole; else None."""
-        pos = self.pos if self.tokens is None else self.previous[2] + 1
-        match = _CLAUSE_RE.match(self.text, _SKIP_RE.match(self.text, pos).end())
+        match = _CLAUSE_RE.match(self.text, _SKIP_RE.match(self.text, self.pos).end())
         if match is None:
             return None
         self.pos = match.end()
-        self.tokens = None
         terms = []
         for group in range(2, match.lastindex + 1):  # group 1 is the head
             term = match.group(group)
@@ -274,99 +246,96 @@ class _Parser:
             terms.append((kind, term if kind == "ATOM" else term[1:-1], match.start(group)))
         return ("clause", match.group(1), terms, match.start(1))
 
-    def parse_prolog_directive(self):
-        neck = self.take()
-        if self.peek()[:2] == ("ATOM", "dynamic"):
-            self.take()
-            while True:
-                name = self.take()
-                if name[0] != "ATOM":
-                    break
-                if self.peek()[:2] != ("OTHER", "/"):
-                    break
-                self.take()
-                arity = self.take()
-                if arity[0] != "ATOM" or not arity[1].isdigit():
-                    break
-                yield ("dynamic", name[1], int(arity[1]), neck[2])
-                if self.peek()[0] == "COMMA":
-                    self.take()
-                    continue
-                break
-        self.skip_to_dot()
+    def clause_tokens(self) -> list[tuple[str, str, int]]:
+        """The next clause's tokens, through its first DOT, ERROR or EOF
+        token; the clause after it starts where that token ends."""
+        tokens = []
+        for token in _lex(self.text, self.pos):
+            tokens.append(token)
+            kind, _, offset = token
+            if kind == "DOT" or kind == "EOF":
+                self.pos = offset + len(token[1])  # past the '.', or the end of the text
+            elif kind == "ERROR":  # it ran to its line break; read it again for its end
+                self.pos = _TOKEN_RE.match(self.text, offset).end()
+            else:
+                continue
+            return tokens
 
-    def parse_directive(self):
-        at = self.take()
-        name_kind, name, name_offset = self.take()
+    def parse_prolog_directive(self, tokens: list[tuple[str, str, int]]):
+        """The ("dynamic", ...) items of ':- dynamic name/arity, ...', up to
+        the first declaration that does not read; any other directive has none."""
+        items = []
+        if tokens[1][:2] == ("ATOM", "dynamic"):
+            rest = iter(tokens[2:])
+            # in steps of name, '/', arity and what follows it
+            for name, slash, arity, after in zip(rest, rest, rest, rest):
+                if name[0] != "ATOM" or slash[:2] != ("OTHER", "/") or arity[0] != "ATOM" or not arity[1].isdigit():
+                    break
+                items.append(("dynamic", name[1], int(arity[1]), tokens[0][2]))
+                if after[0] != "COMMA":
+                    break
+        return items
+
+    def parse_directive(self, tokens: list[tuple[str, str, int]]):
+        name_kind, name, name_offset = tokens[1]
         if name_kind != "ATOM":
             self.error("@relation needs a relation name", name_offset)
-            self.skip_to_dot()
             return None
-        shape_kind, shape, shape_offset = self.take()
+        shape_kind, shape, shape_offset = tokens[2]
         if shape_kind != "ATOM" or shape not in SHAPE_NAMES:
             *others, last = SHAPE_NAMES
             self.error(f"@relation shape must be {', '.join(others)}, or {last}", shape_offset)
-            self.skip_to_dot()
             return None
         flags: dict[str, str | bool] = {}
+        i = 3
         while True:
-            kind, text, offset = self.peek()
+            kind, text, offset = tokens[i]
             if kind == "DOT":
-                self.take()
-                return ("directive", name, shape, flags, at[2])
+                return ("directive", name, shape, flags, tokens[0][2])
             if kind == "EOF":
                 self.error("unterminated @relation directive", offset)
                 return None
             if kind != "ATOM":
                 self.error(f"bad @relation flag {text!r}", offset)
-                self.skip_to_dot()
                 return None
-            self.take()
-            if self.peek()[0] == "EQUALS":
-                self.take()
-                value_kind, value, value_offset = self.take()
-                if value_kind != "ATOM":
-                    self.error(f"flag {text} needs an identifier value", value_offset)
-                    self.skip_to_dot()
-                    return None
-                flags[text] = value
-            else:
+            if tokens[i + 1][0] != "EQUALS":
                 flags[text] = True
+                i += 1
+                continue
+            value_kind, value, value_offset = tokens[i + 2]
+            if value_kind != "ATOM":
+                self.error(f"flag {text} needs an identifier value", value_offset)
+                return None
+            flags[text] = value
+            i += 3
 
-    def parse_clause(self):
-        _, head, head_offset = self.take()
-        if self.peek()[0] == "NECK":  # rule clause from an interop export
-            self.skip_to_dot()
+    def parse_clause(self, tokens: list[tuple[str, str, int]]):
+        rest = iter(tokens)
+        _, head, head_offset = next(rest)
+        kind, _, offset = next(rest)
+        if kind == "NECK":  # rule clause from an interop export
             return None
-        if self.peek()[0] != "LPAREN":
-            self.error(f"expected '(' after {head!r}", self.peek()[2])
-            self.skip_to_dot()
+        if kind != "LPAREN":
+            self.error(f"expected '(' after {head!r}", offset)
             return None
-        self.take()
         terms: list[tuple[str, str, int]] = []
-        while True:
-            token = self.take()
-            kind, text, offset = token
+        for term in rest:  # the list's last token is no term, so this ends in a return or break
+            kind, text, offset = term
             if kind not in _TERM_KINDS:
                 self.error(text if kind == "ERROR" else f"expected a term, found {text!r}", offset)
-                self.skip_to_dot()
                 return None
-            terms.append(token)
-            sep = self.take()
-            if sep[0] == "COMMA":
-                continue
-            if sep[0] == "RPAREN":
+            terms.append(term)
+            kind, _, offset = next(rest)
+            if kind == "RPAREN":
                 break
-            self.error("expected ',' or ')'", sep[2])
-            self.skip_to_dot()
+            if kind != "COMMA":
+                self.error("expected ',' or ')'", offset)
+                return None
+        kind, _, offset = next(rest)
+        if kind == "NECK":  # rule clause: skip silently
             return None
-        if self.peek()[0] == "NECK":  # rule clause: skip silently
-            self.skip_to_dot()
-            return None
-        end = self.take()
-        if end[0] != "DOT":
-            self.error("missing '.' after clause", end[2])
-            self.skip_to_dot()
+        if kind != "DOT":
+            self.error("missing '.' after clause", offset)
             return None
         return ("clause", head, terms, head_offset)
 

@@ -324,9 +324,9 @@ class FactStore:
         Plan: an intra-domain pattern with a bound subject (else object)
         reads that concept's entry in the successor (predecessor) index of
         its domain's partition, or of each of the relation's partitions.
-        Otherwise a domain-fixed pattern scans only the (relation, domain)
-        partition, a bound first (else second) concept reads the relation's
-        entry for it, and any other pattern scans the whole relation.
+        Otherwise a bound first (else second) concept reads the relation's
+        entry for it, a domain-fixed pattern scans only the (relation,
+        domain) partition, and any other pattern scans the whole relation.
         """
         spec = self._check_shape(pattern, "pattern")
         relation = pattern.relation
@@ -338,7 +338,7 @@ class FactStore:
             partitions = (self._successors if first is not None else self._predecessors).get(relation, _NO_ROWS)
             adjacencies = [partitions.get(bound_domains[0], _NO_ROWS)] if bound_domains else partitions.values()
             candidates = [fact for adjacency in adjacencies for fact in adjacency.get(concept, _NO_ROWS).values()]
-        elif concept is not None and not bound_domains:
+        elif concept is not None:
             by_concept = self._by_first if first is not None else self._by_second
             candidates = by_concept.get(relation, _NO_ROWS).get(concept, ())
         else:

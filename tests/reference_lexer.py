@@ -1,7 +1,9 @@
 """The character-loop fact-file lexer and the token-object parser that the
 regex reader in ``cdcgraph.kbfile`` replaced, kept as the reference for
 ``tests/test_reader_reference.py``.  Unchanged but for ``skip_to_dot``, whose
-recovery after an unterminated quote was fixed in both readers.
+recovery was fixed in both readers twice: it stops after an unterminated
+quote, and after a '.' it has already taken, so an error found on a
+clause's own '.' does not swallow the next clause.
 
 ``_lex`` walks the text one character at a time, tracking line and column;
 ``_Parser`` reads its ``_Token`` objects with the grammar and error recovery
@@ -135,8 +137,9 @@ class _Parser:
     def skip_to_dot(self) -> None:
         # Changed on purpose from the replaced reader, in step with
         # kbfile._Parser: recovery also stops after an unterminated quote,
-        # which ran to the line break and took that line's '.' with it.
-        if self.tokens[self.pos - 1].kind == "ERROR":
+        # which ran to the line break and took that line's '.' with it, and
+        # after a '.' already taken, which ended the malformed clause.
+        if self.tokens[self.pos - 1].kind in ("ERROR", "DOT"):
             return
         while self.take().kind not in ("DOT", "EOF", "ERROR"):
             pass

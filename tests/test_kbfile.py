@@ -23,6 +23,7 @@ from cdcgraph import (
     parse_fact_text,
     save_file,
 )
+from cdcgraph import kbfile
 from cdcgraph.kbfile import Diagnostic, LoadedFact, LoadResult, SourceSpan, render_clause
 from conftest import assert_record_contract, assert_tuple_contract, fusion, grammar_text, intra
 
@@ -143,6 +144,39 @@ def test_unterminated_quote_recovers_at_the_line_break():
     result = load_text('is_a(\'a, b, "d").\nis_a(c, e, "d").\nis_a(f, g, "d").\n', store)
     assert [str(d) for d in result.diagnostics] == ["<string>:1:6: error: unterminated quote"]
     assert [repr(loaded.fact) for loaded in result.facts] == ['is_a(c, e, "d")', 'is_a(f, g, "d")']
+
+
+@pytest.mark.parametrize("clause, diagnostics", [
+    ('is_a(a, b, "d".', ["1:15: error: expected ',' or ')'"]),
+    ("@relation .", ["1:11: error: @relation needs a relation name"]),
+    ("@relation r .", ["1:13: error: @relation shape must be intra, cross, or fusion"]),
+    ("@relation r intra inherits_via=.", ["1:32: error: flag inherits_via needs an identifier value"]),
+    ("is_a(a, .", ["1:9: error: expected a term, found '.'"]),
+    (":- dynamic a/.", []),  # a Prolog directive is skipped without a diagnostic
+    (".", ["1:1: error: unexpected '.'"]),
+    # 'a.' is one atom and the second '.' ends the clause, so ", b, d)." is
+    # the next clause and gets a diagnostic of its own
+    ("is_a(a.., b, d).", ["1:8: error: expected ',' or ')'", "1:9: error: unexpected ','"]),
+])
+def test_error_on_the_clauses_own_dot_leaves_the_next_clause(clause, diagnostics):
+    # the malformed clause ends at its '.', so the fact on the next line loads
+    result = load_text(clause + '\nis_a(x, y, "d").\n', fresh_store())
+    assert [str(d) for d in result.diagnostics] == [f"<string>:{d}" for d in diagnostics]
+    assert [repr(loaded.fact) for loaded in result.facts] == ['is_a(x, y, "d")']
+
+
+def test_a_text_ending_in_a_dot_leaves_the_next_line():
+    from hypothesis import assume, example, given, settings
+
+    @settings(max_examples=300, deadline=None)
+    @given(grammar_text().map(lambda text: text + "."))
+    @example(".")
+    def check(text):
+        assume([kind for kind, _, _ in kbfile._lex(text)][-2:] == ["DOT", "EOF"])
+        result = load_text(text + '\nis_a(sentinel, z, "d").\n', fresh_store())
+        assert [repr(loaded.fact) for loaded in result.facts][-1:] == ['is_a(sentinel, z, "d")']
+
+    check()
 
 
 def test_unknown_relation_diagnostic():

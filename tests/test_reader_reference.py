@@ -38,6 +38,14 @@ PINNED = (
     "is_a('a\rb', c, d).\nis_a(\"x\ry\", c, d).",
     'is_a(a, b, "d").\n% a comment at the end of the file',
     "% only a comment",
+    # an error found on the clause's own '.': the next line is the next clause
+    'is_a(a, b, "d".\nis_a(c, e, "d").',
+    "@relation .\nis_a(c, e, \"d\").",
+    "@relation r .\nis_a(c, e, \"d\").",
+    "@relation r intra inherits_via=.\nis_a(c, e, \"d\").",
+    "is_a(a, .\nis_a(c, e, \"d\").",
+    ":- dynamic a/.\nis_a(c, e, \"d\").",
+    ".\nis_a(c, e, \"d\").",
 )
 
 

@@ -337,15 +337,18 @@ def _cross_and_fusion_store() -> FactStore:
 
 @pytest.mark.parametrize("relation, concepts, domains, scanned, hits", [
     # domain-fixed: the domain's partition, whichever side holds the domain,
-    # a fact with both sides in it counted once; the domain wins over a concept
+    # a fact with both sides in it counted once
     ("analogous_to", (None, None), ("p", None), 4, 4),
     ("analogous_to", (None, None), ("q", None), 2, 1),
     ("analogous_to", (None, None), (None, "q"), 2, 2),
+    ("fuses_with", (None, None, None), ("x",), 2, 2),
+    # bound first, else bound second: that concept's entry; a bound concept
+    # wins over the domain, even where the partition is larger than the entry
     ("analogous_to", ("a", None), ("p", None), 4, 4),
     ("analogous_to", (None, "c"), (None, "q"), 2, 1),
-    ("fuses_with", (None, None, None), ("x",), 2, 2),
+    ("analogous_to", (None, "b"), ("p", None), 1, 1),
     ("fuses_with", ("a", None, None), ("x",), 2, 2),
-    # bound first, else bound second: that concept's entry
+    ("fuses_with", ("b", None, None), ("x",), 1, 0),
     ("analogous_to", ("a", None), (None, None), 4, 4),
     ("analogous_to", ("a", "e"), (None, None), 4, 1),
     ("analogous_to", (None, "a"), (None, None), 0, 0),
