@@ -337,18 +337,16 @@ def _cross_and_fusion_store() -> FactStore:
 
 @pytest.mark.parametrize("relation, concepts, domains, scanned, hits", [
     # domain-fixed: the domain's partition, whichever side holds the domain,
-    # a fact with both sides in it counted once
+    # a fact with both sides in it counted once; where a concept is bound too,
+    # its entry is read instead (here no larger than the partition)
     ("analogous_to", (None, None), ("p", None), 4, 4),
     ("analogous_to", (None, None), ("q", None), 2, 1),
     ("analogous_to", (None, None), (None, "q"), 2, 2),
-    ("fuses_with", (None, None, None), ("x",), 2, 2),
-    # bound first, else bound second: that concept's entry; a bound concept
-    # wins over the domain, even where the partition is larger than the entry
     ("analogous_to", ("a", None), ("p", None), 4, 4),
     ("analogous_to", (None, "c"), (None, "q"), 2, 1),
-    ("analogous_to", (None, "b"), ("p", None), 1, 1),
+    ("fuses_with", (None, None, None), ("x",), 2, 2),
     ("fuses_with", ("a", None, None), ("x",), 2, 2),
-    ("fuses_with", ("b", None, None), ("x",), 1, 0),
+    # bound first, else bound second: that concept's entry
     ("analogous_to", ("a", None), (None, None), 4, 4),
     ("analogous_to", ("a", "e"), (None, None), 4, 1),
     ("analogous_to", (None, "a"), (None, None), 0, 0),
@@ -358,6 +356,10 @@ def _cross_and_fusion_store() -> FactStore:
     ("fuses_with", (None, None, "ab"), (None,), 4, 1),
     ("analogous_to", (None, None), (None, None), 5, 5),
     ("fuses_with", (None, None, None), (None,), 4, 4),
+    # a bound concept wins over the domain, even where the domain's
+    # partition is larger than the concept's entry
+    ("analogous_to", (None, "b"), ("p", None), 1, 1),
+    ("fuses_with", ("b", None, None), ("x",), 1, 0),
 ])
 def test_cross_and_fusion_scan_counts(relation, concepts, domains, scanned, hits):
     store = _cross_and_fusion_store()
