@@ -20,25 +20,25 @@ and the loader moves on to the next clause.  A clause ends at its first '.'
 token, or at the line break of an open quote, and no error reads past that
 point: whatever follows is read as the next clause.
 
-Most clauses are one-line facts.  The reader tokenizes each of those whole,
-with one pattern; everything else (directives, comments inside a clause,
+A load is one pass over the text: one pattern match per clause takes the
+blanks before it and, when the clause is a one-line fact (most are), the
+whole clause; everything else (directives, comments inside a clause,
 clauses over several lines, rule clauses and malformed ones) is lexed up to
 its end and parsed from those tokens.  Both give the same clause terms, and
 one builder checks the relation, arity, concepts and domains and makes the
-fact, so a clause reads the same, diagnostics included, whichever way it was
-tokenized.
+fact, so a clause reads the same, diagnostics included, either way.  A load
+keeps a running line count and per-load memos of the terms it read.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
-from .domains import _ATOM_CHAR, _ATOM_FIRST, DomainExpr, parse_domain
+from .domains import _ATOM_CHAR, _ATOM_FIRST, _ATOM_LETTERS, DomainExpr, parse_domain
 from .errors import CdcError, CycleError, DomainSyntaxError, RegistryError
 from .relations import RELATION_FLAGS, SHAPE_NAMES, RelationRegistry, RelationShape, RelationSpec, builtin_specs
 from .relations import spec_with_flags, star_label, star_relation
@@ -110,10 +110,10 @@ class LoadResult:
 # Lexer
 # ---------------------------------------------------------------------------
 
-# A '.' stays in an atom only when an atom character follows, so a
-# clause-final dot stays a terminator.  `save` writes a symbol bare exactly
-# when this pattern matches all of it.
-_ATOM_TOKEN = rf"{_ATOM_FIRST}(?:(?!\.(?!{_ATOM_CHAR})){_ATOM_CHAR})*"
+# A '.' stays in an atom only when an atom character follows (the one
+# lookahead), so a clause-final dot stays a terminator.  `save` writes a
+# symbol bare exactly when this pattern matches all of it.
+_ATOM_TOKEN = rf"{_ATOM_FIRST}[{_ATOM_LETTERS}\-]*(?:\.(?={_ATOM_CHAR})[{_ATOM_LETTERS}\-]*)*"
 _ATOM_TOKEN_RE = re.compile(_ATOM_TOKEN)
 
 # Blanks, line breaks and comments between tokens.
@@ -156,66 +156,83 @@ def _lex(text: str, pos: int = 0) -> Iterator[tuple[str, str, int]]:
     yield "EOF", "", len(text)
 
 
-# A whole one-line clause: a head atom, three or four bare or quoted terms,
-# and the closing dot, with only blanks between tokens.  Group 1 is the head
-# and groups 2 to 5 the terms; nothing else captures.  Quoted terms keep
-# their quotes.  It only tokenizes: the fact builder judges the clause.  The
-# parser takes ``_SKIP_RE`` before it.
-_SKIP_RE = re.compile(f"(?:{_SKIP})?")
+# The blanks before a clause, then, if it is a one-line fact, all of it: a
+# head atom (group 1), three or four bare or quoted terms (groups 2 to 5,
+# quotes kept) and the dot, with only blanks between.  The clause part is
+# optional, so the pattern always matches and never backtracks into the
+# skip; if it captures nothing, the clause is read from tokens.
 _TERM = r"""({atom}|'[^'\n\r]*'|"[^"\n\r]*")""".format(atom=_ATOM_TOKEN)
 _CLAUSE_RE = re.compile(
-    rf"({_ATOM_TOKEN})[ \t]*\([ \t]*{_TERM}[ \t]*,[ \t]*{_TERM}[ \t]*,[ \t]*{_TERM}"
-    rf"[ \t]*(?:,[ \t]*{_TERM}[ \t]*)?\)[ \t]*\."
+    rf"(?:{_SKIP})?(?:({_ATOM_TOKEN})[ \t]*\([ \t]*{_TERM}[ \t]*,[ \t]*{_TERM}[ \t]*,[ \t]*{_TERM}"
+    rf"[ \t]*(?:,[ \t]*{_TERM}[ \t]*)?\)[ \t]*\.)?"
 )
 
 
 # ---------------------------------------------------------------------------
-# Clause parser
+# Clause reader
 # ---------------------------------------------------------------------------
 
 _TERM_KINDS = ("ATOM", "SQUOTED", "DQUOTED")
-_QUOTE_KINDS = {"'": "SQUOTED", '"': "DQUOTED"}
-_NEWLINE_RE = re.compile("\n")
+_QUOTES = {"SQUOTED": "'", "DQUOTED": '"'}
 
 
-class _Parser:
-    """Reads one clause at a time.  At each clause start it tries
-    ``_CLAUSE_RE`` first; a clause the pattern cannot take whole is lexed
-    into a list of tokens that stops at the clause's first '.', at an
-    unterminated quote (which ran to its line break) or at the end of the
-    text, and is parsed from that list alone, so no error reads past it.
-    Both ways give the same ("clause", ...) item, and ``build_fact`` makes
-    every fact from one.  Items and terms carry offsets; a SourceSpan is
-    built only for a clause head or a diagnostic."""
+class _Reader:
+    """One read of a text, one clause at a time: one ``_CLAUSE_RE`` match
+    per clause, else a token list that stops at the clause's first '.', at
+    an open quote's line break or at the end, so no error reads past it.
+    Both give the same ("clause", ...) item, and ``build_fact`` makes every
+    fact from one.  The reader keeps a running line count and memos of what
+    each raw term text read as; they go with it, so the weak intern table
+    still frees a symbol no store holds."""
 
     def __init__(self, text: str, file: str, diagnostics: list[Diagnostic], registry: RelationRegistry):
         self.text = text
         self.file = file
         self.registry = registry
-        self.pos = 0  # where the next clause starts
         self.diagnostics = diagnostics
-        self.line_starts = [0, *(match.end() for match in _NEWLINE_RE.finditer(text))]
+        self.counted = self.line_start = 0  # ``counted`` is on ``line``, which starts at ``line_start``
+        self.line = 1
+        self.concepts: dict[str, ConceptId] = {}
+        self.domains: dict[str, DomainExpr] = {}
 
     def span(self, offset: int) -> SourceSpan:
-        line = bisect_right(self.line_starts, offset)
-        return SourceSpan(self.file, line, offset - self.line_starts[line - 1] + 1)
+        """The span of ``offset``, no earlier than the last one asked for:
+        items come in text order, and each asks for one span at most."""
+        text, counted = self.text, self.counted
+        breaks = text.count("\n", counted, offset)
+        if breaks:
+            self.line += breaks
+            self.line_start = text.rfind("\n", counted, offset) + 1
+        self.counted = offset
+        return SourceSpan(self.file, self.line, offset - self.line_start + 1)
 
     def error(self, message: str, offset: int) -> None:
         self.diagnostics.append(Diagnostic("error", message, self.span(offset)))
 
     def items(self):
-        """Yield ("directive", name, shape, flags, offset), ("dynamic", name,
-        arity, offset) and ("clause", name, terms, offset) tuples; a term is
-        (kind, text, offset) as the lexer gives it."""
+        """Yield ("clause", name, terms, start), ("directive", name, shape,
+        flags, offset) and ("dynamic", name, arity, offset) tuples.  Terms are
+        raw texts; ``start(g)`` is the offset of ``_CLAUSE_RE``'s group g."""
+        text, end = self.text, len(self.text)
+        clause_at = _CLAUSE_RE.match
+        pos = 0
         while True:
-            item = self.whole_clause()
-            if item is not None:
-                yield item
+            match = clause_at(text, pos)
+            pos = match.end()
+            last = match.lastindex
+            if last:  # a one-line fact, read whole
+                groups = match.groups()
+                yield "clause", groups[0], groups[1:last], match.start
                 continue
-            tokens = self.clause_tokens()
-            kind, text, offset = tokens[0]
-            if kind == "EOF":
+            if pos == end:
                 return
+            tokens = self.clause_tokens(pos)
+            kind, token_text, offset = tokens[-1]
+            if kind == "ERROR":  # it ran to its line break; read it again for its end
+                pos = _TOKEN_RE.match(text, offset).end()
+            else:  # past the '.', or the end of the text
+                pos = offset + len(token_text)
+            kind, token_text, offset = tokens[0]
             if kind == "NECK":
                 # ':- dynamic name/arity.' declarations matter (they name the
                 # relations an interop export uses); other Prolog directives
@@ -227,39 +244,19 @@ class _Parser:
             elif kind == "ATOM":
                 item = self.parse_clause(tokens)
             else:
-                self.error(text if kind == "ERROR" else f"unexpected {text!r}", offset)
+                self.error(token_text if kind == "ERROR" else f"unexpected {token_text!r}", offset)
                 continue
             if item is not None:
                 yield item
 
-    def whole_clause(self):
-        """The next clause as a ("clause", ...) item, the one ``parse_clause``
-        would make, if ``_CLAUSE_RE`` takes it whole; else None."""
-        match = _CLAUSE_RE.match(self.text, _SKIP_RE.match(self.text, self.pos).end())
-        if match is None:
-            return None
-        self.pos = match.end()
-        terms = []
-        for group in range(2, match.lastindex + 1):  # group 1 is the head
-            term = match.group(group)
-            kind = _QUOTE_KINDS.get(term[0], "ATOM")
-            terms.append((kind, term if kind == "ATOM" else term[1:-1], match.start(group)))
-        return ("clause", match.group(1), terms, match.start(1))
-
-    def clause_tokens(self) -> list[tuple[str, str, int]]:
-        """The next clause's tokens, through its first DOT, ERROR or EOF
-        token; the clause after it starts where that token ends."""
+    def clause_tokens(self, pos: int) -> list[tuple[str, str, int]]:
+        """The tokens of the clause at ``pos``, through its first DOT, ERROR
+        or EOF token."""
         tokens = []
-        for token in _lex(self.text, self.pos):
+        for token in _lex(self.text, pos):
             tokens.append(token)
-            kind, _, offset = token
-            if kind == "DOT" or kind == "EOF":
-                self.pos = offset + len(token[1])  # past the '.', or the end of the text
-            elif kind == "ERROR":  # it ran to its line break; read it again for its end
-                self.pos = _TOKEN_RE.match(self.text, offset).end()
-            else:
-                continue
-            return tokens
+            if token[0] in ("DOT", "ERROR", "EOF"):
+                return tokens
 
     def parse_prolog_directive(self, tokens: list[tuple[str, str, int]]):
         """The ("dynamic", ...) items of ':- dynamic name/arity, ...', up to
@@ -296,7 +293,7 @@ class _Parser:
                 self.error("unterminated @relation directive", offset)
                 return None
             if kind != "ATOM":
-                self.error(f"bad @relation flag {text!r}", offset)
+                self.error(text if kind == "ERROR" else f"bad @relation flag {text!r}", offset)
                 return None
             if tokens[i + 1][0] != "EQUALS":
                 flags[text] = True
@@ -318,13 +315,15 @@ class _Parser:
         if kind != "LPAREN":
             self.error(f"expected '(' after {head!r}", offset)
             return None
-        terms: list[tuple[str, str, int]] = []
-        for term in rest:  # the list's last token is no term, so this ends in a return or break
-            kind, text, offset = term
+        terms: list[str] = []
+        starts = [None, head_offset]  # numbered as _CLAUSE_RE's groups
+        for kind, text, offset in rest:  # the list's last token is no term, so this ends in a return or break
             if kind not in _TERM_KINDS:
                 self.error(text if kind == "ERROR" else f"expected a term, found {text!r}", offset)
                 return None
-            terms.append(term)
+            quote = _QUOTES.get(kind, "")
+            terms.append(f"{quote}{text}{quote}")
+            starts.append(offset)
             kind, _, offset = next(rest)
             if kind == "RPAREN":
                 break
@@ -337,40 +336,50 @@ class _Parser:
         if kind != "DOT":
             self.error("missing '.' after clause", offset)
             return None
-        return ("clause", head, terms, head_offset)
+        return ("clause", head, terms, starts.__getitem__)
 
     def build_fact(
-        self, name: str, terms: list[tuple[str, str, int]], offset: int, shape: RelationShape | None = None
+        self, name: str, terms: Sequence[str], start: Callable[[int], int], shape: RelationShape | None = None
     ) -> Fact | None:
-        """The fact a ("clause", name, terms, offset) item states, or None once
+        """The fact a ("clause", name, terms, start) item states, or None once
         a diagnostic says why not.  ``shape`` reads a head the registry does
         not name, a ``<rel>_star``, as that shape."""
         star = shape is not None
         if not star:
             spec = self.registry.get(name)
             if spec is None:
-                self.error(f"unknown relation {name!r}", offset)
+                self.error(f"unknown relation {name!r}", start(1))
                 return None
             shape = spec.shape
         if len(terms) != shape.arity:
             what = "" if star else f" is a {shape.value} relation and"
-            self.error(f"{name}{what} takes {shape.arity} arguments, got {len(terms)}", offset)
+            self.error(f"{name}{what} takes {shape.arity} arguments, got {len(terms)}", start(1))
             return None
         count = shape.concept_count  # the domains follow the concepts
+        memo = self.concepts
         concepts = []
-        for _, text, term_offset in terms[:count]:
-            if not text:
-                self.error("empty concept symbol", term_offset)
-                return None
-            concepts.append(ConceptId(text))
+        for raw in terms[:count]:
+            concept = memo.get(raw)
+            if concept is None:
+                symbol = raw[1:-1] if raw[0] in "'\"" else raw
+                if not symbol:  # an equal term before this one would have failed first
+                    self.error("empty concept symbol", start(2 + terms.index(raw)))
+                    return None
+                concept = memo[raw] = ConceptId(symbol)
+            concepts.append(concept)
+        memo = self.domains
         domains = []
-        for kind, text, term_offset in terms[count:]:
-            try:
-                domains.append(parse_domain(text))
-            except DomainSyntaxError as exc:
-                quote = 0 if kind == "ATOM" else 1
-                self.error(f"bad domain: {exc.message}", term_offset + quote + exc.offset)
-                return None
+        for raw in terms[count:]:
+            domain = memo.get(raw)
+            if domain is None:
+                quote = 1 if raw[0] in "'\"" else 0
+                try:
+                    domain = memo[raw] = parse_domain(raw[quote : len(raw) - quote])
+                except DomainSyntaxError as exc:
+                    offset = start(2 + terms.index(raw, count)) + quote + exc.offset
+                    self.error(f"bad domain: {exc.message}", offset)
+                    return None
+            domains.append(domain)
         return Fact(name, tuple(concepts), tuple(domains))
 
 
@@ -383,16 +392,32 @@ def load_text(text: str, store: FactStore, file: str = "<string>") -> LoadResult
     register relations before facts use them.  Problems become diagnostics."""
     result = LoadResult()
     registry = store.registry
-    parser = _Parser(text, file, result.diagnostics, registry)
-    for item in parser.items():
-        if item[0] == "directive":
+    reader = _Reader(text, file, result.diagnostics, registry)
+    build_fact, span, insert, loaded = reader.build_fact, reader.span, store._insert, result.facts.append
+    for item in reader.items():
+        if item[0] == "clause":
+            _, name, terms, start = item
+            fact = build_fact(name, terms, start)
+            if fact is None:
+                continue
+            where = span(start(1))
+            try:
+                # the builder made the payload from the relation's shape
+                inserted = insert(fact, registry.lookup(name))
+            except CycleError as exc:  # strict mode assert-time rejection
+                result.diagnostics.append(Diagnostic("error", str(exc), where))
+                continue
+            if inserted:
+                loaded(LoadedFact(fact, where))
+            else:
+                result.diagnostics.append(Diagnostic("warning", f"duplicate fact {fact!r}", where))
+        elif item[0] == "directive":
             _, name, shape_text, flags, offset = item
             try:
                 registry.register(spec_with_flags(name, RelationShape(shape_text), flags), override=name in registry)
             except RegistryError as exc:
-                result.diagnostics.append(Diagnostic("error", str(exc), parser.span(offset)))
-            continue
-        if item[0] == "dynamic":
+                result.diagnostics.append(Diagnostic("error", str(exc), reader.span(offset)))
+        else:
             # interop exports declare their relations this way; register
             # unknown ternary ones as plain relations so facts reload.
             # Property flags are not representable in the export, and a
@@ -404,29 +429,13 @@ def load_text(text: str, store: FactStore, file: str = "<string>") -> LoadResult
                 result.diagnostics.append(Diagnostic(
                     "warning",
                     f"cannot infer the shape of {name}/{arity}; declare it with @relation",
-                    parser.span(offset),
+                    reader.span(offset),
                 ))
                 continue
             try:
                 registry.register(RelationSpec(name))
             except RegistryError as exc:
-                result.diagnostics.append(Diagnostic("warning", str(exc), parser.span(offset)))
-            continue
-        _, name, terms, offset = item
-        fact = parser.build_fact(name, terms, offset)
-        if fact is None:
-            continue
-        span = parser.span(offset)
-        try:
-            # the builder made the payload from the relation's shape
-            inserted = store._insert(fact, registry.lookup(name))
-        except CycleError as exc:  # strict mode assert-time rejection
-            result.diagnostics.append(Diagnostic("error", str(exc), span))
-            continue
-        if inserted:
-            result.facts.append(LoadedFact(fact, span))
-        else:
-            result.diagnostics.append(Diagnostic("warning", f"duplicate fact {fact!r}", span))
+                result.diagnostics.append(Diagnostic("warning", str(exc), reader.span(offset)))
     return result
 
 
@@ -465,14 +474,14 @@ def parse_fact_text(text: str, registry, allow_star: bool = False) -> Fact:
         # on a line of its own, so that a trailing comment does not take it
         source += "\n."
     diagnostics: list[Diagnostic] = []
-    parser = _Parser(source, "<fact>", diagnostics, registry)
-    items = list(parser.items())
+    reader = _Reader(source, "<fact>", diagnostics, registry)
+    items = list(reader.items())
     if not diagnostics:
         if len(items) != 1 or items[0][0] != "clause":
             raise CdcError("expected exactly one fact clause")
-        _, name, terms, offset = items[0]
+        _, name, terms, start = items[0]
         star = allow_star and star_relation(registry, name) is not None
-        fact = parser.build_fact(name, terms, offset, RelationShape.INTRA if star else None)
+        fact = reader.build_fact(name, terms, start, RelationShape.INTRA if star else None)
         if fact is not None:
             return fact
     raise CdcError(diagnostics[0].message)

@@ -278,22 +278,31 @@ class FactStore:
 
     def _insert(self, fact: Fact, spec: RelationSpec) -> bool:
         """``assert_fact`` for a fact whose payload the caller has already
-        matched to ``spec``'s shape (the loader, by the clause's arity)."""
-        fact = canonicalize_fact(fact, spec)
-        if self._holds(fact, spec):
-            return False
-        relation, first, second = fact.relation, fact.concepts[0], fact.concepts[1]
+        matched to ``spec``'s shape (the loader, by the clause's arity).  One
+        walk down an index finds both the duplicate and the slot; the strict
+        cycle check runs before any container is made."""
+        if spec.symmetric:
+            fact = canonicalize_fact(fact, spec)
+        relation, concepts, domains = fact
+        first, second = concepts[0], concepts[1]
         if spec.shape is RelationShape.INTRA:
+            domain = domains[0]
+            row = self._successors.get(relation, _NO_ROWS).get(domain, _NO_ROWS).get(first)
+            if row is not None and second in row:
+                return False
             if self.strict and spec.acyclic:
                 self._reject_if_creates_cycle(fact)
-            domain = fact.domains[0]
-            self._successors.setdefault(relation, {}).setdefault(domain, {}).setdefault(first, {})[second] = fact
+            if row is None:
+                row = self._successors.setdefault(relation, {}).setdefault(domain, {})[first] = {}
+            row[second] = fact
             self._predecessors.setdefault(relation, {}).setdefault(domain, {}).setdefault(second, {})[first] = fact
         else:
+            if fact in self._by_first.get(relation, _NO_ROWS).get(first, ()):
+                return False
             self._by_first.setdefault(relation, {}).setdefault(first, set()).add(fact)
             self._by_second.setdefault(relation, {}).setdefault(second, set()).add(fact)
             partitions = self._by_partition.setdefault(relation, {})
-            for domain in fact.domains:
+            for domain in domains:
                 partitions.setdefault(domain, set()).add(fact)
         self._count += 1
         self.generation += 1

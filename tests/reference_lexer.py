@@ -1,9 +1,11 @@
 """The character-loop fact-file lexer and the token-object parser that the
 regex reader in ``cdcgraph.kbfile`` replaced, kept as the reference for
-``tests/test_reader_reference.py``.  Unchanged but for ``skip_to_dot``, whose
-recovery was fixed in both readers twice: it stops after an unterminated
-quote, and after a '.' it has already taken, so an error found on a
-clause's own '.' does not swallow the next clause.
+``tests/test_reader_reference.py``.  Unchanged but for two things, each
+changed in both readers.  ``skip_to_dot``'s recovery was fixed twice: it
+stops after an unterminated quote, and after a '.' it has already taken, so
+an error found on a clause's own '.' does not swallow the next clause.  And
+an unterminated quote where an ``@relation`` flag should be is reported as
+``unterminated quote``, not as ``bad @relation flag 'unterminated quote'``.
 
 ``_lex`` walks the text one character at a time, tracking line and column;
 ``_Parser`` reads its ``_Token`` objects with the grammar and error recovery
@@ -219,7 +221,9 @@ class _Parser:
                 self.error("unterminated @relation directive", token)
                 return None
             if token.kind != "ATOM":
-                self.error(f"bad @relation flag {token.text!r}", token)
+                # changed on purpose, in step with kbfile: an unterminated
+                # quote is reported as one, not quoted as a flag
+                self.error(token.text if token.kind == "ERROR" else f"bad @relation flag {token.text!r}", token)
                 self.skip_to_dot()
                 return None
             flag = self.take()

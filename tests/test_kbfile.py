@@ -255,6 +255,34 @@ def test_relation_directive_closing_a_carrier_cycle_is_refused(text, name, line)
     assert intra(name, "a", "b", "d") in store
 
 
+@pytest.mark.parametrize("text, column", [
+    ("@relation r intra 'x", 19),
+    ('@relation r intra transitive "x.\n', 30),
+])
+def test_relation_directive_with_an_open_quote_reports_the_quote(text, column):
+    # an open quote where a flag should be is reported as every other open
+    # quote is, not quoted as if it were the flag; the next line still loads
+    result = load_text(text + '\nis_a(x, y, "d").\n', fresh_store())
+    assert [str(d) for d in result.diagnostics] == [f"<string>:1:{column}: error: unterminated quote"]
+    assert [repr(loaded.fact) for loaded in result.facts] == ['is_a(x, y, "d")']
+
+
+def test_a_load_keeps_no_symbol_alive():
+    """The loader's per-load memos go with the load: once the store is
+    dropped, none of the symbols it read stays interned."""
+    import gc
+
+    symbols = [f"memo_probe_{i}" for i in range(40)]
+    text = "".join(f'is_a({a}, \'{b}\', "d{i % 3}").\n' for i, (a, b) in enumerate(zip(symbols, symbols[1:])))
+    store = fresh_store()
+    result = load_text(text, store)
+    assert result.ok and len(result.facts) == len(symbols) - 1
+    assert all(symbol in ConceptId._interned for symbol in symbols)
+    del store, result
+    gc.collect()
+    assert not [symbol for symbol in symbols if symbol in ConceptId._interned]
+
+
 def test_relation_directive_bad_shape():
     store = fresh_store()
     result = load_text("@relation oops sideways.", store)

@@ -1,8 +1,10 @@
-"""The loader's whole-clause fast path against the token parser it falls
-back to.  Forcing the fallback (a ``_CLAUSE_RE`` that never matches) reads
-every clause from tokens; both ways must give the same parser items (terms
-with their kinds and offsets), equal ``LoadResult``s (facts, spans,
-diagnostics), equal stores and the same ``generation``, on strict and
+"""The loader against the one it replaced (``tests/reference_loader.py``),
+with the reference forced onto its token parser: a ``_CLAUSE_RE`` that never
+matches makes it read every clause from tokens.  The loader reads most
+clauses with one pattern, keeps per-load memos of terms and a running line
+count, and inserts with one walk down an index; it must give equal
+``LoadResult``s (facts, spans, diagnostics, in order), equal stores, the
+same ``generation`` and the same ``save_file`` bytes, on strict and
 non-strict stores, and ``parse_fact_text`` must agree line by line."""
 
 from __future__ import annotations
@@ -14,47 +16,45 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdcgraph import CASESTUDY_NAMES, CdcError, FactStore, builtin_registry, load_text, parse_fact_text
+from cdcgraph import CASESTUDY_NAMES, CdcError, FactStore, builtin_registry, load_file, load_text, parse_fact_text
+from cdcgraph import save_file
 from cdcgraph import kbfile
 from cdcgraph.kbfile import casestudy_text
 from cdcgraph.synthetic import generate_synthetic_store
 from conftest import grammar_text
 from test_reader_reference import PINNED, _odd_symbol_store, _saved_text
+import reference_loader
 
 _NEVER = re.compile(r"(?!)")
 
 
-def _load(text: str, strict: bool):
+def _load(text: str, strict: bool, load, tmp_path):
     store = FactStore(builtin_registry(), strict=strict)
-    result = load_text(text, store, file="f.cdc")
-    return result, store.fact_set(), store.generation
+    result = load(text, store, file="f.cdc")
+    saved = tmp_path / "saved.cdc"
+    save_file(store, saved)
+    return result, store.fact_set(), store.generation, saved.read_bytes()
 
 
-def _parse(line: str, allow_star: bool):
+def _parse(line: str, allow_star: bool, parse):
     try:
-        return parse_fact_text(line, builtin_registry(), allow_star=allow_star)
+        return parse(line, builtin_registry(), allow_star=allow_star)
     except CdcError as exc:
         return ("error", str(exc))
 
 
-def _items(text: str):
-    diagnostics = []
-    return list(kbfile._Parser(text, "f.cdc", diagnostics, builtin_registry()).items()), diagnostics
-
-
-def _outcomes(text: str):
+def _outcomes(text: str, tmp_path, load=load_text, parse=parse_fact_text):
     lines = text.splitlines()[:50]
     return (
-        _items(text),
-        [_load(text, strict) for strict in (False, True)],
-        [_parse(line, allow_star) for line in lines for allow_star in (False, True)],
+        [_load(text, strict, load, tmp_path) for strict in (False, True)],
+        [_parse(line, allow_star, parse) for line in lines for allow_star in (False, True)],
     )
 
 
-def assert_fast_path_reads_like_tokens(text: str) -> None:
-    with mock.patch.object(kbfile, "_CLAUSE_RE", _NEVER):
-        expected = _outcomes(text)
-    assert _outcomes(text) == expected
+def assert_fast_path_reads_like_tokens(text: str, tmp_path) -> None:
+    with mock.patch.object(reference_loader, "_CLAUSE_RE", _NEVER):
+        expected = _outcomes(text, tmp_path, reference_loader.load_text, reference_loader.parse_fact_text)
+    assert _outcomes(text, tmp_path) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +65,8 @@ def assert_fast_path_reads_like_tokens(text: str) -> None:
 # Each drawn clause is a well-formed one-line fact with at most one fault,
 # so every check the fast path makes after its pattern matched is reached.
 SHAPES = {"is_a": "ccd", "requires": "ccd", "contrasts_with": "ccd", "analogous_to": "ccdd", "fuses_with": "cccd"}
-CONCEPTS = ("a", "b", "c", "a.b", "x-1", "'New York'", "\"it's\"", "'a, b)'", "'%x'", '"."', "'d'")
+CONCEPTS = ("a", "b", "c", "a.b", "x-1", "'New York'", "\"it's\"", "'a, b)'", "'%x'", '"."', "'d'",
+            "'a b'", '"a b"', "\"'a b'\"")
 DOMAINS = ('"d"', "d", '"d@e"', '"b+a@c"', "x.y", "'d'")
 BAD_DOMAINS = ('"a@@b"', '""', '"no space"', "'d@'")
 BLANKS = ("", "", " ", " ", "\t", "  ")
@@ -119,65 +120,83 @@ def clause_text():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", CASESTUDY_NAMES)
-def test_case_studies_read_alike(name):
-    assert_fast_path_reads_like_tokens(casestudy_text(name))
+def test_case_studies_read_alike(name, tmp_path):
+    assert_fast_path_reads_like_tokens(casestudy_text(name), tmp_path)
 
 
 def test_saved_synthetic_store_reads_alike(tmp_path):
-    assert_fast_path_reads_like_tokens(_saved_text(generate_synthetic_store(2000, 20, 0), tmp_path))
+    assert_fast_path_reads_like_tokens(_saved_text(generate_synthetic_store(2000, 20, 0), tmp_path), tmp_path)
+
+
+def test_saved_10k_50_store_reads_alike(tmp_path):
+    assert_fast_path_reads_like_tokens(_saved_text(generate_synthetic_store(10000, 50, 0), tmp_path), tmp_path)
 
 
 def test_saved_odd_symbols_read_alike(tmp_path):
-    assert_fast_path_reads_like_tokens(_saved_text(_odd_symbol_store(), tmp_path))
+    assert_fast_path_reads_like_tokens(_saved_text(_odd_symbol_store(), tmp_path), tmp_path)
 
 
 @pytest.mark.parametrize("text", PINNED)
-def test_pinned_inputs_read_alike(text):
-    assert_fast_path_reads_like_tokens(text)
+def test_pinned_inputs_read_alike(text, tmp_path):
+    assert_fast_path_reads_like_tokens(text, tmp_path)
 
 
-def test_strict_cycles_and_duplicates_read_alike():
+def test_strict_cycles_and_duplicates_read_alike(tmp_path):
     text = 'is_a(a, b, "d").\nis_a(b, c, d).\nis_a(c, a, "d").\nis_a(a, b, \'d\').\nis_a(c, a, "e").\n'
-    assert_fast_path_reads_like_tokens(text)
-    result, _, generation = _load(text, strict=True)
+    assert_fast_path_reads_like_tokens(text, tmp_path)
+    result, _, generation, _ = _load(text, True, load_text, tmp_path)
     assert [d.severity for d in result.diagnostics] == ["error", "warning"]
     assert generation == 3
 
 
-def test_grammar_noise_reads_alike():
+def test_crlf_file_reads_alike(tmp_path):
+    """``load_file`` turns CRLF and CR line breaks into LF before reading."""
+    text = casestudy_text("cbt").replace("\n", "\r\n")
+    text += 'is_a(a,\r\n b, "d").\r@relation r intra \'x\r\nis_a(c, e, "d@@e").\r\n'
+    path = tmp_path / "crlf.cdc"
+    path.write_bytes(text.encode("utf-8"))
+    loaded = []
+    for load in (load_file, reference_loader.load_file):
+        store = FactStore(builtin_registry(), strict=True)
+        loaded.append((load(path, store), store.fact_set(), store.generation))
+    assert loaded[0] == loaded[1]
+    assert loaded[0][0].facts and loaded[0][0].errors
+
+
+def test_grammar_noise_reads_alike(tmp_path):
     @settings(max_examples=200, deadline=None)
     @given(grammar_text())
     def check(text):
-        assert_fast_path_reads_like_tokens(text)
+        assert_fast_path_reads_like_tokens(text, tmp_path)
 
     check()
 
 
-def test_clause_mix_reads_alike():
+def test_clause_mix_reads_alike(tmp_path):
     @settings(max_examples=300, deadline=None)
     @given(clause_text())
     def check(text):
-        assert_fast_path_reads_like_tokens(text)
+        assert_fast_path_reads_like_tokens(text, tmp_path)
 
     check()
 
 
 def test_fast_path_reenters_after_fallback_clauses():
     """The cbt case study has comments and directives between its facts;
-    every one of its fact lines still takes the fast path."""
+    every one of its fact lines still takes the fast path: the token reader
+    starts at none of them."""
     text = casestudy_text("cbt")
     assert "%" in text and "@relation" in text
-    taken = []
-    whole_clause = kbfile._Parser.whole_clause
+    lexed = []
+    clause_tokens = kbfile._Reader.clause_tokens
 
-    def counting(self):
-        item = whole_clause(self)
-        if item is not None:
-            taken.append(item[3])
-        return item
+    def recording(self, pos):
+        lexed.append(pos)
+        return clause_tokens(self, pos)
 
-    with mock.patch.object(kbfile._Parser, "whole_clause", counting):
+    with mock.patch.object(kbfile._Reader, "clause_tokens", recording):
         result = load_text(text, FactStore(builtin_registry()), file="cbt.cdc")
-    assert result.ok and result.facts
-    starts = [0, *(i + 1 for i, ch in enumerate(text) if ch == "\n")]
-    assert [(starts.index(offset) + 1, 1) for offset in taken] == [(f.span.line, f.span.column) for f in result.facts]
+    assert result.ok and result.facts and lexed
+    lexed_lines = {text.count("\n", 0, pos) + 1 for pos in lexed}
+    assert all(text[pos] in "@:" for pos in lexed)
+    assert not lexed_lines & {loaded.span.line for loaded in result.facts}

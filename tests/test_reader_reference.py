@@ -1,6 +1,9 @@
-"""The regex fact-file reader against the character-loop reference it
-replaced (``tests/reference_lexer.py``): the same tokens at the same line
-and column, the same clauses, diagnostics and spans, and the same facts."""
+"""The fact-file loader against its slowest reference: the loader it
+replaced (``tests/reference_loader.py``), fed by the character-loop lexer
+and token-object parser that came before that one
+(``tests/reference_lexer.py``).  Both must read a text to the same tokens at
+the same line and column, the same facts, spans and diagnostics, and the
+same store."""
 
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ from cdcgraph.kbfile import casestudy_text
 from cdcgraph.synthetic import generate_synthetic_store
 from conftest import grammar_text
 import reference_lexer
+import reference_loader
 
 PINNED = (
     "",
@@ -46,6 +50,13 @@ PINNED = (
     "is_a(a, .\nis_a(c, e, \"d\").",
     ":- dynamic a/.\nis_a(c, e, \"d\").",
     ".\nis_a(c, e, \"d\").",
+    # a clause over two lines, then a fact and an error: the line count goes on from both
+    'is_a(a,\n b, "d").\nis_a(c, e, "d").\nis_a(q, r, "d@@e").',
+    # the quote kinds of one symbol, and a symbol holding the other quote kind
+    "is_a('a b', \"a b\", d).\nis_a(\"'a b'\", 'a b', d).\nis_a('\"a b\"', \"'a b'\", d).",
+    # a domain that does not read, twice: each time it is an error
+    'is_a(a, b, "d@@e").\nis_a(c, e, "d@@e").\nis_a(c, e, \'d\').\nis_a(c, e, d).',
+    "@relation r intra 'x\nis_a(c, e, \"d\").",
 )
 
 
@@ -53,10 +64,10 @@ def _offset_to_line_col(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - (text.rfind("\n", 0, offset) + 1) + 1
 
 
-class _ReferenceReader(kbfile._Parser):
-    """The loader's fact assembly fed by the reference lexer and parser:
-    their line/column spans are turned into offsets, and offsets back into
-    spans, by counting newlines rather than through the new reader."""
+class _ReferenceReader(reference_loader._Parser):
+    """The replaced loader's fact assembly fed by the reference lexer and
+    parser: their line/column spans are turned into offsets, and offsets back
+    into spans, by counting newlines rather than through either reader."""
 
     def __init__(self, text: str, file: str, diagnostics: list, registry=None):
         self.text = text
@@ -87,17 +98,12 @@ def reference_tokens(text: str) -> list[tuple[str, str, int, int]]:
 
 
 def reader_tokens(text: str) -> list[tuple[str, str, int, int]]:
-    parser = kbfile._Parser(text, "f.cdc", [], builtin_registry())
-    tokens = []
-    for kind, value, offset in kbfile._lex(text):
-        span = parser.span(offset)
-        tokens.append((kind, value, span.line, span.column))
-    return tokens
+    return [(kind, value, *_offset_to_line_col(text, offset)) for kind, value, offset in kbfile._lex(text)]
 
 
-def load_outcome(text: str):
+def load_outcome(text: str, load=load_text):
     store = FactStore(builtin_registry())
-    result = load_text(text, store, file="f.cdc")
+    result = load(text, store, file="f.cdc")
     return (
         [str(d) for d in result.diagnostics],
         [(loaded.fact, loaded.span) for loaded in result.facts],
@@ -105,25 +111,25 @@ def load_outcome(text: str):
     )
 
 
-def fact_outcome(text: str, allow_star: bool):
+def fact_outcome(text: str, allow_star: bool, parse=parse_fact_text):
     try:
-        return repr(parse_fact_text(text, builtin_registry(), allow_star=allow_star))
+        return repr(parse(text, builtin_registry(), allow_star=allow_star))
     except CdcError as exc:
         return ("error", str(exc))
 
 
-def outcomes(text: str):
+def outcomes(text: str, load=load_text, parse=parse_fact_text):
     lines = text.splitlines()[:50]
     return (
-        load_outcome(text),
-        [fact_outcome(line, allow_star) for line in lines for allow_star in (False, True)],
+        load_outcome(text, load),
+        [fact_outcome(line, allow_star, parse) for line in lines for allow_star in (False, True)],
     )
 
 
 def assert_reads_like_reference(text: str) -> None:
     assert reader_tokens(text) == reference_tokens(text)
-    with mock.patch.object(kbfile, "_Parser", _ReferenceReader):
-        expected = outcomes(text)
+    with mock.patch.object(reference_loader, "_Parser", _ReferenceReader):
+        expected = outcomes(text, reference_loader.load_text, reference_loader.parse_fact_text)
     assert outcomes(text) == expected
 
 

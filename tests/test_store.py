@@ -18,6 +18,7 @@ from cdcgraph import (
     ShapeMismatchError,
     UnknownRelationError,
     builtin_registry,
+    load_text,
     parse_domain,
 )
 from cdcgraph.store import StoreStats, canonicalize_fact, swap_orientation
@@ -322,6 +323,45 @@ def test_strict_cycle_check_stays_in_relation_and_domain():
         store.assert_fact(intra("is_a", "c", "a", "d"))
     assert str(err.value) == "cycle in acyclic relation 'is_a' within domain 'd': c -> a -> b -> c"
     assert len(store) == 5
+
+
+def _index_view(store: FactStore, domains: list[str]) -> tuple:
+    """Everything the indexes show of ``is_a`` in ``domains``, copied."""
+    def rows(adjacency):
+        return {near: dict(row) for near, row in adjacency.items()}
+
+    parsed = [parse_domain(d) for d in domains]
+    return (
+        store.relation_domains("is_a"),
+        [store.has_partition("is_a", d) for d in parsed],
+        store.stats().facts_per_domain,
+        [(rows(store.successors("is_a", d)), rows(store.predecessors("is_a", d))) for d in parsed],
+        len(store),
+        store.generation,
+    )
+
+
+@pytest.mark.parametrize("held, refused", [
+    ([], ("a", "a", "fresh")),  # a self-loop in a domain the store does not hold yet
+    ([("p", "q", "new")], ("q", "p", "new")),  # a two-node cycle in a domain the first edge made
+], ids=["self-loop", "two-node"])
+@pytest.mark.parametrize("path", ["assert_fact", "load_text"])
+def test_a_refused_strict_insert_leaves_no_trace(held, refused, path):
+    """A strict store refuses the edge before it makes any index container:
+    no partition, row or column of the new domain or concept is left behind."""
+    store = FactStore(builtin_registry(), strict=True)
+    store.assert_fact(intra("is_a", "a", "b", "d"))
+    for edge in held:
+        store.assert_fact(intra("is_a", *edge))
+    before = _index_view(store, ["d", "fresh", "new"])
+    if path == "assert_fact":
+        with pytest.raises(CycleError):
+            store.assert_fact(intra("is_a", *refused))
+    else:
+        result = load_text('is_a({}, {}, "{}").'.format(*refused), store)
+        assert [d.severity for d in result.diagnostics] == ["error"] and not result.facts
+        assert "cycle in acyclic relation 'is_a'" in result.diagnostics[0].message
+    assert _index_view(store, ["d", "fresh", "new"]) == before
 
 
 def _cross_and_fusion_store() -> FactStore:
