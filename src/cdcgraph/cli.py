@@ -27,7 +27,6 @@ from .kbfile import (
     load_file,
     load_text,
     parse_fact_text,
-    render_clause,
     save_file,
 )
 from .query import BindingSet, eval_query, parse_query
@@ -180,7 +179,7 @@ def _trace_nodes(fact: Fact, store: FactStore, closure: ClosureSet | None) -> li
     while stack:
         fact, depth = stack.pop()
         trace = explain(fact, store, closure)
-        nodes.append((depth, render_clause(fact).rstrip("."), trace.rule))
+        nodes.append((depth, repr(fact), trace.rule))
         stack.extend((premise, depth + 1) for premise in reversed(trace.premises))
     return nodes
 
@@ -226,9 +225,10 @@ def cmd_prereqs(args: argparse.Namespace, store: FactStore, result: LoadResult) 
 
 def cmd_stats(args: argparse.Namespace, store: FactStore, result: LoadResult) -> int:
     stats = store.stats()
-    lines = [f"total facts: {stats.total_facts}", f"last query scanned: {stats.last_query_scanned}"]
+    lines = [f"total facts: {stats.total_facts}"]
     lines += [f"  {domain}: {count}" for domain, count in stats.facts_per_domain.items()]
-    _emit(args, {"type": "stats", **stats._asdict()}, "\n".join(lines))
+    record = {"type": "stats", "total_facts": stats.total_facts, "facts_per_domain": stats.facts_per_domain}
+    _emit(args, record, "\n".join(lines))
     return 0
 
 

@@ -48,11 +48,9 @@ class SeparationWitness(NamedTuple):
     second: tuple[ConceptId, DomainExpr]
 
     def describe(self) -> str:
-        (o1, d1), (o2, d2) = self.first, self.second
-        return (
-            f"{self.relation}({self.concept}, {o1}, \"{d1.text}\") coexists with "
-            f"{self.relation}({self.concept}, {o2}, \"{d2.text}\")"
-        )
+        first, second = (Fact.intra(self.relation, self.concept, obj, domain)
+                         for obj, domain in (self.first, self.second))
+        return f"{first!r} coexists with {second!r}"
 
 
 class ConsistencyReport(NamedTuple):
@@ -117,7 +115,7 @@ def _acyclicity_violations(store: FactStore, registry: RelationRegistry) -> list
                         kind="irreflexive",
                         relation=spec.name,
                         domain=domain.text,
-                        description=f"{spec.name}({node}, {node}, \"{domain.text}\") relates a concept to itself",
+                        description=f"{objects[node]!r} relates a concept to itself",
                         facts=(objects[node],),
                     ))
             # the sorted search picks the cycle to report; none is left when

@@ -30,6 +30,11 @@ _ATOM_LETTERS = "A-Za-z0-9_"
 _ATOM_FIRST = f"[{_ATOM_LETTERS}]"
 _ATOM_CHAR = rf"[{_ATOM_LETTERS}.\-]"
 _ATOM_RE = re.compile(_ATOM_FIRST + _ATOM_CHAR + "*")
+# The fact-file atom: a '.' stays in it only when an atom character follows
+# (the one lookahead), so a clause-final dot stays a terminator.  A fact's
+# text writes a concept bare exactly when this pattern matches all of it.
+_ATOM_TOKEN = rf"{_ATOM_FIRST}[{_ATOM_LETTERS}\-]*(?:\.(?={_ATOM_CHAR})[{_ATOM_LETTERS}\-]*)*"
+_ATOM_TOKEN_RE = re.compile(_ATOM_TOKEN)
 
 
 class DomainSegment(NamedTuple("DomainSegment", [("atoms", tuple[str, ...])])):

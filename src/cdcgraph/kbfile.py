@@ -33,16 +33,16 @@ keeps a running line count and per-load memos of the terms it read.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
-from .domains import _ATOM_CHAR, _ATOM_FIRST, _ATOM_LETTERS, DomainExpr, parse_domain
+from .domains import _ATOM_CHAR, _ATOM_TOKEN, DomainExpr, parse_domain
 from .errors import CdcError, CycleError, DomainSyntaxError, RegistryError
 from .relations import RELATION_FLAGS, SHAPE_NAMES, RelationRegistry, RelationShape, RelationSpec, builtin_specs
 from .relations import spec_with_flags, star_label, star_relation
-from .store import ConceptId, Fact, FactStore
+from .store import ConceptId, Fact, FactStore, clause_texts
 
 CASESTUDY_NAMES = ("cbt", "education", "enterprise", "techdocs")
 
@@ -109,12 +109,6 @@ class LoadResult:
 # ---------------------------------------------------------------------------
 # Lexer
 # ---------------------------------------------------------------------------
-
-# A '.' stays in an atom only when an atom character follows (the one
-# lookahead), so a clause-final dot stays a terminator.  `save` writes a
-# symbol bare exactly when this pattern matches all of it.
-_ATOM_TOKEN = rf"{_ATOM_FIRST}[{_ATOM_LETTERS}\-]*(?:\.(?={_ATOM_CHAR})[{_ATOM_LETTERS}\-]*)*"
-_ATOM_TOKEN_RE = re.compile(_ATOM_TOKEN)
 
 # Blanks, line breaks and comments between tokens.
 _SKIP = r"(?:[ \t\r\n]+|%[^\n]*)+"
@@ -192,6 +186,7 @@ class _Reader:
         self.diagnostics = diagnostics
         self.counted = self.line_start = 0  # ``counted`` is on ``line``, which starts at ``line_start``
         self.line = 1
+        self.quote_end = -1  # where the last open quote's ERROR token ended
         self.concepts: dict[str, ConceptId] = {}
         self.domains: dict[str, DomainExpr] = {}
 
@@ -229,7 +224,7 @@ class _Reader:
             tokens = self.clause_tokens(pos)
             kind, token_text, offset = tokens[-1]
             if kind == "ERROR":  # it ran to its line break; read it again for its end
-                pos = _TOKEN_RE.match(text, offset).end()
+                pos = self.quote_end = _TOKEN_RE.match(text, offset).end()
             else:  # past the '.', or the end of the text
                 pos = offset + len(token_text)
             kind, token_text, offset = tokens[0]
@@ -466,16 +461,18 @@ def parse_fact_text(text: str, registry, allow_star: bool = False) -> Fact:
     With ``allow_star``, a ``<rel>_star`` head over a transitive relation is
     accepted as an intra-shaped derived fact, for explain-style lookups.
     """
+    # A '.' on a line of its own (a trailing comment cannot take it) ends a
+    # clause left open.  After one that ended at its own '.', or none, it
+    # stands alone and its "unexpected '.'" is dropped; after an open quote
+    # that ran to the end, the last clause had no '.', so the error stays.
     source = text.strip()
-    kinds = [kind for kind, _, _ in _lex(source)][:-1]  # without the EOF token
-    if not kinds:
-        raise CdcError("expected exactly one fact clause")
-    if kinds[-1] != "DOT":
-        # on a line of its own, so that a trailing comment does not take it
-        source += "\n."
+    end = len(source)
+    source += "\n."
     diagnostics: list[Diagnostic] = []
     reader = _Reader(source, "<fact>", diagnostics, registry)
     items = list(reader.items())
+    if reader.counted == end + 1 and reader.quote_end != end and diagnostics[-1].message == "unexpected '.'":
+        del diagnostics[-1]
     if not diagnostics:
         if len(items) != 1 or items[0][0] != "clause":
             raise CdcError("expected exactly one fact clause")
@@ -491,41 +488,8 @@ def parse_fact_text(text: str, registry, allow_star: bool = False) -> Fact:
 # Saving
 # ---------------------------------------------------------------------------
 
-class _Literals(dict):
-    """The literal of each concept and domain one writer call meets, made by
-    ``render`` on first use: a symbol is rendered once per call, not once per
-    occurrence.  Concepts and domains are interned, so they hash by identity."""
-
-    def __init__(self, render: Callable[[ConceptId | DomainExpr], str]):
-        super().__init__()
-        self.render = render
-
-    def __missing__(self, term: ConceptId | DomainExpr) -> str:
-        literal = self[term] = self.render(term)
-        return literal
-
-
-def _clauses(facts: Iterable[Fact], render: Callable[[ConceptId | DomainExpr], str]) -> list[str]:
-    """Each fact as ``relation(concepts..., domains...).``, every concept and
-    domain written by ``render``, which sees each distinct one once."""
-    literal = _Literals(render).__getitem__
-    return [f"{relation}({', '.join(map(literal, concepts + domains))})." for relation, concepts, domains in facts]
-
-
-def _fact_file_literal(term: ConceptId | DomainExpr) -> str:
-    """A domain in double quotes; a concept bare when it reads back as one
-    atom, else in the quote kind it does not hold."""
-    if isinstance(term, DomainExpr):
-        return f'"{term.text}"'
-    if _ATOM_TOKEN_RE.fullmatch(term.symbol):
-        return term.symbol
-    if "'" not in term.symbol:
-        return f"'{term.symbol}'"
-    return f'"{term.symbol}"'
-
-
 def render_clause(fact: Fact) -> str:
-    return _clauses([fact], _fact_file_literal)[0]
+    return clause_texts((fact,))[0]
 
 
 def render_directive(spec: RelationSpec) -> str:
@@ -548,7 +512,7 @@ def save_file(store: FactStore, path: str | Path) -> None:
         spec = store.registry.lookup(name)
         if builtin_by_name.get(name) != spec:
             lines.append(render_directive(spec))
-    lines += _clauses(store.facts(), _fact_file_literal)
+    lines += clause_texts(store.facts())
     Path(path).write_text("\n".join([*lines, ""]), encoding="utf-8")
 
 
@@ -560,10 +524,6 @@ def _prolog_atom(text: str) -> str:
     if _PROLOG_BARE_RE.fullmatch(text) or _PROLOG_INTEGER_RE.fullmatch(text):
         return text
     return "'" + text.replace("'", "\\'") + "'"
-
-
-def _prolog_literal(term: ConceptId | DomainExpr) -> str:
-    return _prolog_atom(str(term))  # a concept's symbol, a domain's text
 
 
 def export_interop(store: FactStore, path: str | Path) -> None:
@@ -578,7 +538,7 @@ def export_interop(store: FactStore, path: str | Path) -> None:
         spec = registry.lookup(name)
         lines.append(f":- dynamic {_prolog_atom(name)}/{spec.shape.arity}.")
     lines.append("")
-    lines += _clauses(store.facts(), _prolog_literal)
+    lines += clause_texts(store.facts(), lambda term: _prolog_atom(str(term)))  # a symbol, a domain's text
     lines.append("")
     for name in registry.names():
         spec = registry.lookup(name)

@@ -21,14 +21,14 @@ staleness.  Reads never mutate, apart from the scan counter.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterator, Mapping
+from collections.abc import Callable, Collection, Iterable, Iterator, Mapping
 from operator import attrgetter
 from threading import RLock
 from types import MappingProxyType
 from typing import NamedTuple
 from weakref import WeakValueDictionary
 
-from .domains import DomainExpr
+from .domains import _ATOM_TOKEN_RE, DomainExpr
 from .errors import CycleError, ShapeMismatchError, UnknownRelationError
 from .relations import RelationRegistry, RelationShape, RelationSpec
 
@@ -132,8 +132,43 @@ class Fact(NamedTuple):
         return self.relation, tuple(map(_text, self.domains)), tuple(map(_symbol, self.concepts))
 
     def __repr__(self) -> str:
-        args = [c.symbol for c in self.concepts] + [f'"{d.text}"' for d in self.domains]
-        return f"{self.relation}({', '.join(args)})"
+        return clause_texts((self,))[0][:-1]
+
+
+class _Literals(dict):
+    """The literal of each concept and domain one ``clause_texts`` call
+    meets, made by ``render`` on first use: a term is rendered once per call,
+    not once per occurrence.  Concepts and domains are interned, so they hash
+    by identity."""
+
+    def __init__(self, render: Callable[[ConceptId | DomainExpr], str]):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, term: ConceptId | DomainExpr) -> str:
+        literal = self[term] = self.render(term)
+        return literal
+
+
+def _literal(term: ConceptId | DomainExpr) -> str:
+    """A domain in double quotes; a concept bare when its whole symbol is one
+    fact-file atom, else in the quote kind it does not hold."""
+    if isinstance(term, DomainExpr):
+        return f'"{term.text}"'
+    symbol = term.symbol
+    if _ATOM_TOKEN_RE.fullmatch(symbol):
+        return symbol
+    return f"'{symbol}'" if "'" not in symbol else f'"{symbol}"'
+
+
+def clause_texts(facts: Iterable[Fact], literal: Callable[[ConceptId | DomainExpr], str] = _literal) -> list[str]:
+    """Each fact as the clause ``relation(concepts..., domains...).``, every
+    concept and domain written by ``literal``, which sees each distinct one
+    once.  This is the one text form of a fact: ``repr`` (without the '.'),
+    the fact-file writers and every message that names a fact use it, and
+    with the default literals ``parse_fact_text`` reads it back."""
+    literal = _Literals(literal).__getitem__
+    return [f"{relation}({', '.join(map(literal, concepts + domains))})." for relation, concepts, domains in facts]
 
 
 class FactPattern(NamedTuple):

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from cdcgraph.kbfile import _ATOM_TOKEN_RE, _prolog_atom, render_directive
+from cdcgraph.domains import _ATOM_TOKEN_RE
+from cdcgraph.kbfile import _prolog_atom, render_directive
 from cdcgraph.relations import builtin_specs, star_label
 from cdcgraph.store import ConceptId, Fact, FactStore
 

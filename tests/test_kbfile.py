@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import json
 import pickle
 
 import pytest
@@ -25,6 +26,7 @@ from cdcgraph import (
 )
 from cdcgraph import kbfile
 from cdcgraph.kbfile import Diagnostic, LoadedFact, LoadResult, SourceSpan, render_clause
+from cdcgraph.relations import star_label
 from conftest import assert_record_contract, assert_tuple_contract, fusion, grammar_text, intra
 
 
@@ -157,6 +159,9 @@ def test_unterminated_quote_recovers_at_the_line_break():
     # 'a.' is one atom and the second '.' ends the clause, so ", b, d)." is
     # the next clause and gets a diagnostic of its own
     ("is_a(a.., b, d).", ["1:8: error: expected ',' or ')'", "1:9: error: unexpected ','"]),
+    ('is_a(a, b, "d") x.', ["1:17: error: missing '.' after clause"]),
+    ("foo :- bar.", []),  # a rule clause is skipped without a diagnostic too
+    (":- dynamic is_a_star/3.", ["1:1: warning: is_a_star: names the closure of transitive relation 'is_a'"]),
 ])
 def test_error_on_the_clauses_own_dot_leaves_the_next_clause(clause, diagnostics):
     # the malformed clause ends at its '.', so the fact on the next line loads
@@ -265,6 +270,22 @@ def test_relation_directive_with_an_open_quote_reports_the_quote(text, column):
     result = load_text(text + '\nis_a(x, y, "d").\n', fresh_store())
     assert [str(d) for d in result.diagnostics] == [f"<string>:1:{column}: error: unterminated quote"]
     assert [repr(loaded.fact) for loaded in result.facts] == ['is_a(x, y, "d")']
+
+
+@pytest.mark.parametrize("text, diagnostic", [
+    ("@relation r intra", "1:18: error: unterminated @relation directive"),
+    ('is_a(a, b, "d")', "1:16: error: missing '.' after clause"),
+])
+def test_a_clause_left_open_at_the_end_of_the_text(text, diagnostic):
+    result = load_text(text, fresh_store())
+    assert [str(d) for d in result.diagnostics] == [f"<string>:{diagnostic}"] and result.facts == []
+
+
+def test_dynamic_declarations_stop_at_the_first_that_does_not_read():
+    store = fresh_store()
+    result = load_text(":- dynamic foo/3, bar, baz/3.", store)
+    assert result.diagnostics == []
+    assert "foo" in store.registry and "bar" not in store.registry and "baz" not in store.registry
 
 
 def test_a_load_keeps_no_symbol_alive():
@@ -543,6 +564,65 @@ def test_parse_fact_text_roundtrip():
     registry = builtin_registry()
     fact = parse_fact_text('is_a(apple, fruit, "Biology@Plant_Taxonomy")', registry)
     assert render_clause(fact) == 'is_a(apple, fruit, "Biology@Plant_Taxonomy").'
+
+
+def test_every_fact_reads_back_from_its_repr():
+    """``repr`` is the clause ``save`` writes without its '.', and
+    ``parse_fact_text`` reads it back, for facts of every built-in shape and
+    every ``<rel>_star`` label over any symbols ``ConceptId`` accepts."""
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+
+    registry = builtin_registry()
+    labels = registry.names() + [star_label(spec.name) for spec in registry if spec.transitive]
+    symbols = st.text(min_size=1).filter(lambda s: "\n" not in s and "\r" not in s and not ("'" in s and '"' in s))
+    domains = st.sampled_from(["d", "a@b", "x+y@z", "0.85", "x.y@z-1"]).map(parse_domain)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(labels), st.lists(symbols, min_size=3, max_size=3),
+           st.lists(domains, min_size=2, max_size=2))
+    @example("is_a", ["New York", "a, b", "x"], [parse_domain("d")] * 2)
+    @example("is_a_star", ["end.", "it's", "x"], [parse_domain("d")] * 2)
+    @example("fuses_with", ['say "hi"', "%x", "."], [parse_domain("a+b@c")] * 2)
+    def round_trip(label, texts, domain_list):
+        shape = registry.lookup(label).shape if label in registry else RelationShape.INTRA  # a star label
+        concepts = tuple(map(ConceptId, texts[:shape.concept_count]))
+        fact = Fact(label, concepts, tuple(domain_list[:shape.arity - shape.concept_count]))
+        assert parse_fact_text(repr(fact), registry, allow_star=True) == fact
+        assert render_clause(fact) == repr(fact) + "."
+
+    round_trip()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json-lines"])
+def test_every_printed_fact_quotes_its_symbols(fmt, tmp_path, capsys):
+    """The duplicate-fact warning, ``NotDerivableError``, the irreflexive
+    violation, the separation witness and ``cdc explain`` all print a fact
+    as its ``repr``, which quotes a symbol that is not one atom."""
+    from cdcgraph import NotDerivableError, check, explain
+    from cdcgraph.cli import main
+
+    odd = "is_a('New York', 'a, b', \"d\")"
+    kb = tmp_path / "odd.cdc"
+    kb.write_text(f"{odd}.\n{odd}.\nis_a('New York', \"it's\", \"e\").\nis_a(\"it's\", \"it's\", \"d\").\n")
+    store = fresh_store()
+    result = load_file(kb, store)
+    assert [d.message for d in result.warnings] == [f"duplicate fact {odd}"]
+    missing = intra("is_a", "a, b", "New York", "d")
+    with pytest.raises(NotDerivableError, match=r"^is_a\('a, b', 'New York', \"d\"\) is neither"):
+        explain(missing, store)
+    report = check(store)
+    assert [v.description for v in report.errors if v.kind == "irreflexive"] == [
+        "is_a(\"it's\", \"it's\", \"d\") relates a concept to itself"]
+    assert [w.describe() for w in report.separation_witnesses] == [
+        f"{odd} coexists with is_a('New York', \"it's\", \"e\")"]
+    kb.write_text(f"{odd}.\n")
+    assert main(["explain", "--kb", str(kb), "--format", fmt, odd]) == 0
+    out = capsys.readouterr().out
+    if fmt == "text":
+        assert out == f"{odd}   [asserted]\n"
+    else:
+        assert json.loads(out)["fact"] == odd
 
 
 def test_parse_fact_text_star():

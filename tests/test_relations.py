@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from cdcgraph import RegistryError, RelationShape, RelationSpec, builtin_registry
+from cdcgraph import FactStore, RegistryError, RelationShape, RelationSpec, builtin_registry, load_text
 from cdcgraph.kbfile import render_directive
 from cdcgraph.relations import RELATION_FLAGS, SHAPE_NAMES, spec_with_flags
 from conftest import assert_record_contract, assert_tuple_contract
@@ -126,6 +126,29 @@ def test_carrier_cycles_rejected():
     # a chain that ends is accepted, however long
     registry.register(RelationSpec("r1", inherits_via="has_attribute"), override=True)
     assert registry.lookup("r1").inherits_via == "has_attribute"
+
+
+@pytest.mark.parametrize("directive, message", [
+    ("@relation r intra inherits_via.", "r: inherits_via needs a relation name"),
+    ("@relation r intra transitive=yes.", "r: flag transitive takes no value"),
+    ("@relation r cross acyclic.", "r: acyclicity is only defined for intra-domain relations"),
+    ("@relation r cross inherits_via=is_a.", "r: inheritance carrier requires an intra-domain relation"),
+    ("@relation r intra reflexive acyclic.", "r: reflexive and acyclic are mutually exclusive"),
+    ("@relation r intra inherits_via=analogous_to.", "r: inheritance carrier must be intra-domain"),
+])
+def test_refused_directive_registers_nothing(directive, message):
+    store = FactStore(builtin_registry())
+    result = load_text(directive, store)
+    assert [(d.severity, str(d.span), d.message) for d in result.diagnostics] == [("error", "<string>:1:1", message)]
+    assert "r" not in store.registry
+
+
+def test_nameless_relation_and_unknown_lookup_are_refused():
+    registry = builtin_registry()
+    with pytest.raises(RegistryError, match="^relation name must be non-empty$"):
+        registry.register(RelationSpec(""))
+    with pytest.raises(RegistryError, match="^unknown relation 'nope'$"):
+        registry.lookup("nope")
 
 
 def test_frozen_registry_rejects_registration():
