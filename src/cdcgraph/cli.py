@@ -158,7 +158,7 @@ def cmd_explain(args: argparse.Namespace, store: FactStore, result: LoadResult) 
         except NotDerivableError:  # materialize checks the KB for cycles first
             nodes = _trace_nodes(fact, store, materialize(store))
         else:  # a cyclic KB fails, whichever fact is asked
-            ensure_acyclic(store, store.registry)
+            ensure_acyclic(store)
     except NotDerivableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

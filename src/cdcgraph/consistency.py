@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .domains import DomainExpr
 from .errors import CycleError
-from .relations import RelationRegistry, RelationShape
+from .relations import RelationShape
 from .store import ConceptId, Fact, FactStore
 
 
@@ -98,9 +98,9 @@ def find_cycle(successors: Mapping[ConceptId, Collection[ConceptId]],
     return None
 
 
-def _acyclicity_violations(store: FactStore, registry: RelationRegistry) -> list[Violation]:
+def _acyclicity_violations(store: FactStore) -> list[Violation]:
     violations: list[Violation] = []
-    for spec in registry:
+    for spec in store.registry:
         if not spec.acyclic:
             continue
         for domain in store.relation_domains(spec.name):
@@ -137,18 +137,18 @@ def _acyclicity_violations(store: FactStore, registry: RelationRegistry) -> list
     return violations
 
 
-def ensure_acyclic(store: FactStore, registry: RelationRegistry) -> None:
+def ensure_acyclic(store: FactStore) -> None:
     """Raise CycleError on the first acyclicity violation (materialize pre-check)."""
-    violations = _acyclicity_violations(store, registry)
+    violations = _acyclicity_violations(store)
     if violations:
         first = violations[0]
         vertices = tuple(f.concepts[0].symbol for f in first.facts)
         raise CycleError(first.relation, first.domain, vertices)
 
 
-def _separation_witnesses(store: FactStore, registry: RelationRegistry) -> list[SeparationWitness]:
+def _separation_witnesses(store: FactStore) -> list[SeparationWitness]:
     witnesses: list[SeparationWitness] = []
-    for spec in registry:
+    for spec in store.registry:
         if spec.shape is not RelationShape.INTRA:
             continue
         # each subject's rows of objects, one per domain, in domain text order
@@ -264,7 +264,6 @@ def _domain_lints(store: FactStore) -> list[Lint]:
 
 def check(store: FactStore) -> ConsistencyReport:
     """Validate a store.  Pure: never mutates; repeated calls agree."""
-    registry = store.registry
-    return ConsistencyReport(errors=_acyclicity_violations(store, registry),
-                             separation_witnesses=_separation_witnesses(store, registry),
+    return ConsistencyReport(errors=_acyclicity_violations(store),
+                             separation_witnesses=_separation_witnesses(store),
                              warnings=_domain_lints(store))

@@ -16,7 +16,6 @@ Grammar (exact):
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from threading import RLock
 from typing import NamedTuple
 from weakref import WeakValueDictionary
@@ -66,10 +65,11 @@ class DomainSegment(NamedTuple("DomainSegment", [("atoms", tuple[str, ...])])):
 class DomainExpr:
     """A parsed domain path, outermost (most general) segment first.
 
-    Interned by its canonical text (fusion atoms sorted) in a weak table,
-    under a lock: equal segments yield the identical object, in any thread,
-    so equality and hashing are by identity, as for ``ConceptId``.  Copying
-    or unpickling re-parses the text, so it returns that same object.
+    Interned weakly by its canonical text (fusion atoms sorted): equal
+    segments yield the identical object, in any thread, so equality and
+    hashing are by identity, as for ``ConceptId``; only a new text takes the
+    lock.  One nothing refers to is dropped.  Copying or unpickling
+    re-parses the text, so it returns that same object.
     """
 
     __slots__ = ("segments", "text", "__weakref__")
@@ -80,7 +80,10 @@ class DomainExpr:
         if not segments:
             raise ValueError("domain needs at least one segment")
         text = "@".join(map(str, segments))
-        with cls._interning:
+        existing = cls._interned.get(text)
+        if existing is not None:
+            return existing
+        with cls._interning:  # re-check: another thread may have made it
             obj = cls._interned.get(text)
             if obj is None:
                 obj = super().__new__(cls)
@@ -102,19 +105,17 @@ class DomainExpr:
         return f"DomainExpr({self.text!r})"
 
 
-# Distinct domain texts remembered by parse_domain; a knowledge base has far
-# fewer domains than facts.
-_PARSE_CACHE_SIZE = 4096
-
-
-@lru_cache(maxsize=_PARSE_CACHE_SIZE)
 def parse_domain(text: str) -> DomainExpr:
     """Parse a domain string; raises DomainSyntaxError naming the offset.
 
-    Every spelling of a domain returns its one interned value; the memo,
-    keyed by the text as written, skips re-parsing a repeated spelling.
-    Syntax errors are not remembered: they raise on every call.
+    Every spelling of a domain returns its one interned value.  The
+    canonical text of a live domain is one intern-table lookup; any other
+    text is parsed.  Nothing is cached beyond the weak intern table, so a
+    domain nothing holds is dropped, and a syntax error raises on every call.
     """
+    interned = DomainExpr._interned.get(text)
+    if interned is not None:
+        return interned
     if not text:
         raise DomainSyntaxError("empty domain", 0)
     segments: list[DomainSegment] = []

@@ -385,7 +385,7 @@ def materialize(store: FactStore) -> ClosureSet:
     dict; ``traces`` (by ``dict.update``) and each label's frozenset are
     built from those dicts and reuse the hashes they store."""
     registry = store.registry
-    ensure_acyclic(store, registry)
+    ensure_acyclic(store)
 
     derived: dict[str, dict[Fact, DerivationTrace]] = {}
     by_domain: dict[DomainExpr, list[str]] = {}

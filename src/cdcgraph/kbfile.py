@@ -21,12 +21,13 @@ token, or at the line break of an open quote, and no error reads past that
 point: whatever follows is read as the next clause.
 
 A load is one pass over the text: one pattern match per clause takes the
-blanks before it and, when the clause is a one-line fact (most are), the
-whole clause; everything else (directives, comments inside a clause,
-clauses over several lines, rule clauses and malformed ones) is lexed up to
-its end and parsed from those tokens.  Both give the same clause terms, and
-one builder checks the relation, arity, concepts and domains and makes the
-fact, so a clause reads the same, diagnostics included, either way.  A load
+blanks before it and, when the clause is a one-line fact (most are; its '.'
+may stand on a later line), the whole clause; everything else (directives,
+comments inside a clause, clauses over several lines, rule clauses and
+malformed ones) is lexed up to its end and parsed from those tokens.  Both
+give the same clause terms, and one builder checks the relation, arity,
+concepts and domains and makes the fact, so a clause reads the same,
+diagnostics included, either way.  A load
 keeps a running line count and per-load memos of the terms it read.
 """
 
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable, Iterator, Sequence
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
@@ -152,13 +152,14 @@ def _lex(text: str, pos: int = 0) -> Iterator[tuple[str, str, int]]:
 
 # The blanks before a clause, then, if it is a one-line fact, all of it: a
 # head atom (group 1), three or four bare or quoted terms (groups 2 to 5,
-# quotes kept) and the dot, with only blanks between.  The clause part is
-# optional, so the pattern always matches and never backtracks into the
-# skip; if it captures nothing, the clause is read from tokens.
+# quotes kept) and the dot, with only blanks between (line breaks too before
+# the dot).  The clause part is optional, so the pattern always matches and
+# never backtracks into the skip; if it captures nothing, the clause is read
+# from tokens.
 _TERM = r"""({atom}|'[^'\n\r]*'|"[^"\n\r]*")""".format(atom=_ATOM_TOKEN)
 _CLAUSE_RE = re.compile(
     rf"(?:{_SKIP})?(?:({_ATOM_TOKEN})[ \t]*\([ \t]*{_TERM}[ \t]*,[ \t]*{_TERM}[ \t]*,[ \t]*{_TERM}"
-    rf"[ \t]*(?:,[ \t]*{_TERM}[ \t]*)?\)[ \t]*\.)?"
+    rf"[ \t]*(?:,[ \t]*{_TERM}[ \t]*)?\)[ \t\r\n]*\.)?"
 )
 
 
@@ -462,9 +463,9 @@ def parse_fact_text(text: str, registry, allow_star: bool = False) -> Fact:
     accepted as an intra-shaped derived fact, for explain-style lookups.
     """
     # A '.' on a line of its own (a trailing comment cannot take it) ends a
-    # clause left open.  After one that ended at its own '.', or none, it
-    # stands alone and its "unexpected '.'" is dropped; after an open quote
-    # that ran to the end, the last clause had no '.', so the error stays.
+    # clause left open; a one-line fact takes it in its one match.  After a
+    # clause that ended at its own '.', or none, its "unexpected '.'" is
+    # dropped; after an open quote that ran to the end, the error stays.
     source = text.strip()
     end = len(source)
     source += "\n."
@@ -487,10 +488,6 @@ def parse_fact_text(text: str, registry, allow_star: bool = False) -> Fact:
 # ---------------------------------------------------------------------------
 # Saving
 # ---------------------------------------------------------------------------
-
-def render_clause(fact: Fact) -> str:
-    return clause_texts((fact,))[0]
-
 
 def render_directive(spec: RelationSpec) -> str:
     parts = ["@relation", spec.name, spec.shape.value]
@@ -569,7 +566,7 @@ def export_interop(store: FactStore, path: str | Path) -> None:
 def casestudy_text(name: str) -> str:
     if name not in CASESTUDY_NAMES:
         raise CdcError(f"unknown case study {name!r}; choose from {', '.join(CASESTUDY_NAMES)}")
-    return resources.files("cdcgraph").joinpath(f"casestudies/{name}.cdc").read_text(encoding="utf-8")
+    return (Path(__file__).parent / "casestudies" / f"{name}.cdc").read_text(encoding="utf-8")
 
 
 def load_casestudy(name: str, store: FactStore) -> LoadResult:

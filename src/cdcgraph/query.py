@@ -321,10 +321,12 @@ def _admitted_domains(store: FactStore, relation: str, literal: DomainExpr, mode
     if mode == EXACT:
         return [literal]
     # each prefix's text leads the next one's, so they come sorted by text;
-    # parse_domain is memoized, so a prefix seen before costs one lookup
+    # cut from canonical text, a prefix is canonical: the intern table finds
+    # it, and one that nothing holds has no partition, so it is not made
     parts = literal.text.split("@")
-    prefixes = [parse_domain("@".join(parts[:k])) for k in range(1, len(parts))] + [literal]
-    return [d for d in prefixes if store.has_partition(relation, d)] or [literal]
+    interned = DomainExpr._interned.get
+    prefixes = [interned("@".join(parts[:k])) for k in range(1, len(parts))] + [literal]
+    return [d for d in prefixes if d is not None and store.has_partition(relation, d)] or [literal]
 
 
 def _read_domains(query: Query, store: FactStore, relation: str) -> list[DomainExpr]:

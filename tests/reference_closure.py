@@ -19,7 +19,7 @@ from cdcgraph.inference import (
     DerivationTrace,
     star_label,
 )
-from cdcgraph.relations import RelationRegistry, base_of_star
+from cdcgraph.relations import base_of_star
 from cdcgraph.store import ConceptId, Fact, FactStore, swap_orientation
 
 
@@ -27,11 +27,11 @@ def _intra_shaped(fact: Fact) -> bool:
     return len(fact.concepts) == 2 and len(fact.domains) == 1
 
 
-def reference_materialize(store: FactStore, registry: RelationRegistry | None = None) -> ClosureSet:
+def reference_materialize(store: FactStore) -> ClosureSet:
     """Compute the full fixpoint.  Raises CycleError if an acyclic relation
     contains a cycle (checked up front, per relation and domain)."""
-    registry = registry or store.registry
-    ensure_acyclic(store, registry)
+    registry = store.registry
+    ensure_acyclic(store)
 
     transitive = {spec.name for spec in registry if spec.transitive}
     inheritors_by_carrier: dict[str, list[str]] = {}

@@ -20,7 +20,6 @@ from __future__ import annotations
 from cdcgraph import inference
 from cdcgraph.errors import NotDerivableError, StaleClosureError
 from cdcgraph.inference import LEAF, ClosureSet, DerivationTrace
-from cdcgraph.kbfile import render_clause
 from cdcgraph.relations import star_relation
 from cdcgraph.store import Fact, FactStore, canonicalize_fact
 
@@ -73,7 +72,7 @@ def trace_record(fact: Fact, store: FactStore, closure: ClosureSet | None = None
     trace = inference.explain(fact, store, closure)
     return {
         "type": "trace",
-        "fact": render_clause(fact).rstrip("."),
+        "fact": repr(fact),
         "rule": trace.rule,
         "premises": [trace_record(premise, store, closure) for premise in trace.premises],
     }

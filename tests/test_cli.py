@@ -9,8 +9,8 @@ import pytest
 
 from cdcgraph import FactStore, builtin_registry, cli, load_casestudy, load_text, materialize, save_file
 from cdcgraph.cli import build_parser, main
-from cdcgraph.kbfile import CASESTUDY_NAMES, render_clause
-from cdcgraph.synthetic import run_bench
+from cdcgraph.kbfile import CASESTUDY_NAMES
+from cdcgraph.synthetic import generate_synthetic_store, run_bench
 from conftest import DERIVED_EDGE_KB, carrier_chain_text, random_registry_store
 import reference_explain
 
@@ -232,7 +232,7 @@ def _assert_explain_json_matches_reference(store: FactStore, source: list[str], 
     facts = list(store) + [fact for facts in closure.derived.values() for fact in facts]
     assert facts
     for fact in facts:
-        assert main(["explain", *source, "--format", "json-lines", render_clause(fact)]) == 0, fact
+        assert main(["explain", *source, "--format", "json-lines", repr(fact)]) == 0, fact
         want = json.dumps(reference_explain.trace_record(fact, store, closure), sort_keys=True)
         assert capsys.readouterr().out == want + "\n", fact
 
@@ -338,6 +338,13 @@ def test_bench_uniform_1000_over_10(capsys):
     report = run_bench(1000, 10, seed=0)
     assert 8 <= report["reduction_factor"] <= 12
     assert report["scanned_full"] == 1000
+
+
+def test_synthetic_store_skips_a_domain_that_draws_no_fact():
+    # 3 facts over 8 domains: at least 5 domains draw none
+    store = generate_synthetic_store(3, 8, seed=0)
+    assert len(store) == 3
+    assert 1 <= len(store.relation_domains("is_a")) <= 3
 
 
 def test_bench_cli_invalid_sizes(capsys):
@@ -500,8 +507,8 @@ def test_explain_checks_for_cycles_once(monkeypatch, tmp_path, capsys):
 
     calls = []
     for module in (cli, inference):
-        monkeypatch.setattr(module, "ensure_acyclic", lambda store, registry, check=module.ensure_acyclic:
-                            calls.append(1) or check(store, registry))
+        monkeypatch.setattr(module, "ensure_acyclic", lambda store, check=module.ensure_acyclic:
+                            calls.append(1) or check(store))
     for fact in ['is_a(polynomial_function, function, "math@algebra")',
                  'is_a_star(quadratic_function, function, "math@algebra")']:
         calls.clear()

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import copy
+import gc
 import pickle
+import random
 import sys
 import threading
 
@@ -23,6 +25,7 @@ from cdcgraph import (
     parse_domain,
     parse_query,
 )
+from cdcgraph import domains as domains_module
 from cdcgraph.domains import DomainSegment
 from conftest import assert_record_contract, assert_tuple_contract, grammar_text
 
@@ -124,6 +127,42 @@ def test_parse_domain_shares_one_value_per_text():
 def test_hand_built_segment_takes_only_domain_atoms(atoms):
     with pytest.raises(ValueError):
         DomainSegment(atoms)
+
+
+def test_a_domain_needs_a_segment():
+    with pytest.raises(ValueError, match="^domain needs at least one segment$"):
+        DomainExpr(())
+
+
+def test_domain_intern_table_drops_unreferenced_domains():
+    """As for concepts: ``parse_domain`` keeps no cache of its own, so a
+    domain nothing holds leaves the intern table."""
+    text = "only_here_" + str(random.random()).replace(".", "_") + "@x"
+    domain = parse_domain(text)
+    assert DomainExpr._interned[text] is domain
+    assert pickle.loads(pickle.dumps(domain)) is domain is copy.deepcopy(domain)
+    del domain
+    gc.collect()
+    assert text not in DomainExpr._interned
+    # a held domain stays interned across collections
+    held = parse_domain(text)
+    gc.collect()
+    assert parse_domain(text) is held
+
+
+def test_parse_domain_of_a_held_canonical_text_parses_nothing(monkeypatch):
+    """A live domain's canonical text is one intern-table lookup; any other
+    spelling is parsed."""
+    held = parse_domain("product+engineering@mobile")
+
+    class NoAtoms:
+        def match(self, *args):
+            raise AssertionError("parsed")
+
+    monkeypatch.setattr(domains_module, "_ATOM_RE", NoAtoms())
+    assert parse_domain("engineering+product@mobile") is held
+    with pytest.raises(AssertionError, match="parsed"):
+        parse_domain("product+engineering@mobile")
 
 
 def test_domain_equality_and_hash_are_identity():

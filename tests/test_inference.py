@@ -12,6 +12,8 @@ from cdcgraph import (
     FactStore,
     NotDerivableError,
     RegistryError,
+    RelationRegistry,
+    RelationSpec,
     StaleClosureError,
     all_prerequisites,
     analogy_search,
@@ -307,6 +309,14 @@ def test_inheritance_no_ancestors(store):
     store.assert_fact(intra("has_attribute", "rock", "hard", "d"))
     got = inherited_attributes(store, cid("rock"), parse_domain("d"))
     assert got == {(cid("hard"), cid("rock"))}
+
+
+def test_inheritance_without_has_attribute_is_empty():
+    registry = RelationRegistry()
+    registry.register(RelationSpec("is_a", transitive=True))
+    store = FactStore(registry)
+    store.assert_fact(intra("is_a", "Apple", "Fruit", "d"))
+    assert inherited_attributes(store, cid("Apple"), parse_domain("d")) == set()
 
 
 def test_inheritance_three_levels_matches_enumeration(store):

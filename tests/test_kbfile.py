@@ -25,8 +25,9 @@ from cdcgraph import (
     save_file,
 )
 from cdcgraph import kbfile
-from cdcgraph.kbfile import Diagnostic, LoadedFact, LoadResult, SourceSpan, render_clause
+from cdcgraph.kbfile import Diagnostic, LoadedFact, LoadResult, SourceSpan
 from cdcgraph.relations import star_label
+from cdcgraph.store import clause_texts
 from conftest import assert_record_contract, assert_tuple_contract, fusion, grammar_text, intra
 
 
@@ -290,18 +291,23 @@ def test_dynamic_declarations_stop_at_the_first_that_does_not_read():
 
 def test_a_load_keeps_no_symbol_alive():
     """The loader's per-load memos go with the load: once the store is
-    dropped, none of the symbols it read stays interned."""
+    dropped, none of the concepts or domains it read stays interned."""
     import gc
 
+    from cdcgraph import DomainExpr
+
     symbols = [f"memo_probe_{i}" for i in range(40)]
-    text = "".join(f'is_a({a}, \'{b}\', "d{i % 3}").\n' for i, (a, b) in enumerate(zip(symbols, symbols[1:])))
+    domains = [f"memo_probe_d{i}@x" for i in range(3)]
+    text = "".join(f'is_a({a}, \'{b}\', "{domains[i % 3]}").\n' for i, (a, b) in enumerate(zip(symbols, symbols[1:])))
     store = fresh_store()
     result = load_text(text, store)
     assert result.ok and len(result.facts) == len(symbols) - 1
     assert all(symbol in ConceptId._interned for symbol in symbols)
+    assert all(domain in DomainExpr._interned for domain in domains)
     del store, result
     gc.collect()
     assert not [symbol for symbol in symbols if symbol in ConceptId._interned]
+    assert not [domain for domain in domains if domain in DomainExpr._interned]
 
 
 def test_relation_directive_bad_shape():
@@ -563,7 +569,7 @@ def test_export_keeps_distinct_symbols_distinct(tmp_path):
 def test_parse_fact_text_roundtrip():
     registry = builtin_registry()
     fact = parse_fact_text('is_a(apple, fruit, "Biology@Plant_Taxonomy")', registry)
-    assert render_clause(fact) == 'is_a(apple, fruit, "Biology@Plant_Taxonomy").'
+    assert repr(fact) == 'is_a(apple, fruit, "Biology@Plant_Taxonomy")'
 
 
 def test_every_fact_reads_back_from_its_repr():
@@ -589,7 +595,7 @@ def test_every_fact_reads_back_from_its_repr():
         concepts = tuple(map(ConceptId, texts[:shape.concept_count]))
         fact = Fact(label, concepts, tuple(domain_list[:shape.arity - shape.concept_count]))
         assert parse_fact_text(repr(fact), registry, allow_star=True) == fact
-        assert render_clause(fact) == repr(fact) + "."
+        assert clause_texts((fact,)) == [repr(fact) + "."]
 
     round_trip()
 
@@ -661,6 +667,23 @@ def test_parse_fact_text_with_a_trailing_comment(text):
     # the '.' comes from the last token, not the last character
     fact = parse_fact_text(text, builtin_registry())
     assert fact == Fact.intra("is_a", ConceptId("apple"), ConceptId("fruit"), parse_domain("d"))
+
+
+def test_a_fact_whose_dot_is_on_a_later_line_reads_in_one_match(monkeypatch):
+    """A fact passed to ``parse_fact_text`` without its '.', and a loaded
+    clause whose '.' is on a later line, are each read by one clause match,
+    without tokens."""
+    calls = []
+    tokens = kbfile._Reader.clause_tokens
+    monkeypatch.setattr(kbfile._Reader, "clause_tokens", lambda self, pos: calls.append(pos) or tokens(self, pos))
+    want = Fact.intra("is_a", ConceptId("apple"), ConceptId("fruit"), parse_domain("d"))
+    assert parse_fact_text('is_a(apple, fruit, "d")', builtin_registry()) == want
+    result = load_text('is_a(apple, fruit, "d")\n.\nis_a(pear, fruit, "d") \n\t.\n', fresh_store())
+    assert result.ok and [str(loaded.span) for loaded in result.facts] == ["<string>:1:1", "<string>:3:1"]
+    assert calls == []
+    # a comment before the '.' still sends the clause to the tokens
+    assert parse_fact_text('is_a(apple, fruit, "d") % note', builtin_registry()) == want
+    assert calls
 
 
 def test_explain_takes_a_fact_with_a_trailing_comment(capsys):

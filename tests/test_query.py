@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 from unittest import mock
 
@@ -320,6 +321,30 @@ def test_inherit_admission_looks_up_prefixes_among_1000_siblings():
         assert _admitted_domains(store, "is_a", literal, "inherit") == expected
         bindings = eval_query(q('is_a(x, ?Y, "root@s0500@deep")', store, domain_mode="inherit"), store)
     assert bindings.render_lines() == ["?Y = p0500", "?Y = root_parent"]
+
+
+def test_inherit_admission_makes_no_prefix_that_nothing_holds():
+    """A prefix that no value holds is held by no store, so admission skips
+    it without parsing or making it."""
+    gc.collect()
+    assert "zq" not in DomainExpr._interned
+    store = FactStore(builtin_registry())
+    store.assert_fact(intra("is_a", "a", "b", "zq@y"))
+    query = q('is_a(a, ?B, "zq@y")', store, domain_mode="inherit")
+    with mock.patch.object(query_module, "parse_domain", side_effect=AssertionError("parsed")):
+        assert eval_query(query, store).render_lines() == ["?B = b"]
+    assert "zq" not in DomainExpr._interned
+
+
+def test_inherit_admission_skips_a_prefix_only_another_store_holds():
+    store = FactStore(builtin_registry())
+    store.assert_fact(intra("is_a", "a", "b", "zq@y"))
+    query = q('is_a(a, ?B, "zq@y")', store, domain_mode="inherit")
+    other = FactStore(builtin_registry())
+    other.assert_fact(intra("is_a", "a", "c", "zq"))
+    assert "zq" in DomainExpr._interned
+    assert eval_query(query, store).render_lines() == ["?B = b"]
+    assert eval_query(query, other).render_lines() == ["?B = c"]
 
 
 def test_domain_variable_binds_fact_domains(store):

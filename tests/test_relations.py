@@ -153,7 +153,9 @@ def test_nameless_relation_and_unknown_lookup_are_refused():
 
 def test_frozen_registry_rejects_registration():
     registry = builtin_registry()
+    assert not registry.frozen
     registry.freeze()
+    assert registry.frozen
     with pytest.raises(RegistryError, match="frozen"):
         registry.register(RelationSpec("late"))
 

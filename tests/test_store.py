@@ -41,6 +41,21 @@ def test_concept_interning():
         assert duplicate(apple) is apple
 
 
+def test_concept_refuses_both_quote_kinds_and_assignment():
+    with pytest.raises(ValueError, match="holds both quote kinds"):
+        ConceptId("it's \"x\"")
+    with pytest.raises(AttributeError, match="^ConceptId is immutable$"):
+        ConceptId("apple").symbol = "pear"
+
+
+def test_pattern_of_another_arity_matches_nothing():
+    d = parse_domain("d")
+    fact = Fact.intra("is_a", ConceptId("a"), ConceptId("b"), d)
+    assert FactPattern("is_a", (None, None), (None,)).matches(fact)
+    assert not FactPattern("is_a", (None, None, None), (None,)).matches(fact)
+    assert not FactPattern("is_a", (None, None), (None, None)).matches(fact)
+
+
 def test_concept_intern_table_drops_unreferenced_symbols():
     symbol = "only_here_" + str(random.random())
     concept = ConceptId(symbol)
