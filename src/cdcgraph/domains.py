@@ -67,9 +67,9 @@ class DomainExpr:
 
     Interned weakly by its canonical text (fusion atoms sorted): equal
     segments yield the identical object, in any thread, so equality and
-    hashing are by identity, as for ``ConceptId``; only a new text takes the
-    lock.  One nothing refers to is dropped.  Copying or unpickling
-    re-parses the text, so it returns that same object.
+    hashing are by identity, as for ``ConceptId``.  One nothing refers to is
+    dropped.  Copying or unpickling re-parses the text, so it returns that
+    same object.
     """
 
     __slots__ = ("segments", "text", "__weakref__")
@@ -80,10 +80,7 @@ class DomainExpr:
         if not segments:
             raise ValueError("domain needs at least one segment")
         text = "@".join(map(str, segments))
-        existing = cls._interned.get(text)
-        if existing is not None:
-            return existing
-        with cls._interning:  # re-check: another thread may have made it
+        with cls._interning:
             obj = cls._interned.get(text)
             if obj is None:
                 obj = super().__new__(cls)
@@ -105,6 +102,10 @@ class DomainExpr:
         return f"DomainExpr({self.text!r})"
 
 
+# The live domain with this canonical text, or None; parses and makes nothing.
+interned_domain = DomainExpr._interned.get
+
+
 def parse_domain(text: str) -> DomainExpr:
     """Parse a domain string; raises DomainSyntaxError naming the offset.
 
@@ -113,7 +114,7 @@ def parse_domain(text: str) -> DomainExpr:
     text is parsed.  Nothing is cached beyond the weak intern table, so a
     domain nothing holds is dropped, and a syntax error raises on every call.
     """
-    interned = DomainExpr._interned.get(text)
+    interned = interned_domain(text)
     if interned is not None:
         return interned
     if not text:

@@ -22,7 +22,7 @@ import re
 from itertools import product
 from typing import NamedTuple
 
-from .domains import _ATOM_RE, DomainExpr, parse_domain
+from .domains import _ATOM_RE, DomainExpr, interned_domain, parse_domain
 from .errors import CdcError, DomainSyntaxError, QuerySyntaxError, StaleClosureError
 from .inference import ClosureSet, _bound_rows, derived_facts_for, oriented_match, star_pairs
 from .relations import RelationShape, RelationSpec, star_relation
@@ -324,8 +324,7 @@ def _admitted_domains(store: FactStore, relation: str, literal: DomainExpr, mode
     # cut from canonical text, a prefix is canonical: the intern table finds
     # it, and one that nothing holds has no partition, so it is not made
     parts = literal.text.split("@")
-    interned = DomainExpr._interned.get
-    prefixes = [interned("@".join(parts[:k])) for k in range(1, len(parts))] + [literal]
+    prefixes = [interned_domain("@".join(parts[:k])) for k in range(1, len(parts))] + [literal]
     return [d for d in prefixes if d is not None and store.has_partition(relation, d)] or [literal]
 
 

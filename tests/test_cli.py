@@ -9,7 +9,7 @@ import pytest
 
 from cdcgraph import FactStore, builtin_registry, cli, load_casestudy, load_text, materialize, save_file
 from cdcgraph.cli import build_parser, main
-from cdcgraph.kbfile import CASESTUDY_NAMES
+from cdcgraph.kbfile import CASESTUDY_NAMES, clause_texts
 from cdcgraph.synthetic import generate_synthetic_store, run_bench
 from conftest import DERIVED_EDGE_KB, carrier_chain_text, random_registry_store
 import reference_explain
@@ -227,14 +227,17 @@ def test_explain_deep_chain(fmt, tmp_path, capsys):
 def _assert_explain_json_matches_reference(store: FactStore, source: list[str], capsys) -> None:
     """``cdc explain --format json-lines`` on every asserted and derived fact
     of ``store``, loaded by the CLI from ``source``, writes what
-    ``json.dumps`` writes of the recursively built record."""
+    ``json.dumps`` writes of the recursively built record.  Each fact is
+    given both with no '.' and as the clause save writes, which read by
+    different paths."""
     closure = materialize(store)
     facts = list(store) + [fact for facts in closure.derived.values() for fact in facts]
     assert facts
     for fact in facts:
-        assert main(["explain", *source, "--format", "json-lines", repr(fact)]) == 0, fact
         want = json.dumps(reference_explain.trace_record(fact, store, closure), sort_keys=True)
-        assert capsys.readouterr().out == want + "\n", fact
+        for text in (repr(fact), clause_texts((fact,))[0]):
+            assert main(["explain", *source, "--format", "json-lines", text]) == 0, text
+            assert capsys.readouterr().out == want + "\n", text
 
 
 @pytest.mark.parametrize("name", CASESTUDY_NAMES)

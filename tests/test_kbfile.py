@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import json
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -412,6 +413,16 @@ def test_save_empty_store(tmp_path):
     path = tmp_path / "empty.cdc"
     save_file(fresh_store(), path)
     assert path.read_text() == ""
+
+
+def test_case_studies_are_files_next_to_the_module():
+    """``casestudy_text`` reads ``casestudies/<name>.cdc`` beside ``kbfile``
+    as a plain file (a zip import cannot serve it), and that folder holds
+    exactly the named case studies, as ``package-data`` ships them."""
+    folder = Path(kbfile.__file__).parent / "casestudies"
+    assert sorted(path.name for path in folder.glob("*.cdc")) == [f"{name}.cdc" for name in sorted(CASESTUDY_NAMES)]
+    for name in CASESTUDY_NAMES:
+        assert kbfile.casestudy_text(name) == (folder / f"{name}.cdc").read_text(encoding="utf-8") != ""
 
 
 @pytest.mark.parametrize("name", CASESTUDY_NAMES)
