@@ -28,7 +28,11 @@ malformed ones) is lexed up to its end and parsed from those tokens.  Both
 give the same clause terms, and one builder checks the relation, arity,
 concepts and domains and makes the fact, so a clause reads the same,
 diagnostics included, either way.  A load
-keeps a running line count and per-load memos of the terms it read.
+keeps a running line count and per-load memos of the terms it read.  The
+reader's one loop hands each clause straight to a callback, with no
+generator or item tuple between; ``load_text`` and ``parse_fact_text`` both
+read through it.  A fact, its span and its ``LoadedFact`` are built by
+``tuple.__new__``, in C, not by their classes' Python-level constructors.
 """
 
 from __future__ import annotations
@@ -45,6 +49,10 @@ from .relations import spec_with_flags, star_label, star_relation
 from .store import ConceptId, Fact, FactStore, clause_texts
 
 CASESTUDY_NAMES = ("cbt", "education", "enterprise", "techdocs")
+
+# builds a NamedTuple in C, as ``NamedTuple._make`` does, where the class's
+# own constructor is a Python function
+_new = tuple.__new__
 
 _PROLOG_BARE_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
 # a canonical integer; any other numeral is quoted, so no two symbols read back as one number
@@ -175,10 +183,10 @@ class _Reader:
     """One read of a text, one clause at a time: one ``_CLAUSE_RE`` match
     per clause, else a token list that stops at the clause's first '.', at
     an open quote's line break or at the end, so no error reads past it.
-    Both give the same ("clause", ...) item, and ``build_fact`` makes every
-    fact from one.  The reader keeps a running line count and memos of what
-    each raw term text read as; they go with it, so the weak intern table
-    still frees a symbol no store holds."""
+    Both give the same name, terms and start offsets, and ``build_fact``
+    makes every fact from them.  The reader keeps a running line count and
+    memos of what each raw term text read as; they go with it, so the weak
+    intern table still frees a symbol no store holds."""
 
     def __init__(self, text: str, file: str, diagnostics: list[Diagnostic], registry: RelationRegistry):
         self.text = text
@@ -200,15 +208,18 @@ class _Reader:
             self.line += breaks
             self.line_start = text.rfind("\n", counted, offset) + 1
         self.counted = offset
-        return SourceSpan(self.file, self.line, offset - self.line_start + 1)
+        return _new(SourceSpan, (self.file, self.line, offset - self.line_start + 1))
 
     def error(self, message: str, offset: int) -> None:
         self.diagnostics.append(Diagnostic("error", message, self.span(offset)))
 
-    def items(self):
-        """Yield ("clause", name, terms, start), ("directive", name, shape,
-        flags, offset) and ("dynamic", name, arity, offset) tuples.  Terms are
-        raw texts; ``start(g)`` is the offset of ``_CLAUSE_RE``'s group g."""
+    def read(self, clause: Callable[[str, Sequence[str], Callable[[int], int]], None],
+             other: Callable[[tuple], None]) -> None:
+        """Read the text once, in order: call ``clause(name, terms, start)``
+        for each fact clause, and ``other(item)`` for each ("directive", name,
+        shape, flags, offset) and ("dynamic", name, arity, offset) item.
+        Terms are raw texts; ``start(g)`` is the offset of ``_CLAUSE_RE``'s
+        group g."""
         text, end = self.text, len(self.text)
         clause_at = _CLAUSE_RE.match
         pos = 0
@@ -218,7 +229,7 @@ class _Reader:
             last = match.lastindex
             if last:  # a one-line fact, read whole
                 groups = match.groups()
-                yield "clause", groups[0], groups[1:last], match.start
+                clause(groups[0], groups[1:last], match.start)
                 continue
             if pos == end:
                 return
@@ -233,17 +244,18 @@ class _Reader:
                 # ':- dynamic name/arity.' declarations matter (they name the
                 # relations an interop export uses); other Prolog directives
                 # are skipped
-                yield from self.parse_prolog_directive(tokens)
-                continue
-            if kind == "ATREL":
+                for item in self.parse_prolog_directive(tokens):
+                    other(item)
+            elif kind == "ATREL":
                 item = self.parse_directive(tokens)
+                if item is not None:
+                    other(item)
             elif kind == "ATOM":
                 item = self.parse_clause(tokens)
+                if item is not None:
+                    clause(*item)
             else:
                 self.error(token_text if kind == "ERROR" else f"unexpected {token_text!r}", offset)
-                continue
-            if item is not None:
-                yield item
 
     def clause_tokens(self, pos: int) -> list[tuple[str, str, int]]:
         """The tokens of the clause at ``pos``, through its first DOT, ERROR
@@ -332,14 +344,14 @@ class _Reader:
         if kind != "DOT":
             self.error("missing '.' after clause", offset)
             return None
-        return ("clause", head, terms, starts.__getitem__)
+        return head, terms, starts.__getitem__
 
     def build_fact(
         self, name: str, terms: Sequence[str], start: Callable[[int], int], shape: RelationShape | None = None
     ) -> Fact | None:
-        """The fact a ("clause", name, terms, start) item states, or None once
-        a diagnostic says why not.  ``shape`` reads a head the registry does
-        not name, a ``<rel>_star``, as that shape."""
+        """The fact a clause states, or None once a diagnostic says why not.
+        ``shape`` reads a head the registry does not name, a ``<rel>_star``,
+        as that shape."""
         star = shape is not None
         if not star:
             spec = self.registry.get(name)
@@ -376,7 +388,7 @@ class _Reader:
                     self.error(f"bad domain: {exc.message}", offset)
                     return None
             domains.append(domain)
-        return Fact(name, tuple(concepts), tuple(domains))
+        return _new(Fact, (name, tuple(concepts), tuple(domains)))
 
 
 # ---------------------------------------------------------------------------
@@ -388,50 +400,54 @@ def load_text(text: str, store: FactStore, file: str = "<string>") -> LoadResult
     register relations before facts use them.  Problems become diagnostics."""
     result = LoadResult()
     registry = store.registry
-    reader = _Reader(text, file, result.diagnostics, registry)
-    build_fact, span, insert, loaded = reader.build_fact, reader.span, store._insert, result.facts.append
-    for item in reader.items():
-        if item[0] == "clause":
-            _, name, terms, start = item
-            fact = build_fact(name, terms, start)
-            if fact is None:
-                continue
-            where = span(start(1))
-            try:
-                # the builder made the payload from the relation's shape
-                inserted = insert(fact, registry.lookup(name))
-            except CycleError as exc:  # strict mode assert-time rejection
-                result.diagnostics.append(Diagnostic("error", str(exc), where))
-                continue
-            if inserted:
-                loaded(LoadedFact(fact, where))
-            else:
-                result.diagnostics.append(Diagnostic("warning", f"duplicate fact {fact!r}", where))
-        elif item[0] == "directive":
+    diagnostics, loaded = result.diagnostics, result.facts.append
+    reader = _Reader(text, file, diagnostics, registry)
+    build_fact, span, insert, lookup = reader.build_fact, reader.span, store._insert, registry.lookup
+
+    def clause(name: str, terms: Sequence[str], start: Callable[[int], int]) -> None:
+        fact = build_fact(name, terms, start)
+        if fact is None:
+            return
+        where = span(start(1))
+        try:
+            # the builder made the payload from the relation's shape
+            inserted = insert(fact, lookup(name))
+        except CycleError as exc:  # strict mode assert-time rejection
+            diagnostics.append(Diagnostic("error", str(exc), where))
+            return
+        if inserted:
+            loaded(_new(LoadedFact, (fact, where)))
+        else:
+            diagnostics.append(Diagnostic("warning", f"duplicate fact {fact!r}", where))
+
+    def other(item: tuple) -> None:
+        if item[0] == "directive":
             _, name, shape_text, flags, offset = item
             try:
                 registry.register(spec_with_flags(name, RelationShape(shape_text), flags), override=name in registry)
             except RegistryError as exc:
-                result.diagnostics.append(Diagnostic("error", str(exc), reader.span(offset)))
-        else:
-            # interop exports declare their relations this way; register
-            # unknown ternary ones as plain relations so facts reload.
-            # Property flags are not representable in the export, and a
-            # 4-ary declaration cannot distinguish cross from fusion.
-            _, name, arity, offset = item
-            if name in registry:
-                continue
-            if arity != 3:
-                result.diagnostics.append(Diagnostic(
-                    "warning",
-                    f"cannot infer the shape of {name}/{arity}; declare it with @relation",
-                    reader.span(offset),
-                ))
-                continue
-            try:
-                registry.register(RelationSpec(name))
-            except RegistryError as exc:
-                result.diagnostics.append(Diagnostic("warning", str(exc), reader.span(offset)))
+                diagnostics.append(Diagnostic("error", str(exc), span(offset)))
+            return
+        # interop exports declare their relations this way; register
+        # unknown ternary ones as plain relations so facts reload.
+        # Property flags are not representable in the export, and a
+        # 4-ary declaration cannot distinguish cross from fusion.
+        _, name, arity, offset = item
+        if name in registry:
+            return
+        if arity != 3:
+            diagnostics.append(Diagnostic(
+                "warning",
+                f"cannot infer the shape of {name}/{arity}; declare it with @relation",
+                span(offset),
+            ))
+            return
+        try:
+            registry.register(RelationSpec(name))
+        except RegistryError as exc:
+            diagnostics.append(Diagnostic("warning", str(exc), span(offset)))
+
+    reader.read(clause, other)
     return result
 
 
@@ -462,22 +478,26 @@ def parse_fact_text(text: str, registry, allow_star: bool = False) -> Fact:
     With ``allow_star``, a ``<rel>_star`` head over a transitive relation is
     accepted as an intra-shaped derived fact, for explain-style lookups.
     """
-    # A '.' on a line of its own (a trailing comment cannot take it) ends a
-    # clause left open; a one-line fact takes it in its one match.  After a
-    # clause that ended at its own '.', or none, its "unexpected '.'" is
-    # dropped; after an open quote that ran to the end, the error stays.
+    # Unless ``_CLAUSE_RE`` takes the whole text, a '.' on a line of its own
+    # (a trailing comment cannot take it) ends a clause left open, which a
+    # '.' in a trailing comment or an open quote does not.  After a clause
+    # that ended at its own '.', or none, its "unexpected '.'" is dropped;
+    # after an open quote that ran to the end, the error stays.
     source = text.strip()
     end = len(source)
-    source += "\n."
+    if not (source.endswith(".") and _CLAUSE_RE.fullmatch(source)):
+        source += "\n."
     diagnostics: list[Diagnostic] = []
     reader = _Reader(source, "<fact>", diagnostics, registry)
-    items = list(reader.items())
+    clauses: list[tuple] = []
+    others: list[tuple] = []
+    reader.read(lambda *clause: clauses.append(clause), others.append)
     if reader.counted == end + 1 and reader.quote_end != end and diagnostics[-1].message == "unexpected '.'":
         del diagnostics[-1]
     if not diagnostics:
-        if len(items) != 1 or items[0][0] != "clause":
+        if len(clauses) != 1 or others:
             raise CdcError("expected exactly one fact clause")
-        _, name, terms, start = items[0]
+        name, terms, start = clauses[0]
         star = allow_star and star_relation(registry, name) is not None
         fact = reader.build_fact(name, terms, start, RelationShape.INTRA if star else None)
         if fact is not None:

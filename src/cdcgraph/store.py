@@ -313,24 +313,40 @@ class FactStore:
 
     def _insert(self, fact: Fact, spec: RelationSpec) -> bool:
         """``assert_fact`` for a fact whose payload the caller has already
-        matched to ``spec``'s shape (the loader, by the clause's arity).  One
-        walk down an index finds both the duplicate and the slot; the strict
-        cycle check runs before any container is made."""
+        matched to ``spec``'s shape (the loader, by the clause's arity).  An
+        intra fact looks its partition's two adjacencies up once; one walk
+        down the successor row finds both the duplicate and the slot.  A
+        strict store walks for a cycle only when the new edge can close one,
+        and before any container is made: see ``_reject_if_creates_cycle``."""
         if spec.symmetric:
             fact = canonicalize_fact(fact, spec)
         relation, concepts, domains = fact
         first, second = concepts[0], concepts[1]
         if spec.shape is RelationShape.INTRA:
             domain = domains[0]
-            row = self._successors.get(relation, _NO_ROWS).get(domain, _NO_ROWS).get(first)
-            if row is not None and second in row:
-                return False
-            if self.strict and spec.acyclic:
-                self._reject_if_creates_cycle(fact)
-            if row is None:
-                row = self._successors.setdefault(relation, {}).setdefault(domain, {})[first] = {}
-            row[second] = fact
-            self._predecessors.setdefault(relation, {}).setdefault(domain, {}).setdefault(second, {})[first] = fact
+            forward = self._successors.get(relation, _NO_ROWS).get(domain)
+            if forward is None:  # a new partition: neither end has an edge in it
+                if self.strict and spec.acyclic and first is second:
+                    self._reject_if_creates_cycle(fact)
+                self._successors.setdefault(relation, {})[domain] = {first: {second: fact}}
+                self._predecessors.setdefault(relation, {})[domain] = {second: {first: fact}}
+            else:
+                backward = self._predecessors[relation][domain]
+                row = forward.get(first)
+                if row is not None and second in row:
+                    return False
+                # empty rows are pruned, so a key present is an end with an edge
+                if self.strict and spec.acyclic and (first is second or (second in forward and first in backward)):
+                    self._reject_if_creates_cycle(fact)
+                if row is None:
+                    forward[first] = {second: fact}
+                else:
+                    row[second] = fact
+                column = backward.get(second)
+                if column is None:
+                    backward[second] = {first: fact}
+                else:
+                    column[first] = fact
         else:
             if fact in self._by_first.get(relation, _NO_ROWS).get(first, ()):
                 return False
@@ -467,10 +483,15 @@ class FactStore:
 
     def _reject_if_creates_cycle(self, fact: Fact) -> None:
         """Strict mode: would inserting this edge close a cycle?  Walks the
-        successor index of the fact's partition out of the object."""
+        successor index of the fact's partition out of the object.
+
+        The new subject->object edge closes a cycle iff the object reaches
+        the subject, which needs the subject to have an incoming edge in the
+        partition and the object an outgoing one, or the two to be one
+        concept.  ``_insert`` calls this only then; the walk itself does not
+        rely on it."""
         successors = self.successors(fact.relation, fact.domains[0])
         subject, obj = fact.concepts[0], fact.concepts[1]
-        # the new subject->object edge closes a cycle iff object reaches subject
         parent: dict[ConceptId, ConceptId] = {}
         stack = [obj]
         seen = {obj}

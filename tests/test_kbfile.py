@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import json
 import pickle
+import re
 from pathlib import Path
 
 import pytest
@@ -658,7 +659,7 @@ def test_parse_fact_text_errors():
         parse_fact_text('unknown_rel(a, b, "d")', registry)
 
 
-@pytest.mark.parametrize("text", ["", "   ", " \n\t ", "% only a comment", "% only a comment\n"])
+@pytest.mark.parametrize("text", ["", "   ", " \n\t ", "% only a comment", "% only a comment\n", "% only a comment."])
 def test_parse_fact_text_without_a_clause(text):
     # the '.' parse_fact_text appends must not be what the error is about
     for allow_star in (False, True):
@@ -695,6 +696,29 @@ def test_a_fact_whose_dot_is_on_a_later_line_reads_in_one_match(monkeypatch):
     # a comment before the '.' still sends the clause to the tokens
     assert parse_fact_text('is_a(apple, fruit, "d") % note', builtin_registry()) == want
     assert calls
+
+
+@pytest.mark.parametrize("text", ['is_a(apple, fruit, "d").', ' is_a(apple, fruit, "d")\n\t. ',
+                                  "is_a( apple,'fruit' ,d ) ."])
+def test_a_fact_typed_with_its_dot_reads_in_one_match(text, monkeypatch):
+    """``parse_fact_text`` closes no clause that one ``_CLAUSE_RE`` match
+    takes whole, so a fact typed with its '.' reads no tokens."""
+    calls = []
+    tokens = kbfile._Reader.clause_tokens
+    monkeypatch.setattr(kbfile._Reader, "clause_tokens", lambda self, pos: calls.append(pos) or tokens(self, pos))
+    assert parse_fact_text(text, builtin_registry()) == Fact.intra("is_a", ConceptId("apple"), ConceptId("fruit"),
+                                                                   parse_domain("d"))
+    assert calls == []
+
+
+@pytest.mark.parametrize("text, message", [
+    ('is_a(apple, fruit, "d. x).', "unterminated quote"),  # the open quote's '.' closes nothing
+    ('is_a(apple, fruit, "d"). is_a(pear, fruit, "d").', "expected exactly one fact clause"),
+    ('is_a(apple, fruit, "d")..', "unexpected '.'"),
+])
+def test_parse_fact_text_error_after_a_dot(text, message):
+    with pytest.raises(CdcError, match=f"^{re.escape(message)}$"):
+        parse_fact_text(text, builtin_registry())
 
 
 def test_explain_takes_a_fact_with_a_trailing_comment(capsys):

@@ -21,7 +21,7 @@ from cdcgraph import (
     load_text,
     parse_domain,
 )
-from cdcgraph.store import StoreStats, canonicalize_fact, swap_orientation
+from cdcgraph.store import StoreStats, canonicalize_fact, clause_texts, swap_orientation
 from conftest import apple_store, assert_record_contract, assert_tuple_contract, cross, fusion, intra
 import reference_store
 
@@ -377,6 +377,118 @@ def test_a_refused_strict_insert_leaves_no_trace(held, refused, path):
         assert [d.severity for d in result.diagnostics] == ["error"] and not result.facts
         assert "cycle in acyclic relation 'is_a'" in result.diagnostics[0].message
     assert _index_view(store, ["d", "fresh", "new"]) == before
+
+
+_EDGE_CONCEPTS = [ConceptId(symbol) for symbol in "abcde"]
+_EDGE_DOMAINS = [parse_domain(text) for text in ("d", "e", "f")]
+# two acyclic relations and one whose cycles a strict store accepts
+_EDGE_RELATIONS = ("is_a", "requires", "cause_of")
+_edges = st.builds(Fact.intra, st.sampled_from(_EDGE_RELATIONS), st.sampled_from(_EDGE_CONCEPTS),
+                   st.sampled_from(_EDGE_CONCEPTS), st.sampled_from(_EDGE_DOMAINS))
+# a walk through one to five distinct concepts, then back to the first: a
+# self-loop, a two-node cycle or a longer one
+_cycles = st.builds(
+    lambda relation, path, domain: [Fact.intra(relation, x, y, domain) for x, y in zip(path, path[1:] + path[:1])],
+    st.sampled_from(_EDGE_RELATIONS), st.lists(st.sampled_from(_EDGE_CONCEPTS), min_size=1, max_size=5, unique=True),
+    st.sampled_from(_EDGE_DOMAINS))
+_edits = st.lists(st.tuples(st.sampled_from(["assert", "retract", "load"]),
+                            st.one_of(st.lists(_edges, min_size=1, max_size=4), _cycles)), max_size=20)
+
+
+class _CountingReference(reference_store.AlwaysWalkStore):
+    """The reference store, counting the inserts whose new edge can close a
+    cycle: a strict store's new edge of an acyclic relation that is a
+    self-loop, or whose subject has an incoming and whose object has an
+    outgoing edge in its partition."""
+
+    can_close = 0
+
+    def _insert(self, fact: Fact, spec) -> bool:
+        x, y, domain = fact.subject, fact.object, fact.domain
+        if self.strict and spec.acyclic and fact not in self and (
+                x is y or (x in self.predecessors(fact.relation, domain) and y in self.successors(fact.relation, domain))):
+            self.can_close += 1
+        return super()._insert(fact, spec)
+
+
+def _index_order(store: FactStore) -> list:
+    """The intra indexes with every key in its order, the count and the
+    generation: a cycle walk follows the order of the successor rows."""
+    return [[(relation, [(domain, [(near, list(row.items())) for near, row in adjacency.items()])
+                         for domain, adjacency in partitions.items()])
+             for relation, partitions in index.items()]
+            for index in (store._successors, store._predecessors)] + [len(store), store.generation]
+
+
+def _edit(store: FactStore, kind: str, facts: list[Fact]):
+    """What the edit returns: the load result, or each call's result or
+    ``CycleError`` text."""
+    if kind == "load":
+        return load_text("\n".join(clause_texts(facts)), store)
+    call = store.assert_fact if kind == "assert" else store.retract_fact
+    outcomes = []
+    for fact in facts:
+        try:
+            outcomes.append(call(fact))
+        except CycleError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+@settings(max_examples=200, deadline=None)
+@given(strict=st.booleans(), edits=_edits)
+def test_insert_walks_only_where_an_edge_can_close_a_cycle(strict, edits):
+    """Asserts, retracts and ``load_text`` edits give the same outcomes, the
+    same ``CycleError`` text and the same indexes, key order included, as
+    the reference store that walks for a cycle on every strict insert; and
+    the store walks exactly where the new edge can close a cycle."""
+    store = FactStore(builtin_registry(), strict=strict)
+    reference = _CountingReference(builtin_registry(), strict=strict)
+    walks = []
+    walk = store._reject_if_creates_cycle
+    store._reject_if_creates_cycle = lambda fact: walks.append(fact) or walk(fact)
+    for kind, facts in edits:
+        assert _edit(store, kind, facts) == _edit(reference, kind, facts)
+        assert _index_order(store) == _index_order(reference)
+        assert len(walks) == reference.can_close
+
+
+def _walk_count(text: str, strict: bool, monkeypatch) -> tuple[int, int]:
+    """How many cycle walks loading ``text`` into a fresh store makes, and
+    how many errors the load reports."""
+    walks = []
+    walk = FactStore._reject_if_creates_cycle
+    monkeypatch.setattr(FactStore, "_reject_if_creates_cycle", lambda self, fact: walks.append(fact) or walk(self, fact))
+    result = load_text(text, FactStore(builtin_registry(), strict=strict))
+    return len(walks), len(result.errors)
+
+
+def _clauses(edges: str) -> str:
+    """``"ab bc"`` as the clauses ``is_a(a, b, "d"). is_a(b, c, "d").``"""
+    return "\n".join(f'is_a({x}, {y}, "d").' for x, y in edges.split())
+
+
+@pytest.mark.parametrize("edges, walks, errors", [
+    # a chain a -> b -> ... -> h, from its top edge down, then from its
+    # bottom edge up: each new edge's subject, then its object, has no edge
+    ("gh fg ef de cd bc ab", 0, 0),
+    ("ab bc cd de ef fg gh", 0, 0),
+    # the same chain with its middle edge last: only that edge has both ends
+    ("ab bc cd ef fg gh de", 1, 0),
+    # a diamond, then the edge that closes it into a cycle
+    ("ab ac bd cd", 0, 0),
+    ("ab ac bd cd da", 1, 1),
+    # a self-loop, alone and on a chain
+    ("aa", 1, 1),
+    ("ab bb", 1, 1),
+], ids=["chain-top-down", "chain-bottom-up", "chain-middle-last", "diamond", "diamond-closed", "self-loop",
+        "self-loop-on-chain"])
+def test_strict_load_walks_for_a_cycle_only_where_one_can_close(edges, walks, errors, monkeypatch):
+    """A strict insert walks for a cycle only when the new edge is a
+    self-loop or both its ends already have edges: the subject an incoming
+    and the object an outgoing one.  A lenient store never walks."""
+    assert _walk_count(_clauses(edges), True, monkeypatch) == (walks, errors)
+    assert _walk_count(_clauses(edges), False, monkeypatch) == (0, 0)
 
 
 def _cross_and_fusion_store() -> FactStore:
