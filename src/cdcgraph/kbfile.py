@@ -478,11 +478,12 @@ def parse_fact_text(text: str, registry, allow_star: bool = False) -> Fact:
     With ``allow_star``, a ``<rel>_star`` head over a transitive relation is
     accepted as an intra-shaped derived fact, for explain-style lookups.
     """
-    # Unless ``_CLAUSE_RE`` takes the whole text, a '.' on a line of its own
-    # (a trailing comment cannot take it) ends a clause left open, which a
-    # '.' in a trailing comment or an open quote does not.  After a clause
-    # that ended at its own '.', or none, its "unexpected '.'" is dropped;
-    # after an open quote that ran to the end, the error stays.
+    # A text that ``_CLAUSE_RE`` takes whole is read as it is.  Any other
+    # gets a '.' on a line of its own, where no trailing comment can take
+    # it, to close a clause left open: a '.' in a trailing comment or an
+    # open quote closes nothing.  After a clause that ended at its own '.',
+    # or none, that '.' is an "unexpected '.'" and is dropped; after an open
+    # quote that ran to the end, the error stays.
     source = text.strip()
     end = len(source)
     if not (source.endswith(".") and _CLAUSE_RE.fullmatch(source)):
